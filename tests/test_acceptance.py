@@ -6,6 +6,7 @@ sweeps use the full documented bounds, so this module dominates the suite's
 runtime (a few minutes).
 """
 
+import hashlib
 import sys
 
 from borcherds_cm import acceptance
@@ -46,6 +47,19 @@ def test_criterion_5_class_number_formula():
 
 def test_criterion_6_desk_instance():
     _check("6 (0,2) desk instance", acceptance.criterion_desk_instance)
+
+
+def test_corpus_pinned():
+    # criteria 7 and 8 run on this corpus; any change to the lattices, the
+    # glue choice or the random forms changes the hash
+    corpus = acceptance.build_corpus()
+    assert len(corpus) == 100
+    digest = hashlib.sha256()
+    for fld, sl, form in corpus:
+        key = (fld.d, sl.plus.gram, sl.minus.basis, sl.basis,
+               sorted(form.coeffs.items()))
+        digest.update(repr(key).encode())
+    assert digest.hexdigest()[:16] == "18e2f9eb059bf334"
 
 
 def test_criterion_7_prime_support():
