@@ -12,7 +12,6 @@ from .lattice import (
     PosLattice,
     SplitLattice,
     enumerate_dual_cosets,
-    glue_group,
     make_ideal_lattice,
 )
 from .locwhit import eisenstein_deriv_coeff

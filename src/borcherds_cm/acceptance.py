@@ -5,6 +5,7 @@ these."""
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from .forms import FourierForm, m_max
 from .gzoracle import gz_product, gz_support_check
 from .kappa import kappa_positive
 from .lattice import (
+    InconsistentEmbeddingError,
     PosLattice,
     SplitLattice,
     enumerate_dual_cosets,
@@ -188,6 +190,9 @@ def criterion_desk_instance():
 # Randomized corpus for the prime-support and contraction criteria
 # ---------------------------------------------------------------------------
 
+CORPUS_SEED = 987123
+CORPUS_SIZE = 100
+
 _GRAM_POOL = {
     1: [((2,),), ((4,),), ((6,),), ((14,),), ((30,),), ((46,),)],
     2: [
@@ -199,55 +204,47 @@ _GRAM_POOL = {
 }
 
 
-def _glue_candidates(plus, minus):
-    """Vectors v generating integral index-q overlattices of L_+ + L_-,
-    mixing both factors, found by brute force over small denominators."""
+def _glue_candidates(split):
+    """Vectors v generating integral prime-index overlattices of the split
+    lattice L_+ + L_-, mixing both factors (Nikulin's gluing).
+
+    The candidates are its discriminant group (L_+ + L_-)^v / (L_+ + L_-),
+    each element reduced into [0,1)^N and sorted lexicographically; the
+    first valid v of each denominator is kept."""
+    plus, minus = split.plus, split.minus
     n = plus.rank
-    d = minus.field.d
-    probe = SplitLattice(plus, minus)
-    B = probe.gram_ambient
-    N = n + 2
+    reps = sorted(
+        tuple(x % 1 for x in eta.plus + eta.minus) for eta in split.etas
+    )
     found = []
-    for den in set(minus.field.ramified_primes) | {2}:
-        coords = range(den)
-        def vectors(i, acc):
-            if i == N:
-                yield tuple(acc)
-                return
-            for z in coords:
-                yield from vectors(i + 1, acc + [Fraction(z, den)])
-        for v in vectors(0, []):
-            vp, vm = v[:n], v[n:]
-            if all(x.denominator == 1 for x in vp):
+    for den in sorted(set(minus.field.ramified_primes) | {2}):
+        for v in reps:
+            if any((den * x).denominator != 1 for x in v):
                 continue
-            if all(x.denominator == 1 for x in vm):
+            if all(x.denominator == 1 for x in v[:n]):
                 continue
-            pair = [sum(B[i][j] * v[j] for j in range(N)) for i in range(N)]
-            if any(x.denominator != 1 for x in pair):
+            if all(x.denominator == 1 for x in v[n:]):
                 continue
-            self_pair = sum(v[i] * pair[i] for i in range(N))
-            if self_pair.denominator != 1:
+            if (2 * split.q_ambient(v)).denominator != 1:
                 continue
             basis = [
-                tuple(Fraction(int(i == j)) for j in range(N)) for i in range(N)
+                tuple(Fraction(int(i == j)) for j in range(n + 2))
+                for i in range(n + 2)
             ]
             basis[0] = v
             try:
                 found.append(SplitLattice(plus, minus, tuple(basis)))
-            except Exception:
+            except InconsistentEmbeddingError:
                 continue
             break  # one glue per denominator keeps the corpus varied but small
     return found
 
 
-import functools
-
-
-@functools.lru_cache(maxsize=4)
-def build_corpus(seed=987123, min_instances=100):
+@functools.cache
+def build_corpus():
     """Deterministic corpus of (field, lattice, form) triples with random
     integral principal parts, rank <= 2 positive parts, split and glued."""
-    rng = random.Random(seed)
+    rng = random.Random(CORPUS_SEED)
     triples = []
     lattices = []
     for d in (7, 15, 23):
@@ -257,12 +254,12 @@ def build_corpus(seed=987123, min_instances=100):
             for rank in (0, 1, 2):
                 grams = [None] if rank == 0 else _GRAM_POOL[rank]
                 for gram in grams:
-                    plus = PosLattice(gram or ())
-                    lattices.append((fld, SplitLattice(plus, minus)))
+                    split = SplitLattice(PosLattice(gram or ()), minus)
+                    lattices.append((fld, split))
                     if rank and minus.norm == 1:
-                        for glued in _glue_candidates(plus, minus):
+                        for glued in _glue_candidates(split):
                             lattices.append((fld, glued))
-    while len(triples) < min_instances:
+    while len(triples) < CORPUS_SIZE:
         fld, sl = lattices[rng.randrange(len(lattices))]
         coeffs = {}
         for _ in range(rng.randint(1, 3)):
@@ -294,9 +291,9 @@ def m_max_of(coeffs):
     return max(neg) if neg else Fraction(0)
 
 
-def criterion_prime_support(min_instances=100, seed=987123):
+def criterion_prime_support():
     """check_prime_support passes on every corpus instance."""
-    corpus = build_corpus(seed=seed, min_instances=min_instances)
+    corpus = build_corpus()
     for i, (fld, sl, form) in enumerate(corpus):
         report = log_psi_product(form, sl, fld)
         ok, violations = check_prime_support(report, fld, form)
@@ -308,10 +305,10 @@ def criterion_prime_support(min_instances=100, seed=987123):
     return True, f"prime support law holds on {len(corpus)} corpus instances"
 
 
-def criterion_contraction_consistency(min_instances=100, seed=987123):
+def criterion_contraction_consistency():
     """c00_contraction equals the brute-force double sum on every corpus
     instance, and C_{eta, lambda}(m) is an integer for m <= 0."""
-    corpus = build_corpus(seed=seed, min_instances=min_instances)
+    corpus = build_corpus()
     for i, (fld, sl, form) in enumerate(corpus):
         neg_ms = sorted({m for (_, m) in form.coeffs if m <= 0})
         table = contraction_coeffs(form, sl, neg_ms + [Fraction(0)])

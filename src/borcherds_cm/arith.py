@@ -12,8 +12,6 @@ from fractions import Fraction
 
 INFINITE_PLACE = math.inf
 
-_POLLARD_THRESHOLD = 10**12
-
 
 class UndefinedValuationError(ValueError):
     """Raised when the valuation of zero is requested."""
@@ -45,7 +43,7 @@ def is_prime(n):
 
 
 def _pollard_rho(n):
-    # Brent's cycle-finding variant; n must be composite and odd.
+    # Floyd's cycle detection; n must be composite and odd.
     if n % 2 == 0:
         return 2
     c = 1
@@ -65,7 +63,9 @@ def _pollard_rho(n):
 def factorize(n):
     """Factor a positive integer into a sorted list of (prime, exponent).
 
-    Trial division up to 10^6; Pollard rho only for cofactors above 10^12.
+    Trial division up to 10^6; a composite cofactor left after it has all
+    its prime factors above 10^6, so it exceeds 10^12, and Pollard rho
+    splits it.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -75,7 +75,7 @@ def factorize(n):
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # wheel over 6k +/- 1
+    # wheel mod 30: the residues coprime to 2, 3 and 5
     p = 7
     incs = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
@@ -89,20 +89,11 @@ def factorize(n):
         stack = [n]
         while stack:
             m = stack.pop()
-            if m == 1:
-                continue
             if is_prime(m):
                 factors[m] = factors.get(m, 0) + 1
-            elif m > _POLLARD_THRESHOLD:
+            else:
                 d = _pollard_rho(m)
                 stack.extend((d, m // d))
-            else:
-                # composite below the rho threshold but above the trial bound
-                q = 10**6 + 3
-                while m % q:
-                    q += 2
-                factors[q] = factors.get(q, 0) + 1
-                stack.append(m // q)
     return sorted(factors.items())
 
 

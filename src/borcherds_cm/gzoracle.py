@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from .arith import is_prime, kronecker
+from .arith import factorize, kronecker
 from .forms import classical_qexp
 from .quadfield import reduced_forms
 
@@ -114,7 +114,7 @@ def gz_product(d1, d2, prec=None):
                     d1=d1,
                     d2=d2,
                     product=nearest,
-                    factorization=_factor_support(nearest),
+                    factorization=tuple(factorize(abs(nearest))),
                     precision_used=digits,
                     margin=float(margin),
                 )
@@ -122,29 +122,6 @@ def gz_product(d1, d2, prec=None):
     raise RoundingFailure(
         f"gz_product({d1},{d2}) failed to round at {digits // 2} digits"
     )
-
-
-def _factor_support(n):
-    """Factor an integer expected to be smooth; trial division with a
-    primality fallback for any large cofactor."""
-    n = abs(int(n))
-    if n <= 1:
-        return ()
-    out = []
-    p = 2
-    while p * p <= n and p < 10**7:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        if not is_prime(n):
-            raise ArithmeticError(f"unexpected hard cofactor {n}")
-        out.append((n, 1))
-    return tuple(out)
 
 
 def gz_support_check(result):

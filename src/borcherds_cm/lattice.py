@@ -352,11 +352,6 @@ def coset_of_element(lat, coords):
     return DualCoset(lat, coords, label)
 
 
-def q_of_coset(mu):
-    """Q(mu) mod 1, as a rational in [0, 1)."""
-    return mu.q_value
-
-
 # ---------------------------------------------------------------------------
 # Positive definite lattices with exact vector enumeration
 # ---------------------------------------------------------------------------
@@ -473,10 +468,6 @@ class PosLattice:
         return out
 
 
-def count_vectors(pl, coset, m):
-    return pl.count_vectors(coset, m)
-
-
 # ---------------------------------------------------------------------------
 # Glued lattices for V = V_+ (+) U
 # ---------------------------------------------------------------------------
@@ -564,31 +555,14 @@ class SplitLattice:
                 EtaCoset(label, ep, em, q - math.floor(q))
             )
 
-    @property
-    def rank_plus(self):
-        return self.plus.rank
-
     def q_ambient(self, x):
         x = tuple(map(Fraction, x))
         n = self.plus.rank
         return self.plus.q_of(x[:n]) + self.minus.q_of(x[n:])
 
-    def eta(self, label):
-        return self.etas[label]
-
-    def num_etas(self):
-        return len(self.etas)
-
 
 def _transpose(A):
     return tuple(tuple(A[i][j] for i in range(len(A))) for j in range(len(A[0])))
-
-
-def glue_group(plus, minus, basis=None):
-    """Build a SplitLattice from embedding data: the PosLattice, the
-    IdealLattice, and a Z-basis of L in ambient coordinates (defaults to the
-    split lattice L = L_+ + L_-)."""
-    return SplitLattice(plus, minus, basis)
 
 
 # ---------------------------------------------------------------------------

@@ -207,9 +207,7 @@ def eisenstein_deriv_coeff(fld, lat, mu, t):
         raise ValueError("eisenstein_deriv_coeff requires t > 0")
     if lat is not None and lat.field.d != fld.d:
         raise ValueError("lattice/field mismatch")
-    norm = lat.norm if lat is not None else getattr(
-        getattr(mu, "lattice", None), "norm", 1
-    )
+    norm = lat.norm if lat is not None else mu.lattice.norm
     polys = _local_polys(fld, mu, t, norm)
     for w in polys.values():
         if w.is_zero_poly():

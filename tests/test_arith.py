@@ -37,6 +37,14 @@ def test_factorize_examples():
     assert factorize(2**10) == [(2, 10)]
 
 
+def test_factorize_above_trial_bound():
+    # cofactors with every prime above the 10^6 trial bound go to rho
+    p, q, r = 1000003, 1000033, 1000037
+    assert factorize(p * q) == [(p, 1), (q, 1)]
+    assert factorize(p * p) == [(p, 2)]
+    assert factorize(8 * p * q * r) == [(2, 3), (p, 1), (q, 1), (r, 1)]
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)

@@ -13,7 +13,6 @@ from borcherds_cm.lattice import (
     SplitLattice,
     coset_of_element,
     enumerate_dual_cosets,
-    glue_group,
     load_lattice,
     make_ideal_lattice,
     mat_det,
@@ -215,9 +214,9 @@ def test_split_lattice_counts():
     fld = make_field(7)
     minus = make_ideal_lattice(fld, "unit")
     plus = PosLattice(((2,),))
-    sl = glue_group(plus, minus)
+    sl = SplitLattice(plus, minus)
     assert len(sl.glue) == 1
-    assert sl.num_etas() == 2 * 7
+    assert len(sl.etas) == 2 * 7
     assert sl.etas[0].label == 0
     for eta in sl.etas:
         assert 0 <= eta.q_mod_one < 1
@@ -235,7 +234,7 @@ def test_glued_lattice_index_seven():
     basis = ((Fraction(1, 7),) + mu.coords, (0, 1, 0), (0, 0, 1))
     sl = SplitLattice(plus, minus, basis)
     assert len(sl.glue) == 7
-    assert sl.num_etas() * 7**2 == 14 * 7  # |L^v/L| = |L0^v/L0| / [L:L0]^2
+    assert len(sl.etas) * 7**2 == 14 * 7  # |L^v/L| = |L0^v/L0| / [L:L0]^2
     nontrivial = [g for g in sl.glue if any(x.denominator != 1 for x in g.plus)]
     assert len(nontrivial) == 6
     for g in nontrivial:
@@ -275,7 +274,7 @@ def test_load_lattice(tmp_path):
     assert fld.d == 7
     assert sl.plus.rank == 1
     assert sl.minus.norm == 1
-    assert sl.num_etas() == 14
+    assert len(sl.etas) == 14
 
 
 def test_load_lattice_errors(tmp_path):
