@@ -50,6 +50,26 @@ def test_gz_7_43():
     assert r.margin < 1e-20
 
 
+# Pairs with class number above 1 on at least one side: (product,
+# factorization), computed from the exact q-expansion of j.
+PINNED_PRODUCTS = {
+    (3, 23): (12771880859375, ((5, 9), (11, 3), (17, 3))),
+    (7, 15): (-754606125, ((3, 6), (5, 3), (7, 2), (13, 2))),
+    (15, 19): (613629807921, ((3, 6), (13, 2), (29, 1), (41, 1), (59, 1), (71, 1))),
+    (3, 95): (
+        5**12 * 17**6 * 23**6 * 29**3 * 41**3 * 59**3 * 71**3,
+        ((5, 12), (17, 6), (23, 6), (29, 3), (41, 3), (59, 3), (71, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(PINNED_PRODUCTS))
+def test_gz_pinned_products(pair):
+    r = gz_product(*pair)
+    assert (r.product, r.factorization) == PINNED_PRODUCTS[pair]
+    assert r.margin < 1e-20
+
+
 def test_gz_symmetry_sign():
     a = gz_product(3, 7)
     b = gz_product(7, 3)
