@@ -29,6 +29,14 @@ def _default_prec():
         return 64
 
 
+def _rational(flag, text):
+    """Fraction(text), or a ValueError that names the option and the value."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} {text!r} is not a rational a/b with b != 0") from None
+
+
 def _get_mu(lat, label):
     for mu in enumerate_dual_cosets(lat):
         if mu.label == label:
@@ -53,7 +61,7 @@ def cmd_kappa(args):
     fld = make_field(args.d)
     lat = make_ideal_lattice(fld, args.ideal)
     mu = _get_mu(lat, args.mu)
-    val = kappa_at(fld, lat, mu, Fraction(args.t))
+    val = kappa_at(fld, lat, mu, _rational("-t", args.t))
     print(f"kappa = {val.render()}")
     print(f"serialized={val.log_part.serialize()}")
     print(f"kzero_multiple={val.kzero_multiple}")
@@ -64,7 +72,7 @@ def cmd_whittaker(args):
     fld = make_field(args.d)
     lat = make_ideal_lattice(fld, args.ideal)
     mu = _get_mu(lat, args.mu)
-    t = Fraction(args.t)
+    t = _rational("-t", args.t)
     if t <= 0:
         raise ValueError("whittaker requires t > 0")
     for p, poly in sorted(_local_polys(fld, mu, t, lat.norm).items()):
@@ -110,7 +118,7 @@ def _report_lines(report, fld, form, prec):
 def cmd_cmsum(args):
     fld, sl = load_lattice(args.lattice)
     form = load_form(args.form, sl)
-    vol_kt = Fraction(args.vol_kt) if args.vol_kt else None
+    vol_kt = _rational("--vol-kt", args.vol_kt) if args.vol_kt else None
     report = log_psi_product(form, sl, fld, vol_kt)
     for line in _report_lines(report, fld, form, args.prec):
         print(line)
@@ -123,7 +131,7 @@ def cmd_cmsum(args):
 def cmd_factor(args):
     fld, sl = load_lattice(args.lattice)
     form = load_form(args.form, sl)
-    vol_kt = Fraction(args.vol_kt) if args.vol_kt else None
+    vol_kt = _rational("--vol-kt", args.vol_kt) if args.vol_kt else None
     report = log_psi_product(form, sl, fld, vol_kt)
     if report.kzero_coeff != 0:
         raise ValueError(
@@ -147,6 +155,8 @@ def cmd_gz(args):
     if violations:
         print(f"violations={violations}")
     print(f"precision_used={result.precision_used}")
+    print(f"margin={result.margin:.3g}")
+    print(f"doublings={result.doublings}")
     return 0
 
 

@@ -1,9 +1,9 @@
 """Numerical verification channel via singular moduli.
 
 Enumerates CM points through reduced binary quadratic forms, evaluates the
-j-function from its exact q-expansion with certified tails, forms the
-product of differences of singular moduli over two class groups, recognizes
-the integer, factors it, and checks the prime-support prediction.
+j-function through mpmath's theta-function kleinj, forms the product of
+differences of singular moduli over two class groups, recognizes the
+integer, factors it, and checks the prime-support prediction.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from mpmath import mp
 
 from .arith import factorize, kronecker
-from .forms import classical_qexp
 from .quadfield import reduced_forms
 
 
@@ -31,6 +30,7 @@ class GZResult:
     factorization: tuple  # ((p, e), ...); sign carried by product
     precision_used: int
     margin: float
+    doublings: int = 0
 
     def factored_string(self):
         sign = "-" if self.product < 0 else ""
@@ -42,39 +42,24 @@ class GZResult:
         return sign + body
 
 
-def _num_j_terms(abs_log_q, digits):
-    """Smallest safe truncation order: the coefficient growth e^{4 pi
-    sqrt(n)} must lose to |q|^n by a 10^{-digits} margin."""
-    target = digits * math.log(10) + 15
-    n = 20
-    while n * abs_log_q - 4 * math.pi * math.sqrt(n) < target:
-        n += 25
-    return n
-
-
 def j_value(form, d, prec=64):
-    """j((-b + sqrt(-d)) / (2a)) from the exact q-expansion of j.
+    """j((-b + sqrt(-d)) / (2a)) as 1728 * mpmath.kleinj(tau).
 
-    Accurate to roughly 10^{-prec} absolute; the tail is controlled via
-    |q| = e^{-pi sqrt(d)/a} and the e^{4 pi sqrt(n)} coefficient bound.
+    mpmath evaluates Klein's invariant from Jacobi theta functions, so this
+    route shares nothing with the package's q-expansion code.  Since
+    |j(tau)| is about e^{pi sqrt(d)/a}, the work precision carries that many
+    extra digits on top of prec + 15, which keeps the result accurate to
+    roughly 10^{-prec} absolute.
     """
     if prec < 30:
         raise ValueError("j_value requires prec >= 30")
     a, b, c = form
     if b * b - 4 * a * c != -d:
         raise ValueError("form discriminant does not match -d")
-    n_terms = _num_j_terms(math.pi * math.sqrt(d) / a, prec)
-    n_terms = 50 * ((n_terms + 49) // 50)  # bucket to reuse cached expansions
-    jq = classical_qexp("j", n_terms)
-    with mp.workdps(prec + 15 + n_terms // 8):
+    size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
+    with mp.workdps(prec + 15 + size_digits):
         tau = (-b + mp.sqrt(-d)) / (2 * a)
-        q = mp.exp(2j * mp.pi * tau)
-        # Horner from the top coefficient down to q^{-1}
-        acc = mp.mpc(0)
-        for coeff in reversed(jq.coeffs):
-            acc = acc * q + int(coeff)
-        acc = acc / q
-        return +acc
+        return 1728 * mp.kleinj(tau)
 
 
 _MAX_DOUBLINGS = 4
@@ -117,6 +102,7 @@ def gz_product(d1, d2, prec=None):
                     factorization=tuple(factorize(abs(nearest))),
                     precision_used=digits,
                     margin=float(margin),
+                    doublings=attempt,
                 )
         digits *= 2
     raise RoundingFailure(

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import is_prime
+
 
 class NotAnIdealError(ValueError):
     """Basis is not omega-stable or not contained in O_k."""
@@ -314,9 +316,15 @@ def make_ideal_lattice(field, spec="unit"):
     if spec is None or spec == "unit":
         return IdealLattice(field, ((1, 0), (0, 1)))
     if isinstance(spec, str) and spec.startswith("prime:"):
-        spec = ("prime", int(spec.split(":", 1)[1]))
+        value = spec.split(":", 1)[1]
+        try:
+            spec = ("prime", int(value))
+        except ValueError:
+            raise NotAnIdealError(f"ideal {spec!r}: {value!r} is not an integer") from None
     if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "prime":
         p = int(spec[1])
+        if not is_prime(p):
+            raise NotAnIdealError(f"ideal prime:{p}: {p} is not a positive prime")
         d = field.d
         # prime ideal (p, omega - r) with r^2 - r + (1+d)/4 = 0 mod p
         c = (1 + d) // 4
@@ -570,10 +578,21 @@ def _transpose(A):
 # ---------------------------------------------------------------------------
 
 
-def _parse_rows(text):
-    return tuple(
-        tuple(Fraction(x) for x in row.split(",")) for row in text.split(";")
-    )
+def _parse_rows(key, text):
+    try:
+        return tuple(
+            tuple(Fraction(x) for x in row.split(",")) for row in text.split(";")
+        )
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{key}={text!r} is not rows of rationals a/b") from None
+
+
+def _int_key(keys, key, default=None):
+    value = keys.get(key, default)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key}={value!r} is not an integer") from None
 
 
 def load_lattice(path, field_cache=None):
@@ -591,14 +610,16 @@ def load_lattice(path, field_cache=None):
             keys[k.strip()] = v.strip()
     if "d" not in keys:
         raise ValueError("lattice file missing d=")
-    fld = make_field(int(keys["d"]))
+    fld = make_field(_int_key(keys, "d"))
     minus = make_ideal_lattice(fld, keys.get("ideal", "unit"))
-    rank = int(keys.get("rank", "0"))
+    rank = _int_key(keys, "rank", "0")
     if rank:
-        plus = PosLattice(_parse_rows(keys["gram"]))
+        if "gram" not in keys:
+            raise ValueError(f"lattice file has rank={rank} but no gram=")
+        plus = PosLattice(_parse_rows("gram", keys["gram"]))
         if plus.rank != rank:
             raise ValueError("rank does not match gram size")
     else:
         plus = PosLattice(())
-    basis = _parse_rows(keys["basis"]) if "basis" in keys else None
+    basis = _parse_rows("basis", keys["basis"]) if "basis" in keys else None
     return fld, SplitLattice(plus, minus, basis)

@@ -70,6 +70,11 @@ def test_gz(capsys):
     assert data["product"] == "3375"
     assert data["factored"] == "3^3 * 5^3"
     assert data["support"] == "OK"
+    keys = [line.partition("=")[0] for line in out.splitlines()]
+    assert keys == ["product", "factored", "support", "precision_used",
+                    "margin", "doublings"]
+    assert float(data["margin"]) < 1e-20
+    assert data["doublings"] == "0"
 
 
 def _write_desk_files(tmp_path):
@@ -144,3 +149,45 @@ def test_missing_file_exits_1(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+def test_zero_denominator_names_option(capsys):
+    code, out, err = _run(capsys, "kappa", "-d", "7", "-t", "1/0")
+    assert code == 1
+    assert "-t" in err and "1/0" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("prime:-5", "not a positive prime"),
+        ("prime:4", "not a positive prime"),
+        ("prime:x", "not an integer"),
+    ],
+)
+def test_bad_prime_ideal_rejected(capsys, spec, message):
+    code, out, err = _run(capsys, "kappa", "-d", "7", "--ideal", spec, "-t", "1")
+    assert code == 1
+    assert spec in err and message in err
+    assert "inert" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("d=7\nrank=1\n", "no gram="),
+        ("d=x\n", "d='x'"),
+        ("d=7\nrank=one\n", "rank='one'"),
+        ("d=7\nrank=1\ngram=1/0\n", "gram='1/0'"),
+    ],
+)
+def test_malformed_lattice_file(capsys, tmp_path, text, message):
+    lat = tmp_path / "lat.txt"
+    lat.write_text(text)
+    form = tmp_path / "form.txt"
+    form.write_text("0 -1/1 1/1\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(form),
+                          "--lattice", str(lat))
+    assert code == 1
+    assert message in err

@@ -1,6 +1,10 @@
+import math
+
 import pytest
 from mpmath import mp
 
+from borcherds_cm import gzoracle
+from borcherds_cm.forms import classical_qexp
 from borcherds_cm.gzoracle import (
     GZResult,
     gz_product,
@@ -25,6 +29,40 @@ def test_j_value_d43():
     with mp.workdps(80):
         v = j_value((1, 1, 11), 43, 60)
         assert abs(v - (-884736000)) < mp.mpf("1e-20")
+
+
+def _j_from_qexp(form, d, prec):
+    """j at the CM point of form by Horner's rule on the exact q-expansion
+    of j, cut where e^{4 pi sqrt(n)} |q|^n drops below 10^{-(prec + 15)}."""
+    a, b, _ = form
+    abs_log_q = math.pi * math.sqrt(d) / a
+    n = 1
+    while n * abs_log_q - 4 * math.pi * math.sqrt(n) < (prec + 15) * math.log(10):
+        n += 1
+    jq = classical_qexp("j", n)
+    with mp.workdps(prec + 30):
+        q = mp.exp(2j * mp.pi * (-b + mp.sqrt(-d)) / (2 * a))
+        acc = mp.mpc(0)
+        for coeff in reversed(jq.coeffs):
+            acc = acc * q + int(coeff)
+        return acc * q**jq.leading
+
+
+@pytest.mark.parametrize(
+    "d, form, prec",
+    [
+        (3, (1, 1, 1), 60),
+        (7, (1, 1, 2), 60),
+        (23, (1, 1, 6), 60),
+        (23, (2, 1, 3), 60),
+        (23, (2, -1, 3), 60),
+        (95, (4, 1, 6), 250),
+    ],
+)
+def test_j_value_matches_exact_qexp(d, form, prec):
+    with mp.workdps(prec + 30):
+        diff = abs(j_value(form, d, prec) - _j_from_qexp(form, d, prec))
+        assert diff < mp.mpf(10) ** -(prec - 5)
 
 
 def test_j_value_domain():
@@ -80,6 +118,24 @@ def test_gz_doubling_invariance():
     a = gz_product(3, 7)
     b = gz_product(3, 7, prec=2 * a.precision_used)
     assert a.product == b.product
+
+
+def test_gz_counts_doublings(monkeypatch):
+    base = gz_product(3, 7)
+    exact_j = gzoracle.j_value
+
+    def noisy_below_double(form, d, prec):
+        # perturb j(tau_3) only, so the error does not cancel in j1 - j2
+        value = exact_j(form, d, prec)
+        if d == 3 and prec < 2 * base.precision_used:
+            return value + mp.mpf("1e-10")
+        return value
+
+    monkeypatch.setattr(gzoracle, "j_value", noisy_below_double)
+    r = gz_product(3, 7)
+    assert r.product == base.product
+    assert (r.doublings, r.precision_used) == (1, 2 * base.precision_used)
+    assert base.doublings == 0
 
 
 def test_gz_rejects_non_coprime():
