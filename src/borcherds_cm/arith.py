@@ -293,12 +293,11 @@ class FactoredLog:
             e = self._terms[p]
             term = f"log({p})" if e == 1 else f"{e}*log({p})"
             if not parts:
-                parts.append(term if e > 0 or e == 1 else term)
+                parts.append(term)
+            elif term.startswith("-"):
+                parts.append(f"- {term[1:]}")
             else:
-                if term.startswith("-"):
-                    parts.append(f"- {term[1:]}")
-                else:
-                    parts.append(f"+ {term}")
+                parts.append(f"+ {term}")
         return " ".join(parts)
 
     def exp_rational(self):

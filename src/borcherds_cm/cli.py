@@ -23,10 +23,12 @@ from .quadfield import kappa_zero_constant, make_field
 
 
 def _default_prec():
+    """Digits for cmsum when --prec is not given: BCM_PREC, else 64."""
+    value = os.environ.get("BCM_PREC", "64")
     try:
-        return max(10, int(os.environ.get("BCM_PREC", "64")))
+        return max(10, int(value))
     except ValueError:
-        return 64
+        raise ValueError(f"BCM_PREC={value!r} is not an integer") from None
 
 
 def _rational(flag, text):
@@ -119,8 +121,9 @@ def cmd_cmsum(args):
     fld, sl = load_lattice(args.lattice)
     form = load_form(args.form, sl)
     vol_kt = _rational("--vol-kt", args.vol_kt) if args.vol_kt else None
+    prec = _default_prec() if args.prec is None else args.prec
     report = log_psi_product(form, sl, fld, vol_kt)
-    for line in _report_lines(report, fld, form, args.prec):
+    for line in _report_lines(report, fld, form, prec):
         print(line)
     phi = phi_average(form, sl, fld, vol_kt)
     print(f"phi_so_integral={phi.value.render()}")
@@ -208,7 +211,8 @@ def build_parser():
     p.add_argument("--form", required=True)
     p.add_argument("--lattice", required=True)
     p.add_argument("--vol-kt", dest="vol_kt", default=None)
-    p.add_argument("--prec", type=int, default=_default_prec())
+    p.add_argument("--prec", type=int, default=None,
+                   help="digits of numeric= (default: BCM_PREC, else 64)")
     p.set_defaults(fn=cmd_cmsum)
 
     p = sub.add_parser(

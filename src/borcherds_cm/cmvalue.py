@@ -22,11 +22,6 @@ from .lattice import coset_of_element, _is_integral
 from .quadfield import INERT
 
 
-def _vector_counts(sl, plus_coset, bound):
-    """Q-value -> count for vectors in plus_coset + L_+ with Q <= bound."""
-    return sl.plus.vector_norms_up_to(plus_coset, bound)
-
-
 def _coset_sum(a, b):
     return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
 
@@ -88,7 +83,7 @@ def kappa_eta(fld, sl, eta_label, m):
     total = KAPPA_ZERO
     for lam in sl.glue:
         mu = coset_of_element(sl.minus, _coset_sum(eta.minus, lam.minus))
-        norms = _vector_counts(sl, _coset_sum(eta.plus, lam.plus), m)
+        norms = sl.plus.vector_norms_up_to(_coset_sum(eta.plus, lam.plus), m)
         for qx, count in norms.items():
             term = kappa_at(fld, sl.minus, mu, m - qx)
             if not term.is_zero():

@@ -2,9 +2,10 @@
 
 QExpansion is a truncated Laurent series ring over Q with exact arithmetic,
 used to build delta, E4, E6 and j.  FourierForm holds the coefficient table
-c_eta(m) of a weakly holomorphic input form, validated against the
-coefficient-level constraints: integral principal part, finite principal
-part, and the support congruence m + Q(eta) in Z.
+c_eta(m) of a weakly holomorphic input form on a SplitLattice, whose etas
+give the labels and Q(eta) mod 1.  The table is validated against the
+coefficient-level constraints: integral principal part and the support
+congruence m + Q(eta) in Z.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ class IntegralityViolation(ValueError):
 
 class SupportCongruenceViolation(ValueError):
     """A nonzero c_eta(m) with m + Q(eta) not in Z."""
-
-
-class InfinitePrincipalPartError(ValueError):
-    """More negative-index coefficients than the declared bound allows."""
 
 
 # ---------------------------------------------------------------------------
@@ -242,38 +239,17 @@ def classical_qexp(name, N):
 # ---------------------------------------------------------------------------
 
 
-def _num_labels(lattice):
-    if lattice is None:
-        return None
-    if hasattr(lattice, "etas"):
-        return len(lattice.etas)
-    if getattr(lattice, "is_integral_ideal", False):
-        return lattice.field.d
-    raise TypeError("lattice must be a SplitLattice or IdealLattice")
-
-
-def _q_mod_one(lattice, label):
-    if hasattr(lattice, "etas"):
-        return lattice.etas[label].q_mod_one
-    from .lattice import enumerate_dual_cosets
-
-    cache = getattr(lattice, "_coset_q_cache", None)
-    if cache is None:
-        cache = {c.label: c.q_value for c in enumerate_dual_cosets(lattice)}
-        lattice._coset_q_cache = cache
-    return cache[label]
-
-
 class FourierForm:
     """The coefficient table of a weakly holomorphic input form.
 
     coeffs maps (eta label, m) to a rational c_eta(m); entries absent from
-    the map are zero.  The lattice provides the labels and Q(eta) mod 1.
+    the map are zero.  The SplitLattice's etas provide the labels and
+    Q(eta) mod 1.
     """
 
     def __init__(self, lattice, coeffs):
         self.lattice = lattice
-        n_labels = _num_labels(lattice)
+        etas = lattice.etas
         clean = {}
         for (label, m), c in coeffs.items():
             label = int(label)
@@ -281,19 +257,18 @@ class FourierForm:
             c = Fraction(c)
             if c == 0:
                 continue
-            if n_labels is not None and not 0 <= label < n_labels:
+            if not 0 <= label < len(etas):
                 raise ValueError(f"eta label {label} out of range")
             if m <= 0 and c.denominator != 1:
                 raise IntegralityViolation(
                     f"c_{label}({m}) = {c} must be an integer for m <= 0"
                 )
-            if lattice is not None:
-                q = _q_mod_one(lattice, label)
-                if (m + q).denominator != 1:
-                    raise SupportCongruenceViolation(
-                        f"c_{label}({m}) nonzero but {m} + Q(eta) = "
-                        f"{m + q} is not an integer"
-                    )
+            q = etas[label].q_mod_one
+            if (m + q).denominator != 1:
+                raise SupportCongruenceViolation(
+                    f"c_{label}({m}) nonzero but {m} + Q(eta) = "
+                    f"{m + q} is not an integer"
+                )
             clean[(label, m)] = c
         self.coeffs = clean
         self.principal_support = sorted(
@@ -341,9 +316,11 @@ def save_form(form, path, d=None):
         fh.write("\n".join(lines) + "\n")
 
 
-def load_form(path, lattice=None):
-    """Read a form table: optional header lines key=value, then records
-    `eta_label m c` with rationals as a/b.  Validates all invariants."""
+def load_form(path, lattice):
+    """Read a form table on the SplitLattice `lattice`: optional header lines
+    key=value, then records `eta_label m c` with rationals as a/b.
+    Validates all invariants; a bad record raises a ValueError that names
+    the file and the record."""
     coeffs = {}
     with open(path) as fh:
         for raw in fh:
@@ -352,14 +329,17 @@ def load_form(path, lattice=None):
                 continue
             if "=" in line and not line[0].isdigit() and not line[0] == "-":
                 continue  # header metadata; lattice is supplied by caller
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed form record {raw!r}")
-            label = int(parts[0])
-            m = Fraction(parts[1])
-            c = Fraction(parts[2])
-            key = (label, m)
-            if key in coeffs:
-                raise ValueError(f"duplicate record for eta={label}, m={m}")
-            coeffs[key] = c
+            try:
+                label, m, c = line.split()
+                label, m, c = int(label), Fraction(m), Fraction(c)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(
+                    f"{path}: form record {line!r} is not `eta_label m c` "
+                    "with an integer label and rationals a/b, b != 0"
+                ) from None
+            if (label, m) in coeffs:
+                raise ValueError(
+                    f"{path}: duplicate record for eta={label}, m={m}"
+                )
+            coeffs[(label, m)] = c
     return FourierForm(lattice, coeffs)

@@ -1,9 +1,11 @@
 """The closed-form constants kappa(t, mu, a) for an ideal lattice in an
 imaginary quadratic field.
 
-For t > 0 these are exact rational combinations of logarithms of primes;
-at t = 0 the zero coset contributes the symbolic constant k0(0), kept as a
-rational multiple so that rationality of downstream sums stays decidable.
+The lattice must be an IdealLattice (a, -Nx/Na) and mu one of its
+DualCosets; anything else raises UnsupportedLatticeError.  For t > 0 these
+are exact rational combinations of logarithms of primes; at t = 0 the zero
+coset contributes the symbolic constant k0(0), kept as a rational multiple
+so that rationality of downstream sums stays decidable.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, factorize, valuation
+from .lattice import IdealLattice
 from .quadfield import INERT
 
 
@@ -69,7 +72,7 @@ class UnsupportedLatticeError(ValueError):
 
 
 def _check_lattice(lat):
-    if lat is not None and not getattr(lat, "is_integral_ideal", False):
+    if not isinstance(lat, IdealLattice):
         raise UnsupportedLatticeError(
             "kappa formulas require an integral-ideal lattice"
         )
@@ -120,7 +123,7 @@ def kappa_positive(fld, lat, mu, t):
     if t <= 0:
         raise ValueError("kappa_positive requires t > 0")
     d = fld.d
-    norm = lat.norm if lat is not None else 1
+    norm = lat.norm
     # char conditions at ramified primes (Q(mu_q) = 0 mod Z_q when mu_q = 0)
     for q in fld.ramified_primes:
         target = Fraction(0) if mu.local_zero(q) else Fraction(mu.q_value)

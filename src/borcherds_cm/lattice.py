@@ -4,10 +4,17 @@ Ideal lattices in an imaginary quadratic field carry the negative-definite
 side (Q(x) = -Nx/Na); PosLattice carries a positive-definite Gram matrix
 with exact vector enumeration; SplitLattice glues both along a possibly
 non-split integral lattice L with L_+ + L_- <= L <= L^v.
+
+Every finite group the CM-value sums run over -- the discriminant groups
+L^v/L of the ideal, positive and glued lattices, and the glue group
+L/(L_+ + L_-) -- is a quotient Z^k / Z^k M listed by one routine,
+_coset_reps, through the Smith normal form of M, in canonical label order.
+An IdealLattice lists its dual cosets once, when it is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -167,8 +174,8 @@ class IntegerQuotient:
     matrix M (row convention), with canonical mixed-radix labels."""
 
     def __init__(self, M):
-        self.k = len(M)
         diag, _, V = smith_normal_form(M)
+        self.M = M
         self.diag = diag
         self.V = V
         self.Vinv = tuple(
@@ -177,29 +184,31 @@ class IntegerQuotient:
         self.order = math.prod(diag)
 
     def reps(self):
-        """Yield (label, coordinate row vector) for each coset, label 0 first."""
-        radices = self.diag
-
-        def rec(i, w):
-            if i == self.k:
-                yield tuple(w)
-                return
-            for wi in range(radices[i]):
-                yield from rec(i + 1, w + [wi])
-
-        for w in rec(0, []):
-            yield self.label_of_normal(w), mat_vec(w, self.Vinv)
-
-    def label_of_normal(self, w):
-        label = 0
-        for i in range(self.k):
-            label = label * self.diag[i] + (w[i] % self.diag[i])
-        return label
+        """Yield (label, coordinate row vector) for each coset in label
+        order; the mixed-radix labels of product(range(d_i)) count up."""
+        for label, w in enumerate(itertools.product(*map(range, self.diag))):
+            yield label, mat_vec(w, self.Vinv)
 
     def label_of(self, y):
-        """Canonical label of an integer coordinate vector y."""
-        w = mat_vec(tuple(int(x) for x in y), self.V)
-        return self.label_of_normal(list(w))
+        """Canonical label of an integer coordinate vector y: the mixed-radix
+        number whose digits are (y V)_i mod d_i."""
+        label = 0
+        for wi, di in zip(mat_vec(tuple(int(x) for x in y), self.V), self.diag):
+            label = label * di + wi % di
+        return label
+
+
+def _coset_reps(quotient, basis=None):
+    """One representative per coset of Z^k / Z^k M (M = quotient.M), in label
+    order, mapped through M^{-1} and then, if given, times basis.
+
+    With M a Gram matrix this lists the discriminant group L^v/L in lattice
+    (or, through basis, ambient) coordinates; with M the inverse of an
+    L-basis it lists L / Z^k."""
+    inv = mat_inv(quotient.M)
+    if basis is not None:
+        inv = mat_mul(inv, basis)
+    return [mat_vec(y, inv) for _, y in quotient.reps()]
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +238,8 @@ def elt_trace(x):
 
 class IdealLattice:
     """An integral O_k-ideal a viewed as a rank-2 lattice with
-    Q(x) = -N(x)/N(a), so that the dual lattice is D^{-1} a."""
-
-    is_integral_ideal = True
+    Q(x) = -N(x)/N(a), so that the dual lattice is D^{-1} a.  Its d dual
+    cosets are built once, with the lattice."""
 
     def __init__(self, field, basis):
         self.field = field
@@ -265,14 +273,11 @@ class IdealLattice:
                 row.append(int(val))
             gram.append(tuple(row))
         self.gram = tuple(gram)
-        self.gram_inv = mat_inv(self.gram)
-        self._quotient = None
-
-    @property
-    def quotient(self):
-        if self._quotient is None:
-            self._quotient = IntegerQuotient(self.gram)
-        return self._quotient
+        self._quotient = IntegerQuotient(self.gram)
+        self._cosets = tuple(
+            DualCoset(self, coords, label)
+            for label, coords in enumerate(_coset_reps(self._quotient))
+        )
 
     def dual_index(self):
         """|L^v / L| = N(D) = d."""
@@ -282,9 +287,6 @@ class IdealLattice:
         """Q at an element given in a-basis coordinates."""
         elt = mat_vec(tuple(map(Fraction, coords)), self.basis)
         return -elt_norm(elt, self.field.d) / self.norm
-
-    def element_of(self, coords):
-        return mat_vec(tuple(map(Fraction, coords)), self.basis)
 
 
 class DualCoset:
@@ -312,7 +314,8 @@ class DualCoset:
 
 def make_ideal_lattice(field, spec="unit"):
     """Build an IdealLattice from a spec: "unit", "prime:p", ("prime", p),
-    or an explicit 2x2 basis matrix in {1, omega} coordinates."""
+    "basis:a,b;c,d" (rows as in lattice files) or an explicit 2x2 basis
+    matrix, in {1, omega} coordinates."""
     if spec is None or spec == "unit":
         return IdealLattice(field, ((1, 0), (0, 1)))
     if isinstance(spec, str) and spec.startswith("prime:"):
@@ -334,30 +337,28 @@ def make_ideal_lattice(field, spec="unit"):
         if r is None:
             raise NotAnIdealError(f"{p} is inert; no prime ideal of norm {p}")
         return IdealLattice(field, ((p, 0), (-r, 1)))
-    if isinstance(spec, str) and spec.startswith("basis:"):
-        rows = spec.split(":", 1)[1].split(";")
-        spec = tuple(tuple(Fraction(x) for x in row.split(",")) for row in rows)
+    if isinstance(spec, str):
+        if not spec.startswith("basis:"):
+            raise NotAnIdealError(
+                f"ideal {spec!r} is not one of unit, prime:p or basis:a,b;c,d"
+            )
+        spec = _parse_rows("ideal basis", spec.split(":", 1)[1])
     return IdealLattice(field, spec)
 
 
 def enumerate_dual_cosets(lat):
-    """All d cosets of D^{-1}a / a with canonical labels; label 0 is mu = 0."""
-    cosets = []
-    for label, y in lat.quotient.reps():
-        coords = mat_vec(tuple(map(Fraction, y)), lat.gram_inv)
-        cosets.append(DualCoset(lat, coords, label))
-    cosets.sort(key=lambda c: c.label)
-    return cosets
+    """The d cosets of D^{-1}a / a that the lattice built, as a tuple
+    indexed by canonical label; label 0 is mu = 0."""
+    return lat._cosets
 
 
 def coset_of_element(lat, coords):
-    """The DualCoset containing an element of D^{-1}a given in a-basis
-    coordinates."""
+    """The canonical DualCoset (the one enumerate_dual_cosets lists) of the
+    coset containing an element of D^{-1}a given in a-basis coordinates."""
     y = mat_vec(tuple(map(Fraction, coords)), lat.gram)
     if not _is_integral(y):
         raise ValueError("element is not in the dual lattice D^{-1}a")
-    label = lat.quotient.label_of(y)
-    return DualCoset(lat, coords, label)
+    return lat._cosets[lat._quotient.label_of(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +386,6 @@ class PosLattice:
         self.rank = n
         self.gram = gram
         self._ldl = None
-        self._quotient = None
 
     def q_of(self, x):
         x = tuple(map(Fraction, x))
@@ -453,27 +453,14 @@ class PosLattice:
             return 0
         return self.vector_norms_up_to(coset, m).get(m, 0)
 
-    @property
-    def quotient(self):
-        if self._quotient is None:
-            if not all(_is_integral(row) for row in self.gram):
-                raise ValueError("dual cosets require an integral Gram matrix")
-            self._quotient = IntegerQuotient(
-                tuple(tuple(int(x) for x in row) for row in self.gram)
-            )
-        return self._quotient
-
     def dual_cosets(self):
-        """Representatives of L^v/L in lattice coordinates, canonically
-        labeled."""
+        """(label, representative) for each coset of L^v/L, in lattice
+        coordinates and label order."""
         if self.rank == 0:
             return [(0, ())]
-        inv = mat_inv(self.gram)
-        out = []
-        for label, y in self.quotient.reps():
-            out.append((label, mat_vec(tuple(map(Fraction, y)), inv)))
-        out.sort(key=lambda t: t[0])
-        return out
+        if not all(_is_integral(row) for row in self.gram):
+            raise ValueError("dual cosets require an integral Gram matrix")
+        return list(enumerate(_coset_reps(IntegerQuotient(self.gram))))
 
 
 # ---------------------------------------------------------------------------
@@ -541,27 +528,21 @@ class SplitLattice:
         self.gram_L = tuple(
             tuple(int(x) for x in row) for row in gram_L
         )
-        # glue group L / (L_+ + L_-)
-        M0 = tuple(tuple(int(x) for x in row) for row in basis_inv)
+        # glue group L / (L_+ + L_-): Z^N / Z^N basis^{-1} mapped through basis
         self.glue = []
-        for label, y in sorted(IntegerQuotient(M0).reps()):
-            amb = mat_vec(tuple(map(Fraction, y)), basis)
+        for amb in _coset_reps(IntegerQuotient(basis_inv)):
             lp, lm = amb[:n], amb[n:]
             if _is_integral(lm) and not _is_integral(lp):
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")
             if _is_integral(lp) and not _is_integral(lm):
                 raise InconsistentEmbeddingError("U cap L exceeds L_-")
             self.glue.append(GlueVector(lp, lm))
-        # dual cosets L^v / L
-        dual_basis = mat_mul(mat_inv(tuple(map(tuple, gram_L))), basis)
+        # dual cosets L^v / L in ambient coordinates
         self.etas = []
-        for label, y in sorted(IntegerQuotient(self.gram_L).reps()):
-            amb = mat_vec(tuple(map(Fraction, y)), dual_basis)
-            ep, em = amb[:n], amb[n:]
+        reps = _coset_reps(IntegerQuotient(self.gram_L), basis)
+        for label, amb in enumerate(reps):
             q = self.q_ambient(amb)
-            self.etas.append(
-                EtaCoset(label, ep, em, q - math.floor(q))
-            )
+            self.etas.append(EtaCoset(label, amb[:n], amb[n:], q - math.floor(q)))
 
     def q_ambient(self, x):
         x = tuple(map(Fraction, x))

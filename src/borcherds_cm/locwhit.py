@@ -205,10 +205,9 @@ def eisenstein_deriv_coeff(fld, lat, mu, t):
     t = Fraction(t)
     if t <= 0:
         raise ValueError("eisenstein_deriv_coeff requires t > 0")
-    if lat is not None and lat.field.d != fld.d:
+    if lat.field.d != fld.d:
         raise ValueError("lattice/field mismatch")
-    norm = lat.norm if lat is not None else mu.lattice.norm
-    polys = _local_polys(fld, mu, t, norm)
+    polys = _local_polys(fld, mu, t, lat.norm)
     for w in polys.values():
         if w.is_zero_poly():
             return EisensteinDerivative(ZERO_LOG, None, polys)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import INFINITE_PLACE, factorize, hilbert_symbol, kronecker, valuation
+from .arith import INFINITE_PLACE, factorize, hilbert_symbol, kronecker
 
 KZERO_TAG = "k0(0)"
 
@@ -40,7 +40,7 @@ def reduced_forms(d):
     """
     if d <= 0 or d % 4 != 3 or not _squarefree(d):
         raise UnsupportedDiscriminantError(
-            f"-{d} is not an odd fundamental discriminant"
+            f"d={d}: -d is not an odd fundamental discriminant"
         )
     forms = []
     a_max = math.isqrt(d // 3)
@@ -117,13 +117,7 @@ class QuadField:
         if t <= 0:
             raise ValueError("rho requires t > 0")
         if t.denominator != 1:
-            # no integral ideal has non-integer norm
-            for p, _ in factorize(t.denominator):
-                if self.rho_local(p, valuation(t, p)) == 0:
-                    return 0
-            # every denominator prime has negative valuation, so this is
-            # unreachable; kept for clarity
-            return 0
+            return 0  # no integral ideal has non-integer norm
         result = 1
         for p, a in factorize(t.numerator):
             result *= self.rho_local(p, a)

@@ -191,3 +191,44 @@ def test_malformed_lattice_file(capsys, tmp_path, text, message):
                           "--lattice", str(lat))
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("bogus", "'bogus' is not one of unit, prime:p or basis:"),
+        ("basis:1,x;0,1", "'1,x;0,1' is not rows of rationals"),
+        ("basis:1,1/0;0,1", "'1,1/0;0,1' is not rows of rationals"),
+    ],
+)
+def test_bad_ideal_spec_rejected(capsys, spec, message):
+    code, out, err = _run(capsys, "kappa", "-d", "7", "--ideal", spec, "-t", "1")
+    assert code == 1
+    assert message in err
+    assert "Fraction" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("record", ["0 1/0 1", "0 x 1", "a -1 1"])
+def test_malformed_form_record(capsys, tmp_path, record):
+    lat, _ = _write_desk_files(tmp_path)
+    form = tmp_path / "bad_form.txt"
+    form.write_text(f"0 -1/1 1/1\n{record}\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(form), "--lattice", lat)
+    assert code == 1
+    assert str(form) in err and repr(record) in err
+    assert "Traceback" not in err
+
+
+def test_gz_negative_discriminant_message(capsys):
+    code, out, err = _run(capsys, "gz", "--d1", "-7", "--d2", "3")
+    assert code == 1
+    assert "d=-7" in err and "--7" not in err
+
+
+def test_bad_bcm_prec_rejected(capsys, tmp_path, monkeypatch):
+    lat, form = _write_desk_files(tmp_path)
+    monkeypatch.setenv("BCM_PREC", "abc")
+    code, out, err = _run(capsys, "cmsum", "--form", form, "--lattice", lat)
+    assert code == 1
+    assert "BCM_PREC='abc'" in err
+    assert "Traceback" not in err

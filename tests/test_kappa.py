@@ -107,7 +107,9 @@ def test_kappa_rejects_non_ideal_lattice():
     mu0 = _mu(lat, 0)
 
     class NotAnIdeal:
-        is_integral_ideal = False
+        # looks like an ideal lattice but is not one
+        field, norm = fld, 1
 
-    with pytest.raises(UnsupportedLatticeError):
-        kappa_positive(fld, NotAnIdeal(), mu0, 1)
+    for bad in (NotAnIdeal(), None):
+        with pytest.raises(UnsupportedLatticeError):
+            kappa_positive(fld, bad, mu0, 1)

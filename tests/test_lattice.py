@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from borcherds_cm.lattice import (
+    DualCoset,
     IdealLattice,
     InconsistentEmbeddingError,
     IntegerQuotient,
@@ -58,16 +59,20 @@ def test_snf_properties(M):
 
 
 def test_integer_quotient_labels():
-    q = IntegerQuotient(((2, 0), (1, 3)))
-    assert q.order == 6
-    reps = sorted(q.reps())
-    labels = [label for label, _ in reps]
-    assert labels == list(range(6))
-    # label 0 is the zero coset and labels are stable under label_of
-    for label, y in reps:
-        assert q.label_of(y) == label
-    assert q.label_of((0, 0)) == 0
-    assert q.label_of((2, 0)) == q.label_of((0, 0)) or q.label_of((2, 0)) >= 0
+    # the 3x3 matrix has SNF diag (1, 2, 6)
+    for M, order in ((((2, 0), (1, 3)), 6),
+                     (((1, 0, 0), (1, 2, 2), (1, 2, 8)), 12)):
+        q = IntegerQuotient(M)
+        assert q.order == order
+        reps = list(q.reps())
+        # reps() yields the labels 0..order-1 in order, unsorted
+        assert [label for label, _ in reps] == list(range(order))
+        # label 0 is the zero coset and labels are stable under label_of
+        for label, y in reps:
+            assert q.label_of(y) == label
+        assert q.label_of((0,) * len(M)) == 0
+        for row in M:
+            assert q.label_of(row) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -119,12 +124,21 @@ def test_coset_round_trip():
     fld = make_field(15)
     for ideal in ("unit", "prime:2"):
         lat = make_ideal_lattice(fld, ideal)
-        for mu in enumerate_dual_cosets(lat):
+        cosets = enumerate_dual_cosets(lat)
+        for mu in cosets:
             again = coset_of_element(lat, mu.coords)
             assert again.label == mu.label
-            # shifting by a lattice vector keeps the label
+            # shifting by a lattice vector keeps the label, and every field
+            # callers read is the same when computed from the shifted element
             shifted = tuple(c + k for c, k in zip(mu.coords, (1, -2)))
-            assert coset_of_element(lat, shifted).label == mu.label
+            canonical = coset_of_element(lat, shifted)
+            assert canonical.label == mu.label
+            assert canonical is cosets[mu.label]
+            fresh = DualCoset(lat, shifted, mu.label)
+            assert fresh.q_value == canonical.q_value
+            assert fresh.is_zero == canonical.is_zero
+            for q in fld.ramified_primes:
+                assert fresh.local_zero(q) == canonical.local_zero(q)
     with pytest.raises(ValueError):
         coset_of_element(lat, (Fraction(1, 2), 0))
 
