@@ -19,16 +19,22 @@ from .forms import classical_qexp, load_form, m_max
 from .kappa import kappa_at
 from .lattice import enumerate_dual_cosets, load_lattice, make_ideal_lattice
 from .locwhit import _local_polys
-from .quadfield import kappa_zero_constant, make_field
+from .quadfield import _check_prec, kappa_zero_constant, make_field
 
 
-def _default_prec():
-    """Digits for cmsum when --prec is not given: BCM_PREC, else 64."""
+def _cmsum_prec(prec):
+    """Digits of cmsum's numeric=: --prec, else BCM_PREC, else 64, checked
+    against the supported range before anything is printed."""
+    if prec is not None:
+        _check_prec(prec, "--prec")
+        return prec
     value = os.environ.get("BCM_PREC", "64")
     try:
-        return max(10, int(value))
+        prec = int(value)
     except ValueError:
         raise ValueError(f"BCM_PREC={value!r} is not an integer") from None
+    _check_prec(prec, "BCM_PREC")
+    return prec
 
 
 def _rational(flag, text):
@@ -47,6 +53,8 @@ def _get_mu(lat, label):
 
 
 def cmd_field(args):
+    if args.prec:
+        _check_prec(args.prec, "--prec")
     fld = make_field(args.d)
     print(f"d={fld.d}")
     print(f"discriminant={fld.discriminant}")
@@ -121,7 +129,7 @@ def cmd_cmsum(args):
     fld, sl = load_lattice(args.lattice)
     form = load_form(args.form, sl)
     vol_kt = _rational("--vol-kt", args.vol_kt) if args.vol_kt else None
-    prec = _default_prec() if args.prec is None else args.prec
+    prec = _cmsum_prec(args.prec)
     report = log_psi_product(form, sl, fld, vol_kt)
     for line in _report_lines(report, fld, form, prec):
         print(line)

@@ -5,6 +5,11 @@ transcendental factorization of the product of Petersson norms.
 All exact data flows through KappaValue (FactoredLog plus a rational
 multiple of the constant k0(0)); the transcendental part exponentiates
 k0(0) and is evaluated numerically only on request.
+
+Each SplitLattice keeps its table of kappa_eta(m) values, keyed by
+(field, eta label, m), so the reports of many forms on one lattice, and
+log_psi_product and phi_average on one form, share the double sum.
+quadfield.kappa_zero_constant keeps k0(0) per field and precision.
 """
 
 from __future__ import annotations
@@ -75,10 +80,21 @@ def c00_contraction(form, sl):
 def kappa_eta(fld, sl, eta_label, m):
     """kappa_eta(m) = sum_lambda sum_{x in eta_+ + lambda_+ + L_+}
     kappa_{eta_- + lambda_-}(m - Q(x)), a finite sum since Q(x) >= 0 and
-    kappa vanishes at negative arguments."""
+    kappa vanishes at negative arguments.
+
+    Each value is computed once per lattice and kept in its table; a
+    KappaValue is immutable, so callers may share it."""
     m = Fraction(m)
     if m < 0:
         return KAPPA_ZERO
+    key = (fld, eta_label, m)
+    value = sl._kappa_eta.get(key)
+    if value is None:
+        value = sl._kappa_eta[key] = _kappa_eta_sum(fld, sl, eta_label, m)
+    return value
+
+
+def _kappa_eta_sum(fld, sl, eta_label, m):
     eta = sl.etas[eta_label]
     total = KAPPA_ZERO
     for lam in sl.glue:
@@ -118,12 +134,16 @@ def default_vol_kt(fld):
     return Fraction(2, fld.h)
 
 
-def phi_average(form, sl, fld, vol_kt=None):
-    if vol_kt is None:
-        vol_kt = default_vol_kt(fld)
-    vol_kt = Fraction(vol_kt)
+def _checked_vol_kt(fld, vol_kt):
+    """vol_kt as a positive Fraction; default_vol_kt(fld) when None."""
+    vol_kt = default_vol_kt(fld) if vol_kt is None else Fraction(vol_kt)
     if vol_kt <= 0:
         raise ValueError("vol_KT must be positive")
+    return vol_kt
+
+
+def phi_average(form, sl, fld, vol_kt=None):
+    vol_kt = _checked_vol_kt(fld, vol_kt)
     inner = _inner_sum(form, sl, fld)
     return PhiAverage(
         inner=inner,
@@ -179,11 +199,7 @@ class CMValueReport:
 def log_psi_product(form, sl, fld, vol_kt=None):
     """CMValueReport for sum_z log ||Psi(z; F)||^2 = (-2 / vol_KT) *
     sum_eta sum_{m>=0} c_eta(-m) kappa_eta(m)."""
-    if vol_kt is None:
-        vol_kt = default_vol_kt(fld)
-    vol_kt = Fraction(vol_kt)
-    if vol_kt <= 0:
-        raise ValueError("vol_KT must be positive")
+    vol_kt = _checked_vol_kt(fld, vol_kt)
     inner = _inner_sum(form, sl, fld)
     scaled = Fraction(-2) / vol_kt * inner
     return CMValueReport(

@@ -71,8 +71,11 @@ def gz_product(d1, d2, prec=None):
 
     d1, d2 must be coprime with -d1, -d2 odd fundamental discriminants.
     Precision is chosen from the a-priori size bound log|product| <=
-    h1 h2 (pi sqrt(d_max) + 30) and doubled on rounding failure.
+    h1 h2 (pi sqrt(d_max) + 30) and doubled on rounding failure; a
+    positive prec raises the starting digits to at least prec.
     """
+    if prec is not None and prec <= 0:
+        raise ValueError(f"prec={prec} must be a positive number of digits")
     d1, d2 = int(d1), int(d2)
     if math.gcd(d1, d2) != 1:
         raise ValueError(f"d1={d1}, d2={d2} are not coprime")
@@ -81,7 +84,7 @@ def gz_product(d1, d2, prec=None):
     h1, h2 = len(forms1), len(forms2)
     size_bound = h1 * h2 * (math.pi * math.sqrt(max(d1, d2)) + 30)
     digits = int(size_bound / math.log(10)) + 40
-    if prec:
+    if prec is not None:
         digits = max(digits, int(prec))
     for attempt in range(_MAX_DOUBLINGS + 1):
         with mp.workdps(digits + 20):

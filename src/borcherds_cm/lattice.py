@@ -543,6 +543,8 @@ class SplitLattice:
         for label, amb in enumerate(reps):
             q = self.q_ambient(amb)
             self.etas.append(EtaCoset(label, amb[:n], amb[n:], q - math.floor(q)))
+        # kappa_eta(m) per (field, eta label, m), filled by cmvalue.kappa_eta
+        self._kappa_eta = {}
 
     def q_ambient(self, x):
         x = tuple(map(Fraction, x))

@@ -8,6 +8,7 @@ the L-function values and derivatives that enter the constant k0(0).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,11 +145,13 @@ def make_field(d):
 # ---------------------------------------------------------------------------
 
 
-def _check_prec(prec):
+def _check_prec(prec, name="prec"):
+    """Reject digit counts outside [10, 10000]; name is the option that
+    the message blames."""
     if prec < 10:
-        raise PrecisionError(f"prec must be >= 10, got {prec}")
+        raise PrecisionError(f"{name} must be >= 10, got {prec}")
     if prec > 10000:
-        raise PrecisionError(f"prec={prec} beyond supported range")
+        raise PrecisionError(f"{name}={prec} beyond supported range")
 
 
 def L_at_one(fld, prec=64):
@@ -247,13 +250,15 @@ def lambda_log_deriv_at_one(fld, prec=64):
         )
 
 
+@functools.cache
 def kappa_zero_constant(fld, prec=64):
     """The constant k0(0) = log(d) + 2 Lambda'(1)/Lambda(1), with its
     symbolic tag.
 
     Production path uses the functional-equation form
     k0(0) = log(4*d*pi) - 2 L'(0, chi_d)/L(0, chi_d) with the
-    Chowla-Selberg evaluation of L'(0)/L(0).
+    Chowla-Selberg evaluation of L'(0)/L(0).  Computed once per field
+    and precision; the mpf result is immutable.
     """
     _check_prec(prec)
     with mp.workdps(prec + 20):

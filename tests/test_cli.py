@@ -232,3 +232,46 @@ def test_bad_bcm_prec_rejected(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "BCM_PREC='abc'" in err
     assert "Traceback" not in err
+
+
+def _write_transcendental_files(tmp_path):
+    lat = tmp_path / "lat.txt"
+    lat.write_text("d=7\nideal=unit\nrank=0\n")
+    form = tmp_path / "form.txt"
+    form.write_text("0 -1/1 1/1\n0 0/1 2/1\n")
+    return str(lat), str(form)
+
+
+@pytest.mark.parametrize("prec", ["5", "10001"])
+def test_cmsum_bad_prec_fails_before_output(capsys, tmp_path, prec):
+    lat, form = _write_transcendental_files(tmp_path)
+    code, out, err = _run(
+        capsys, "cmsum", "--form", form, "--lattice", lat, "--prec", prec
+    )
+    assert code == 1
+    assert out == ""
+    assert "--prec" in err and "Traceback" not in err
+
+
+def test_cmsum_bad_bcm_prec_fails_before_output(capsys, tmp_path, monkeypatch):
+    lat, form = _write_desk_files(tmp_path)
+    monkeypatch.setenv("BCM_PREC", "5")
+    code, out, err = _run(capsys, "cmsum", "--form", form, "--lattice", lat)
+    assert code == 1
+    assert out == ""
+    assert "BCM_PREC" in err and "Traceback" not in err
+
+
+def test_field_bad_prec_fails_before_output(capsys):
+    code, out, err = _run(capsys, "field", "-d", "7", "--prec", "5")
+    assert code == 1
+    assert out == ""
+    assert "--prec" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prec", ["0", "-5"])
+def test_gz_rejects_non_positive_prec(capsys, prec):
+    code, out, err = _run(capsys, "gz", "--d1", "3", "--d2", "7", "--prec", prec)
+    assert code == 1
+    assert out == ""
+    assert "prec" in err and "Traceback" not in err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from borcherds_cm import cmvalue
 from borcherds_cm.arith import FactoredLog
 from borcherds_cm.cmvalue import (
     c00_contraction,
@@ -15,6 +16,7 @@ from borcherds_cm.cmvalue import (
     transcendental_base,
 )
 from borcherds_cm.forms import FourierForm
+from borcherds_cm.kappa import kappa_at
 from borcherds_cm.lattice import PosLattice, SplitLattice, make_ideal_lattice
 from borcherds_cm.quadfield import kappa_zero_constant, make_field
 
@@ -132,3 +134,54 @@ def test_transcendental_base_two_forms_agree():
     with mp.workdps(50):
         f1, f2 = transcendental_base(fld, 40)
         assert abs(f1 - f2) < mp.mpf("1e-35")
+
+
+def test_phi_average_reuses_the_inner_sum(monkeypatch):
+    coeffs = {(0, Fraction(-2)): Fraction(1), (0, Fraction(0)): Fraction(2)}
+    fld, sl, form = _instance(d=15, gram=((2,),), coeffs=coeffs)
+    calls = []
+
+    def counting_kappa_at(*args):
+        calls.append(args)
+        return kappa_at(*args)
+
+    monkeypatch.setattr(cmvalue, "kappa_at", counting_kappa_at)
+    report = log_psi_product(form, sl, fld)
+    assert calls
+    calls.clear()
+    phi = phi_average(form, sl, fld)
+    assert not calls
+    cold_fld, cold_sl, cold_form = _instance(d=15, gram=((2,),), coeffs=coeffs)
+    assert phi == phi_average(cold_form, cold_sl, cold_fld)
+    assert report == log_psi_product(cold_form, cold_sl, cold_fld)
+
+
+def _glued_15():
+    fld = make_field(15)
+    basis = [tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)]
+    basis[0] = (Fraction(1, 3),) * 3
+    plus = PosLattice(((30,),))
+    return fld, SplitLattice(plus, make_ideal_lattice(fld, "unit"), tuple(basis))
+
+
+def test_kappa_eta_table_matches_a_fresh_lattice():
+    fld, sl = _glued_15()
+    ms = (0, Fraction(1, 3), 1, 2, 3)
+    warm = {
+        (eta.label, Fraction(m)): kappa_eta(fld, sl, eta.label, m)
+        for eta in sl.etas
+        for m in ms
+    }
+    for eta in sl.etas:
+        assert kappa_eta(fld, sl, eta.label, Fraction(1)) is warm[(eta.label, 1)]
+    for (label, m), value in warm.items():
+        _, fresh = _glued_15()
+        assert kappa_eta(fld, fresh, label, m) == value
+
+
+def test_kappa_zero_constant_per_precision():
+    fld = make_field(15)
+    kappa_zero_constant(fld, 64)
+    warm = kappa_zero_constant(fld, 40)
+    kappa_zero_constant.cache_clear()
+    assert kappa_zero_constant(fld, 40) == warm
