@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from borcherds_cm.lattice import (
     DualCoset,
@@ -201,6 +202,74 @@ def test_vector_norms_brute_force():
             if q <= bound:
                 brute[q] = brute.get(q, 0) + 1
     assert counts == brute
+
+
+@st.composite
+def pos_grams(draw):
+    """A positive-definite Gram (A A^T + diag(d)) / s of rank 1-3, so its
+    smallest eigenvalue is at least 1/2; s = 2 gives half-integral entries."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    A = [[draw(st.integers(min_value=-2, max_value=2)) for _ in range(n)] for _ in range(n)]
+    diag = [draw(st.integers(min_value=1, max_value=3)) for _ in range(n)]
+    s = draw(st.sampled_from([1, 2]))
+    return tuple(
+        tuple(
+            Fraction(sum(A[i][k] * A[j][k] for k in range(n)) + (diag[i] if i == j else 0), s)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def _brute_norms(gram, coset, bound):
+    """{Q(x) : x in coset + Z^n, Q(x) <= bound} by walking a box that holds
+    the ellipsoid: |x_i| <= sqrt(2 bound (G^-1)_ii) for every x in it."""
+    n = len(gram)
+    inv = mat_inv(gram)
+    ranges = []
+    for i in range(n):
+        r = math.isqrt(math.ceil(2 * max(bound, 0) * inv[i][i])) + 1
+        c = math.floor(coset[i])
+        ranges.append(range(-r - c - 1, r - c + 2))
+    result = {}
+    for y in itertools.product(*ranges):
+        x = [coset[i] + y[i] for i in range(n)]
+        q = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) / 2
+        if q <= bound:
+            result[q] = result.get(q, 0) + 1
+    return result
+
+
+@st.composite
+def gram_coset_bound(draw):
+    gram = draw(pos_grams())
+    den = st.integers(min_value=1, max_value=46)
+    coset = tuple(
+        Fraction(draw(st.integers(min_value=-50, max_value=50)), draw(den))
+        for _ in gram
+    )
+    bound = draw(st.fractions(min_value=-1, max_value=6, max_denominator=12))
+    return gram, coset, bound
+
+
+@given(gram_coset_bound())
+@example((((Fraction(1, 2),),), (Fraction(1, 3),), Fraction(6)))
+@example((((2, 1), (1, 2)), (Fraction(1, 46), Fraction(-45, 46)), Fraction(0)))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_vector_norms_match_a_box_enumeration(case):
+    gram, coset, bound = case
+    pl = PosLattice(gram)
+    assert pl.vector_norms_up_to(coset, bound) == _brute_norms(pl.gram, coset, bound)
+
+
+@given(gram_coset_bound())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_vector_counts_are_symmetric_under_negation(case):
+    gram, coset, bound = case
+    pl = PosLattice(gram)
+    neg = tuple(-c for c in coset)
+    assert pl.vector_norms_up_to(coset, bound) == pl.vector_norms_up_to(neg, bound)
+    assert pl.count_vectors(coset, bound) == pl.count_vectors(neg, bound)
 
 
 def test_rank_zero_lattice():
