@@ -237,23 +237,37 @@ class FactoredLog:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
+    @classmethod
+    def _of(cls, terms):
+        """A FactoredLog on a prime -> Fraction dict whose keys are already
+        checked primes (those of existing values); zero exponents are
+        dropped, nothing else is validated."""
+        flog = object.__new__(cls)
+        flog._terms = {p: e for p, e in terms.items() if e}
+        return flog
+
     def __add__(self, other):
         if not isinstance(other, FactoredLog):
             return NotImplemented
         terms = dict(self._terms)
         for p, e in other._terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + e
-        return FactoredLog(terms)
+            terms[p] = terms.get(p, 0) + e
+        return FactoredLog._of(terms)
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, FactoredLog):
+            return NotImplemented
+        terms = dict(self._terms)
+        for p, e in other._terms.items():
+            terms[p] = terms.get(p, 0) - e
+        return FactoredLog._of(terms)
 
     def __neg__(self):
-        return FactoredLog({p: -e for p, e in self._terms.items()})
+        return FactoredLog._of({p: -e for p, e in self._terms.items()})
 
     def __mul__(self, c):
         c = Fraction(c)
-        return FactoredLog({p: c * e for p, e in self._terms.items()})
+        return FactoredLog._of({p: c * e for p, e in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -324,10 +338,11 @@ ZERO_LOG = FactoredLog()
 
 
 def flog_combine(pairs):
-    """Exact linear combination sum_i c_i * F_i of FactoredLog values."""
+    """Exact linear combination sum_i c_i * F_i of FactoredLog values,
+    summed in one pass into one prime -> exponent dict."""
     terms = {}
     for c, flog in pairs:
         c = Fraction(c)
-        for p, e in flog.terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + c * e
-    return FactoredLog(terms)
+        for p, e in flog._terms.items():
+            terms[p] = terms.get(p, 0) + c * e
+    return FactoredLog._of(terms)

@@ -10,6 +10,11 @@ Each SplitLattice keeps its table of kappa_eta(m) values, keyed by
 (field, eta label, m), so the reports of many forms on one lattice, and
 log_psi_product and phi_average on one form, share the double sum.
 quadfield.kappa_zero_constant keeps k0(0) per field and precision.
+A second table on the lattice holds, per eta, the pairs (lambda, mu,
+eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, so
+kappa_eta, c00_contraction and contraction_coeffs find each coset once.
+Every exact sum (kappa_eta(m) and the inner sum) is added up in one pass
+into one prime -> exponent dict and one k0(0) multiple.
 """
 
 from __future__ import annotations
@@ -20,15 +25,43 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import FactoredLog
+from .arith import FactoredLog, flog_combine
 from .forms import m_max
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
-from .lattice import coset_of_element, _is_integral
+from .lattice import coset_of_element
 from .quadfield import INERT
 
 
 def _coset_sum(a, b):
     return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
+
+
+def _eta_pairs(sl, eta_label):
+    """[(lambda index, mu, eta_+ + lambda_+)] over the glue vectors lambda,
+    where mu is the canonical coset of eta_- + lambda_- in the ideal
+    lattice.  Computed once per eta and kept in the lattice's table."""
+    pairs = sl._eta_pairs.get(eta_label)
+    if pairs is None:
+        eta = sl.etas[eta_label]
+        pairs = sl._eta_pairs[eta_label] = [
+            (
+                li,
+                coset_of_element(sl.minus, _coset_sum(eta.minus, lam.minus)),
+                _coset_sum(eta.plus, lam.plus),
+            )
+            for li, lam in enumerate(sl.glue)
+        ]
+    return pairs
+
+
+def _combine(pairs):
+    """sum_i c_i * v_i over (c_i, KappaValue v_i), in one pass: one
+    prime -> exponent dict and one k0(0) multiple."""
+    pairs = list(pairs)
+    return KappaValue(
+        flog_combine((c, v.log_part) for c, v in pairs),
+        sum((c * v.kzero_multiple for c, v in pairs), Fraction(0)),
+    )
 
 
 def contraction_coeffs(form, sl, m_values):
@@ -47,8 +80,7 @@ def contraction_coeffs(form, sl, m_values):
         ]
         if not support:
             continue
-        for li, lam in enumerate(sl.glue):
-            coset = _coset_sum(eta.plus, lam.plus)
+        for li, _, coset in _eta_pairs(sl, eta.label):
             for m in m_values:
                 m = Fraction(m)
                 total = Fraction(0)
@@ -68,12 +100,9 @@ def c00_contraction(form, sl):
     for (label, m1), c in form.coeffs.items():
         if m1 > 0:
             continue
-        eta = sl.etas[label]
-        for lam in sl.glue:
-            if not _is_integral(_coset_sum(eta.minus, lam.minus)):
-                continue
-            coset = _coset_sum(eta.plus, lam.plus)
-            total += c * sl.plus.count_vectors(coset, -m1)
+        for _, mu, coset in _eta_pairs(sl, label):
+            if mu.is_zero:
+                total += c * sl.plus.count_vectors(coset, -m1)
     return total
 
 
@@ -95,29 +124,21 @@ def kappa_eta(fld, sl, eta_label, m):
 
 
 def _kappa_eta_sum(fld, sl, eta_label, m):
-    eta = sl.etas[eta_label]
-    total = KAPPA_ZERO
-    for lam in sl.glue:
-        mu = coset_of_element(sl.minus, _coset_sum(eta.minus, lam.minus))
-        norms = sl.plus.vector_norms_up_to(_coset_sum(eta.plus, lam.plus), m)
-        for qx, count in norms.items():
-            term = kappa_at(fld, sl.minus, mu, m - qx)
-            if not term.is_zero():
-                total = total + count * term
-    return total
+    return _combine(
+        (count, kappa_at(fld, sl.minus, mu, m - qx))
+        for _, mu, coset in _eta_pairs(sl, eta_label)
+        for qx, count in sl.plus.vector_norms_up_to(coset, m).items()
+    )
 
 
 def _inner_sum(form, sl, fld):
     """sum_eta sum_{m >= 0} c_eta(-m) kappa_eta(m) over the principal part
     and constant terms of the form."""
-    total = KAPPA_ZERO
-    for (label, m1), c in form.coeffs.items():
-        if m1 > 0:
-            continue
-        term = kappa_eta(fld, sl, label, -m1)
-        if not term.is_zero():
-            total = total + c * term
-    return total
+    return _combine(
+        (c, kappa_eta(fld, sl, label, -m1))
+        for (label, m1), c in form.coeffs.items()
+        if m1 <= 0
+    )
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Ideal lattices in an imaginary quadratic field carry the negative-definite
 side (Q(x) = -Nx/Na); PosLattice carries a positive-definite Gram matrix
-with exact vector enumeration; SplitLattice glues both along a possibly
-non-split integral lattice L with L_+ + L_- <= L <= L^v.
+with exact vector enumeration in integers; SplitLattice glues both along a
+possibly non-split integral lattice L with L_+ + L_- <= L <= L^v.
 
 Every finite group the CM-value sums run over -- the discriminant groups
 L^v/L of the ideal, positive and glued lattices, and the glue group
@@ -385,6 +385,9 @@ class PosLattice:
                 raise ValueError("gram must be positive definite")
         self.rank = n
         self.gram = gram
+        # g * gram is integral; vector_norms_up_to decides Q in its integers
+        self._g = math.lcm(*(x.denominator for row in gram for x in row))
+        self._gram_int = tuple(tuple(int(x * self._g) for x in row) for row in gram)
         self._ldl = None
 
     def q_of(self, x):
@@ -399,7 +402,8 @@ class PosLattice:
         ) / 2
 
     def _decomposition(self):
-        # q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2 decomposition of Q
+        # Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2, computed
+        # exactly and kept as floats: they only choose candidates
         if self._ldl is None:
             n = self.rank
             q = [[self.gram[i][j] / 2 for j in range(n)] for i in range(n)]
@@ -410,47 +414,71 @@ class PosLattice:
                 for k in range(i + 1, n):
                     for l in range(k, n):
                         q[k][l] -= q[k][i] * q[i][l]
-            self._ldl = q
+            self._ldl = [[float(x) for x in row] for row in q]
         return self._ldl
 
     def vector_norms_up_to(self, coset, bound):
         """Multiset {Q(x) : x in coset + Z^n, Q(x) <= bound} as a dict
-        Q-value -> count.  Exact; coset is a rational offset vector."""
-        bound = Fraction(bound)
-        result = {}
-        if bound < 0:
-            return result
+        Q-value -> count.  Exact; coset is a rational offset vector.
+
+        Fincke-Pohst enumeration of z = D x, with D the common denominator
+        of the coset, so z runs over D * coset + (D Z)^n.  Floats from the
+        LDL decomposition choose the candidates of each coordinate; the
+        integer test z^T (g G) z <= floor(2 g D^2 bound) decides each
+        vector, and only the returned keys are made Fractions."""
         n = self.rank
+        if len(coset) != n:
+            raise ValueError(
+                f"coset has length {len(coset)} but the lattice has rank {n}"
+            )
+        bound = Fraction(bound)
+        if bound < 0:
+            return {}
         if n == 0:
-            result[Fraction(0)] = 1
-            return result
+            return {Fraction(0): 1}
         coset = tuple(map(Fraction, coset))
+        D = math.lcm(*(c.denominator for c in coset))
+        den = 2 * self._g * D * D
+        top = math.floor(bound * den)
+        residues = [c.numerator * (D // c.denominator) % D for c in coset]
         q = self._decomposition()
+        G = self._gram_int
+        zs = [0] * n
+        counts = {}
 
-        def rec(i, partial, xs):
-            if i < 0:
-                result[partial] = result.get(partial, 0) + 1
+        def rec(i, rem, acc):
+            # zs[j] for j > i are fixed; rem bounds the float Q left for
+            # coordinates <= i, acc is the integer form on coordinates > i
+            qi, Gi = q[i], G[i]
+            center = -sum(qi[j] * zs[j] for j in range(i + 1, n))
+            lin = 2 * sum(Gi[j] * zs[j] for j in range(i + 1, n))
+            gii, qii = Gi[i], qi[i]
+            radius = math.sqrt(rem / qii)
+            # one step of D beyond the float range on each side
+            lo = math.floor(center - radius) - D
+            lo += (residues[i] - lo) % D
+            hi = math.ceil(center + radius) + D
+            if i == 0:
+                for z in range(lo, hi + 1, D):
+                    N = acc + z * (gii * z + lin)
+                    if N <= top:
+                        counts[N] = counts.get(N, 0) + 1
                 return
-            c = coset[i] + sum(q[i][j] * xs[j] for j in range(i + 1, n))
-            rem = bound - partial
-            radius = math.sqrt(float(rem / q[i][i])) if rem > 0 else 0.0
-            lo = math.floor(-float(c) - radius) - 1
-            hi = math.ceil(-float(c) + radius) + 1
-            for y in range(lo, hi + 1):
-                term = q[i][i] * (y + c) ** 2
-                if partial + term <= bound:
-                    xs[i] = y + coset[i]
-                    rec(i - 1, partial + term, xs)
-            xs[i] = Fraction(0)
+            for z in range(lo, hi + 1, D):
+                t = z - center
+                left = rem - qii * t * t
+                if left >= 0:
+                    zs[i] = z
+                    rec(i - 1, left, acc + z * (gii * z + lin))
 
-        rec(n - 1, Fraction(0), [Fraction(0)] * n)
-        return result
+        # the raised bound keeps every vector with Q <= bound a candidate:
+        # float rounding in the partial sums stays far below 1e-9 of it
+        rec(n - 1, float(bound * D * D) * (1 + 1e-9) + 1e-9, 0)
+        return {Fraction(N, den): c for N, c in counts.items()}
 
     def count_vectors(self, coset, m):
         """#{x in coset + Z^n : Q(x) = m}; zero for m < 0."""
         m = Fraction(m)
-        if m < 0:
-            return 0
         return self.vector_norms_up_to(coset, m).get(m, 0)
 
     def dual_cosets(self):
@@ -545,6 +573,9 @@ class SplitLattice:
             self.etas.append(EtaCoset(label, amb[:n], amb[n:], q - math.floor(q)))
         # kappa_eta(m) per (field, eta label, m), filled by cmvalue.kappa_eta
         self._kappa_eta = {}
+        # (glue index, minus coset, plus coset) per glue vector, per eta
+        # label, filled by cmvalue._eta_pairs
+        self._eta_pairs = {}
 
     def q_ambient(self, x):
         x = tuple(map(Fraction, x))

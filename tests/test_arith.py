@@ -160,6 +160,29 @@ def test_factored_log_scaling(a, c):
     assert -1 * fa == -fa
 
 
+@given(flog_terms, flog_terms)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_factored_log_arithmetic_matches_the_public_constructor(a, b):
+    fa, fb = FactoredLog(a), FactoredLog(b)
+    primes = set(a) | set(b)
+    cases = [
+        (fa + fb, {p: Fraction(a.get(p, 0)) + b.get(p, 0) for p in primes}),
+        (fa - fb, {p: Fraction(a.get(p, 0)) - b.get(p, 0) for p in primes}),
+        (-fa, {p: -Fraction(e) for p, e in a.items()}),
+        (0 * fa, {}),
+        (fa + (-fa), {}),
+        (Fraction(3, 7) * fa, {p: Fraction(3, 7) * e for p, e in a.items()}),
+    ]
+    for got, terms in cases:
+        want = FactoredLog(terms)
+        assert got == want
+        assert hash(got) == hash(want)
+        assert got.serialize() == want.serialize()
+        assert all(e != 0 for e in got.terms.values())
+    with pytest.raises(ValueError):
+        FactoredLog({4: 1})
+
+
 @given(flog_terms)
 @settings(max_examples=100, deadline=None)
 def test_factored_log_serialize_round_trip(a):

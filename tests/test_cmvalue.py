@@ -1,8 +1,12 @@
+import functools
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+import borcherds_cm
 from borcherds_cm import cmvalue
 from borcherds_cm.arith import FactoredLog
 from borcherds_cm.cmvalue import (
@@ -17,8 +21,19 @@ from borcherds_cm.cmvalue import (
 )
 from borcherds_cm.forms import FourierForm
 from borcherds_cm.kappa import kappa_at
-from borcherds_cm.lattice import PosLattice, SplitLattice, make_ideal_lattice
+from borcherds_cm.lattice import (
+    PosLattice,
+    SplitLattice,
+    _is_integral,
+    coset_of_element,
+    make_ideal_lattice,
+)
 from borcherds_cm.quadfield import kappa_zero_constant, make_field
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+from workloads import build_pool, instance_coeffs  # noqa: E402
 
 
 def _instance(d=7, gram=(), ideal="unit", coeffs=None):
@@ -185,3 +200,49 @@ def test_kappa_zero_constant_per_precision():
     warm = kappa_zero_constant(fld, 40)
     kappa_zero_constant.cache_clear()
     assert kappa_zero_constant(fld, 40) == warm
+
+
+@functools.cache
+def _cm_report_pool():
+    return build_pool(borcherds_cm)
+
+
+@pytest.mark.parametrize(
+    "d, gram, row0",
+    [
+        (15, ((30,),), (Fraction(1, 3),) * 3),
+        (7, ((14,),), (Fraction(1, 7), Fraction(1, 7), Fraction(5, 7))),
+    ],
+)
+def test_eta_pair_table_on_glued_lattices(d, gram, row0):
+    pool = _cm_report_pool()
+    li = next(
+        i for i, (fld, sl) in enumerate(pool)
+        if fld.d == d and sl.plus.gram == gram and sl.basis[0] == row0
+    )
+    fld, sl = pool[li]
+    zero_seen = set()
+    for eta in sl.etas:
+        pairs = cmvalue._eta_pairs(sl, eta.label)
+        assert [gi for gi, _, _ in pairs] == list(range(len(sl.glue)))
+        for (_, mu, plus), lam in zip(pairs, sl.glue):
+            minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
+            assert mu is coset_of_element(sl.minus, minus)
+            assert mu.is_zero == _is_integral(minus)
+            assert plus == tuple(a + b for a, b in zip(eta.plus, lam.plus))
+            zero_seen.add(mu.is_zero)
+        assert cmvalue._eta_pairs(sl, eta.label) is pairs
+    assert zero_seen == {True, False}
+    for k in range(16):
+        coeffs = instance_coeffs(pool, li, k)
+        brute = Fraction(0)
+        for (label, m1), c in coeffs.items():
+            if m1 > 0:
+                continue
+            eta = sl.etas[label]
+            for lam in sl.glue:
+                minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
+                if _is_integral(minus):
+                    plus = tuple(a + b for a, b in zip(eta.plus, lam.plus))
+                    brute += c * sl.plus.count_vectors(plus, -m1)
+        assert c00_contraction(FourierForm(sl, coeffs), sl) == brute

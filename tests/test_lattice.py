@@ -272,6 +272,17 @@ def test_vector_counts_are_symmetric_under_negation(case):
     assert pl.count_vectors(coset, bound) == pl.count_vectors(neg, bound)
 
 
+def test_coset_length_must_match_the_rank():
+    pl = PosLattice(((2, 1), (1, 2)))
+    for coset in ((Fraction(1, 3), Fraction(1, 3), 5), (Fraction(1, 3),)):
+        with pytest.raises(ValueError, match=f"length {len(coset)} .*rank 2"):
+            pl.vector_norms_up_to(coset, 2)
+        with pytest.raises(ValueError, match="rank 2"):
+            pl.count_vectors(coset, 2)
+    with pytest.raises(ValueError, match="length 1 .*rank 0"):
+        PosLattice(()).vector_norms_up_to((0,), 1)
+
+
 def test_rank_zero_lattice():
     pl = PosLattice(())
     assert pl.rank == 0
