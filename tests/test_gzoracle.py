@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from borcherds_cm.gzoracle import (
     gz_support_check,
     j_value,
 )
+from borcherds_cm.quadfield import UnsupportedDiscriminantError, reduced_forms
 
 
 def test_j_value_d3_is_zero():
@@ -106,6 +108,38 @@ def test_gz_pinned_products(pair):
     r = gz_product(*pair)
     assert (r.product, r.factorization) == PINNED_PRODUCTS[pair]
     assert r.margin < 1e-20
+
+
+# SHA-256 of one repr((d1, d2, product, factorization, precision_used,
+# doublings)) line per pair of the sweep below, in sweep order.
+SWEEP_1000_DIGEST = "defa4cabab8b1e9d3537567487939f10e4d37f817079086280ac6791d541d493"
+
+
+def test_gz_sweep_pinned():
+    # every coprime pair of odd fundamental discriminants with d1 < d2 and
+    # d1 * d2 <= 1000, as criterion 9 enumerates them
+    ds = []
+    for d in range(3, 1000 // 3 + 1, 4):
+        try:
+            reduced_forms(d)
+        except UnsupportedDiscriminantError:
+            continue
+        ds.append(d)
+    pairs = [
+        (d1, d2)
+        for i, d1 in enumerate(ds)
+        for d2 in ds[i + 1 :]
+        if d1 * d2 <= 1000 and math.gcd(d1, d2) == 1
+    ]
+    assert len(pairs) == 110
+    lines = []
+    for d1, d2 in pairs:
+        r = gz_product(d1, d2)
+        assert r.margin < 1e-20, (d1, d2, r.margin)
+        record = (r.d1, r.d2, r.product, r.factorization, r.precision_used, r.doublings)
+        lines.append(repr(record))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SWEEP_1000_DIGEST
 
 
 def test_gz_symmetry_sign():
