@@ -391,6 +391,11 @@ class PosLattice:
         self._ldl = None
 
     def q_of(self, x):
+        """Q(x) = (x, x)/2 for a vector x of length rank."""
+        if len(x) != self.rank:
+            raise ValueError(
+                f"vector has length {len(x)} but the lattice has rank {self.rank}"
+            )
         x = tuple(map(Fraction, x))
         return sum(
             (

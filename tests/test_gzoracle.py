@@ -67,6 +67,20 @@ def test_j_value_matches_exact_qexp(d, form, prec):
         assert diff < mp.mpf(10) ** -(prec - 5)
 
 
+@pytest.mark.parametrize("prec", [60, 250])
+@pytest.mark.parametrize("d", [3, 7, 23, 39, 47, 55, 71, 95])
+def test_j_value_matches_kleinj(d, prec):
+    # forms with a = b, a = c and conjugate pairs (a, +-b, c)
+    tol = mp.mpf(10) ** -(prec - 5)
+    for a, b, c in reduced_forms(d):
+        # |j| < 10^14 at these forms, so prec + 40 digits leave a margin
+        with mp.workdps(prec + 40):
+            reference = 1728 * mp.kleinj((-b + mp.sqrt(-d)) / (2 * a))
+            value = j_value((a, b, c), d, prec)
+            assert abs(value - reference) < tol, (a, b, c)
+            assert abs(j_value((a, -b, c), d, prec) - mp.conj(value)) < tol
+
+
 def test_j_value_domain():
     with pytest.raises(ValueError):
         j_value((1, 1, 2), 11, 40)  # discriminant mismatch
@@ -170,6 +184,22 @@ def test_gz_counts_doublings(monkeypatch):
     assert r.product == base.product
     assert (r.doublings, r.precision_used) == (1, 2 * base.precision_used)
     assert base.doublings == 0
+
+
+def test_gz_evaluates_j_once_per_conjugate_pair(monkeypatch):
+    calls = []
+    exact_j = gzoracle.j_value
+
+    def counting_j(form, d, prec):
+        calls.append(d)
+        return exact_j(form, d, prec)
+
+    monkeypatch.setattr(gzoracle, "j_value", counting_j)
+    r = gz_product(3, 95)
+    assert (r.product, r.factorization) == PINNED_PRODUCTS[(3, 95)]
+    # d = 95 has 8 forms: 3 pairs (a, +-b, c) and 2 ambiguous forms
+    assert len(reduced_forms(95)) == 8
+    assert calls == [3] + [95] * 5
 
 
 def test_gz_rejects_non_coprime():

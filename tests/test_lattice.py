@@ -279,8 +279,12 @@ def test_coset_length_must_match_the_rank():
             pl.vector_norms_up_to(coset, 2)
         with pytest.raises(ValueError, match="rank 2"):
             pl.count_vectors(coset, 2)
+        with pytest.raises(ValueError, match=f"length {len(coset)} .*rank 2"):
+            pl.q_of(coset)
     with pytest.raises(ValueError, match="length 1 .*rank 0"):
         PosLattice(()).vector_norms_up_to((0,), 1)
+    with pytest.raises(ValueError, match="length 1 .*rank 0"):
+        PosLattice(()).q_of((0,))
 
 
 def test_rank_zero_lattice():
