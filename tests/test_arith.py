@@ -109,6 +109,64 @@ def test_hilbert_reciprocity(a, b):
     assert prod == 1
 
 
+def _hilbert_reference(a, b, p):
+    # the textbook formula on t = p^v * u, with the p-units u as Fractions
+    a, b = Fraction(a), Fraction(b)
+    if p == INFINITE_PLACE:
+        return -1 if (a < 0 and b < 0) else 1
+    alpha, u = prime_unit_part(a, p)
+    beta, v = prime_unit_part(b, p)
+    if p == 2:
+        ui = u.numerator * u.denominator % 8
+        vi = v.numerator * v.denominator % 8
+        e = ((ui - 1) // 2) * ((vi - 1) // 2) + alpha * ((vi * vi - 1) // 8) \
+            + beta * ((ui * ui - 1) // 8)
+        return -1 if e % 2 else 1
+    sign = -1 if (alpha * beta) % 2 and p % 4 == 3 else 1
+    if beta % 2:
+        sign *= kronecker(u.numerator * u.denominator % p, p)
+    if alpha % 2:
+        sign *= kronecker(v.numerator * v.denominator % p, p)
+    return sign
+
+
+hilbert_places = st.sampled_from((2, 3, 5, 7, 11, 13, 101, 1009, INFINITE_PLACE))
+
+
+@st.composite
+def nonzero_rationals(draw, place):
+    # a random rational times a power of the place, so that valuations of
+    # both parities and both signs occur
+    num = draw(st.integers(min_value=1, max_value=10**6)) * draw(st.sampled_from((1, -1)))
+    t = Fraction(num, draw(st.integers(min_value=1, max_value=10**4)))
+    if place != INFINITE_PLACE:
+        t *= Fraction(place) ** draw(st.integers(min_value=-4, max_value=4))
+    if draw(st.booleans()) and t.denominator == 1:
+        return t.numerator
+    return t
+
+
+@st.composite
+def hilbert_inputs(draw):
+    p = draw(hilbert_places)
+    return draw(nonzero_rationals(p)), draw(nonzero_rationals(p)), p
+
+
+@given(hilbert_inputs())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_hilbert_symbol_matches_the_unit_part_formula(case):
+    a, b, p = case
+    assert hilbert_symbol(a, b, p) == _hilbert_reference(a, b, p)
+
+
+@given(hilbert_inputs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_hilbert_symbol_is_symmetric_and_trivial_on_a_minus_a(case):
+    a, b, p = case
+    assert hilbert_symbol(a, b, p) == hilbert_symbol(b, a, p)
+    assert hilbert_symbol(a, -a, p) == 1
+
+
 def test_hilbert_bimultiplicative():
     for p in (2, 3, 7, INFINITE_PLACE):
         for a in (-6, 5, 14):

@@ -49,10 +49,31 @@ def test_kappa_rational_t(capsys):
     assert data["serialized"] == "3^(-1/1)"
 
 
+# bcm whittaker's full output: at d = 15, 2 splits, 7 is inert and 3, 5 are
+# ramified; prime:2 twists the ramified signs by the norm 2, and the nonzero
+# cosets (labels 3, 4, 6) take the char(Q(mu_q) + Z_q)(t) path
+WHITTAKER_CASES = [
+    (("-d", "7", "-t", "1"), ["W[7]=1 - X"]),
+    (("-d", "15", "-t", "14"), ["W[2]=1 + X", "W[3]=1 + X", "W[5]=1 + X", "W[7]=1 - X"]),
+    (("-d", "15", "-t", "28/15"), ["W[2]=1 + X + X^2", "W[3]=0", "W[5]=0", "W[7]=1 - X"]),
+    (("-d", "15", "-t", "441"), ["W[3]=1 - X^3", "W[5]=1 + X", "W[7]=1 - X + X^2"]),
+    (("-d", "15", "--ideal", "prime:2", "-t", "14"),
+     ["W[2]=1 + X", "W[3]=1 - X", "W[5]=1 - X", "W[7]=1 - X"]),
+    (("-d", "15", "--ideal", "prime:2", "-t", "441"),
+     ["W[3]=1 + X^3", "W[5]=1 - X", "W[7]=1 - X + X^2"]),
+    (("-d", "15", "--ideal", "prime:2", "-t", "1/5", "--mu", "6"), ["W[3]=1 - X", "W[5]=1"]),
+    (("-d", "15", "--ideal", "prime:2", "-t", "2/5", "--mu", "6"),
+     ["W[2]=1 + X", "W[3]=1 + X", "W[5]=0"]),
+    (("-d", "15", "-t", "1/5", "--mu", "3"), ["W[3]=1 + X", "W[5]=0"]),
+    (("-d", "15", "-t", "4/15", "--mu", "4"), ["W[2]=1 + X + X^2", "W[3]=0", "W[5]=0"]),
+]
+
+
 def test_whittaker(capsys):
-    code, out, err = _run(capsys, "whittaker", "-d", "7", "-t", "1")
-    assert code == 0
-    assert "W[7]=1 - X" in out
+    for argv, lines in WHITTAKER_CASES:
+        code, out, err = _run(capsys, "whittaker", *argv)
+        assert code == 0
+        assert out == "".join(line + "\n" for line in lines), argv
 
 
 def test_qexp(capsys):

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from borcherds_cm.arith import FactoredLog, ZERO_LOG
+from borcherds_cm.acceptance import D_SET
+from borcherds_cm.arith import FactoredLog, ZERO_LOG, is_prime
 from borcherds_cm.kappa import (
     KAPPA_ZERO,
     KappaValue,
@@ -12,7 +15,7 @@ from borcherds_cm.kappa import (
 )
 from borcherds_cm.lattice import enumerate_dual_cosets, make_ideal_lattice
 from borcherds_cm.locwhit import eisenstein_deriv_coeff
-from borcherds_cm.quadfield import make_field
+from borcherds_cm.quadfield import SPLIT, UnsupportedDiscriminantError, make_field
 
 
 def _mu(lat, label):
@@ -91,6 +94,69 @@ def test_kappa_oracle_agreement_small_sweep():
                     oracle = eisenstein_deriv_coeff(fld, lat, mu, t)
                     assert oracle.flag is None
                     assert formula.log_part == oracle.value, (d, ideal, mu.label, t)
+
+
+# SHA-256 of one repr((d, ideal, mu.label, t, kappa, oracle, flag)) line per
+# tuple of the criterion-1 sweep at t_multiplier=20, in sweep order; kappa and
+# oracle are serialized FactoredLogs.  Criterion 1 only checks that the two
+# agree, so this also catches a shared helper that moves both the same way.
+SWEEP_20_DIGEST = "fbbcb40bc29edcd6a12d5d36d6b724c7489bc8ec34d3dfe7d754d7451bee3505"
+
+
+def test_kappa_sweep_pinned():
+    lines = []
+    for d in D_SET:
+        fld = make_field(d)
+        ideals = ["unit"] + (["prime:2"] if fld.h > 1 else [])
+        for ideal in ideals:
+            lat = make_ideal_lattice(fld, ideal)
+            cosets = enumerate_dual_cosets(lat)
+            for a in range(1, 20 * d + 1):
+                t = Fraction(a, d)
+                for mu in cosets:
+                    formula = kappa_positive(fld, lat, mu, t)
+                    oracle = eisenstein_deriv_coeff(fld, lat, mu, t)
+                    record = (d, ideal, mu.label, t, formula.log_part.serialize(),
+                              oracle.value.serialize(), oracle.flag)
+                    lines.append(repr(record))
+    assert len(lines) == 33560
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == SWEEP_20_DIGEST
+
+
+def _odd_fundamental(d):
+    try:
+        make_field(d)
+    except UnsupportedDiscriminantError:
+        return False
+    return True
+
+
+# odd fundamental d <= 1000 that the fixed sweep of criterion 1 leaves out
+RANDOM_D = [d for d in range(7, 1001, 4) if d not in D_SET and _odd_fundamental(d)]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_kappa_matches_the_oracle_on_random_fields(data):
+    # building the lattice's d dual cosets costs most, so each example
+    # checks several (mu, t) on one lattice
+    d = data.draw(st.sampled_from(RANDOM_D), label="d")
+    fld = make_field(d)
+    split = [p for p in range(2, 60) if is_prime(p) and fld.splitting(p) == SPLIT]
+    ideal = data.draw(st.sampled_from(["unit"] + [f"prime:{p}" for p in split]), label="ideal")
+    lat = make_ideal_lattice(fld, ideal)
+    for _ in range(5):
+        mu = data.draw(st.sampled_from(enumerate_dual_cosets(lat)), label="mu")
+        # t = a/d, drawn half the time from the support Q(mu) + Z, where
+        # kappa can be nonzero, and half the time from anywhere
+        if data.draw(st.booleans(), label="on support"):
+            t = mu.q_value + data.draw(st.integers(min_value=1, max_value=200), label="n")
+        else:
+            t = Fraction(data.draw(st.integers(min_value=1, max_value=200 * d), label="a"), d)
+        oracle = eisenstein_deriv_coeff(fld, lat, mu, t)
+        assert oracle.flag is None, (d, ideal, mu.label, t)
+        assert kappa_positive(fld, lat, mu, t).log_part == oracle.value, (d, ideal, mu.label, t)
 
 
 def test_kappa_requires_positive_t():
