@@ -3,6 +3,8 @@
 Factorization, p-adic valuations, Kronecker and local Hilbert symbols, and
 the FactoredLog value type: a finite rational-coefficient combination
 sum_p e_p * log(p) over distinct primes, with exact (decidable) equality.
+Valuations and Hilbert symbols read the numerator and denominator of an int
+or a Fraction and strip p from them in integers; they build no Fractions.
 """
 
 from __future__ import annotations
@@ -97,20 +99,33 @@ def factorize(n):
     return sorted(factors.items())
 
 
-def valuation(t, p):
-    """The p-adic valuation of a nonzero rational."""
-    t = Fraction(t)
-    if t == 0:
-        raise UndefinedValuationError("valuation of 0 is undefined")
+def _ratio(t):
+    """Numerator and denominator (> 0) of a rational; ints and Fractions are
+    read directly, anything else goes through Fraction once."""
+    if not isinstance(t, (int, Fraction)):
+        t = Fraction(t)
+    return t.numerator, t.denominator
+
+
+def _strip(num, den, p):
+    """(v, num', den') with num/den = p^v * num'/den' and p dividing
+    neither num' nor den'; num must be nonzero."""
     v = 0
-    num, den = t.numerator, t.denominator
     while num % p == 0:
         num //= p
         v += 1
     while den % p == 0:
         den //= p
         v -= 1
-    return v
+    return v, num, den
+
+
+def valuation(t, p):
+    """The p-adic valuation of a nonzero rational."""
+    num, den = _ratio(t)
+    if num == 0:
+        raise UndefinedValuationError("valuation of 0 is undefined")
+    return _strip(num, den, p)[0]
 
 
 def prime_unit_part(t, p):
@@ -154,28 +169,26 @@ def kronecker(a, n):
     return result if n == 1 else 0
 
 
-def _legendre(u, p):
-    # u a p-unit rational, p odd prime
-    u = Fraction(u)
-    return kronecker(u.numerator * u.denominator % p, p)
-
-
 def hilbert_symbol(a, b, p):
     """The local quadratic Hilbert symbol (a, b)_p in {+1, -1}.
 
-    p is a prime or INFINITE_PLACE (math.inf) for the real place.
+    p is a prime or INFINITE_PLACE (math.inf) for the real place.  With
+    a = p^alpha * u, the integer num(u) * den(u) = u * den(u)^2 stands for
+    the p-unit u: it has u's square class mod p, and mod 8 when p = 2.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
+    an, ad = _ratio(a)
+    bn, bd = _ratio(b)
+    if an == 0 or bn == 0:
         raise ValueError("Hilbert symbol requires nonzero arguments")
     if p == INFINITE_PLACE:
-        return -1 if (a < 0 and b < 0) else 1
-    alpha, u = prime_unit_part(a, p)
-    beta, v = prime_unit_part(b, p)
+        return -1 if (an < 0 and bn < 0) else 1
+    alpha, an, ad = _strip(an, ad, p)
+    beta, bn, bd = _strip(bn, bd, p)
+    u = an * ad
+    v = bn * bd
     if p == 2:
-        # u, v odd rationals; reduce to odd integers mod 8
-        ui = u.numerator * u.denominator % 8
-        vi = v.numerator * v.denominator % 8
+        ui = u % 8
+        vi = v % 8
         eps_u = (ui - 1) // 2
         eps_v = (vi - 1) // 2
         om_u = (ui * ui - 1) // 8
@@ -186,9 +199,9 @@ def hilbert_symbol(a, b, p):
     if (alpha * beta) % 2 and p % 4 == 3:
         sign = -1
     if beta % 2:
-        sign *= _legendre(u, p)
+        sign *= kronecker(u % p, p)
     if alpha % 2:
-        sign *= _legendre(v, p)
+        sign *= kronecker(v % p, p)
     return sign
 
 

@@ -285,6 +285,10 @@ class IdealLattice:
 
     def q_of(self, coords):
         """Q at an element given in a-basis coordinates."""
+        if len(coords) != 2:
+            raise ValueError(
+                f"vector has length {len(coords)} but the lattice has rank 2"
+            )
         elt = mat_vec(tuple(map(Fraction, coords)), self.basis)
         return -elt_norm(elt, self.field.d) / self.norm
 

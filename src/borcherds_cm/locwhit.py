@@ -4,6 +4,11 @@ Provides value/derivative extraction at s = 0 and the reassembly of the
 derivative of the weight-one Eisenstein Fourier coefficient.  The assembled
 coefficient serves as the independent oracle for the closed-form kappa
 module: both must agree exactly as FactoredLog values.
+
+Every coefficient is 0 or +-1, kept as a Python int, so values and
+derivatives at X = 1 are int sums.  The assembly builds the ramified factors
+first and stops at the first one that is the zero polynomial, before it
+factors t.
 """
 
 from __future__ import annotations
@@ -11,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactoredLog, ZERO_LOG, valuation
-from .quadfield import RAMIFIED
+from .arith import FactoredLog, ZERO_LOG, factorize, hilbert_symbol, valuation
 
 PREFACTOR_NONE = "none"
 PREFACTOR_GAMMA_Q_ROOT_Q = "gamma_q_root_q"
@@ -22,7 +26,7 @@ PREFACTOR_GAMMA_Q_ROOT_Q = "gamma_q_root_q"
 class WhitPoly:
     """A local Whittaker function W*_{t,p}(s) as a polynomial in X = p^{-s}.
 
-    coeffs is the tuple of rational coefficients (empty tuple = identically
+    coeffs is the tuple of int coefficients (empty tuple = identically
     zero).  prefactor_class records a suppressed gamma_q * q^{-1/2} unit;
     those units cancel globally and are never evaluated.
     """
@@ -36,13 +40,11 @@ class WhitPoly:
 
     def value_at_one(self):
         """The polynomial value at X = 1, i.e. the s = 0 value."""
-        return sum(self.coeffs, Fraction(0))
+        return sum(self.coeffs)
 
     def x_deriv_at_one(self):
         """d/dX at X = 1."""
-        return sum(
-            (Fraction(r) * c for r, c in enumerate(self.coeffs)), Fraction(0)
-        )
+        return sum(r * c for r, c in enumerate(self.coeffs))
 
     def poly_string(self):
         if not self.coeffs:
@@ -76,7 +78,7 @@ def whit_unramified(fld, p, t):
     if a < 0:
         return WhitPoly(p, ())
     sign = fld.chi_of_prime(p)
-    return WhitPoly(p, tuple(Fraction(sign**r) for r in range(a + 1)))
+    return WhitPoly(p, tuple(sign**r for r in range(a + 1)))
 
 
 def _t_effective(fld, q, t, norm):
@@ -84,9 +86,7 @@ def _t_effective(fld, q, t, norm):
     (a, -Nx/Na): the local lattice is the unimodular ramified lattice with
     its form scaled by the q-unit d^{ord_q(Na)} / Na, so the standard
     formulas apply with t replaced by t * Na / d^{ord_q(Na)}."""
-    norm = Fraction(norm)
-    e = valuation(norm, q)
-    return Fraction(t) * norm / Fraction(fld.d) ** e
+    return Fraction(t * norm, fld.d ** valuation(norm, q))
 
 
 def whit_ramified_zero(fld, q, t, norm=1):
@@ -100,10 +100,7 @@ def whit_ramified_zero(fld, q, t, norm=1):
     if a < 0:
         raise ValueError("whit_ramified_zero requires ord_q(t) >= 0")
     sign = fld.chi(-_t_effective(fld, q, t, norm), q)
-    coeffs = [Fraction(0)] * (a + 2)
-    coeffs[0] = Fraction(1)
-    coeffs[a + 1] = Fraction(sign)
-    return WhitPoly(q, tuple(coeffs), PREFACTOR_GAMMA_Q_ROOT_Q)
+    return WhitPoly(q, (1,) + (0,) * a + (sign,), PREFACTOR_GAMMA_Q_ROOT_Q)
 
 
 def whit_ramified_case_split(fld, q, t, norm=1):
@@ -113,8 +110,6 @@ def whit_ramified_case_split(fld, q, t, norm=1):
 
     Provably equal to whit_ramified_zero; kept as an independent check.
     """
-    from .arith import hilbert_symbol
-
     a = valuation(t, q)
     if a < 0:
         raise ValueError("requires ord_q(t) >= 0")
@@ -123,10 +118,7 @@ def whit_ramified_case_split(fld, q, t, norm=1):
         sign = hilbert_symbol(q, -te, q)
     else:
         sign = hilbert_symbol(q, -fld.d * te, q)
-    coeffs = [Fraction(0)] * (a + 2)
-    coeffs[0] = Fraction(1)
-    coeffs[a + 1] = Fraction(sign)
-    return WhitPoly(q, tuple(coeffs), PREFACTOR_GAMMA_Q_ROOT_Q)
+    return WhitPoly(q, (1,) + (0,) * a + (sign,), PREFACTOR_GAMMA_Q_ROOT_Q)
 
 
 def whit_ramified_nonzero(fld, q, t, q_mu):
@@ -134,9 +126,9 @@ def whit_ramified_nonzero(fld, q, t, q_mu):
     char(Q(mu_q) + Z_q)(t), with the gamma_q q^{-1/2} unit suppressed."""
     if fld.d % q != 0:
         raise ValueError(f"{q} is unramified in Q(sqrt(-{fld.d}))")
-    diff = Fraction(t) - Fraction(q_mu)
+    diff = t - q_mu
     member = diff == 0 or valuation(diff, q) >= 0
-    coeffs = (Fraction(1),) if member else ()
+    coeffs = (1,) if member else ()
     return WhitPoly(q, coeffs, PREFACTOR_GAMMA_Q_ROOT_Q)
 
 
@@ -163,33 +155,33 @@ class EisensteinDerivative:
 
     value: FactoredLog
     flag: str = None
-    local_polys: dict = None
+
+
+def _ramified_poly(fld, q, mu, t, norm):
+    """The local factor at a ramified q."""
+    if not mu.local_zero(q):
+        return whit_ramified_nonzero(fld, q, t, mu.q_value)
+    if valuation(t, q) < 0:
+        return WhitPoly(q, (), PREFACTOR_GAMMA_Q_ROOT_Q)
+    return whit_ramified_zero(fld, q, t, norm)
+
+
+def _unramified_polys(fld, n, t):
+    """The local factors at the unramified primes dividing the integer n."""
+    return {
+        p: whit_unramified(fld, p, t)
+        for p, _ in (factorize(n) if n > 1 else ())
+        if fld.d % p
+    }
 
 
 def _local_polys(fld, mu, t, norm=1):
     """All potentially non-unit local factors of the coefficient at t."""
     t = Fraction(t)
-    polys = {}
-    for q in fld.ramified_primes:
-        if mu.local_zero(q):
-            if valuation(t, q) < 0:
-                polys[q] = WhitPoly(q, (), PREFACTOR_GAMMA_Q_ROOT_Q)
-            else:
-                polys[q] = whit_ramified_zero(fld, q, t, norm)
-        else:
-            polys[q] = whit_ramified_nonzero(fld, q, t, mu.q_value)
-    for n in (t.numerator, t.denominator):
-        for p in _prime_divisors(n):
-            if fld.d % p == 0 or p in polys:
-                continue
-            polys[p] = whit_unramified(fld, p, t)
+    polys = {q: _ramified_poly(fld, q, mu, t, norm) for q in fld.ramified_primes}
+    polys.update(_unramified_polys(fld, t.numerator, t))
+    polys.update(_unramified_polys(fld, t.denominator, t))
     return polys
-
-
-def _prime_divisors(n):
-    from .arith import factorize
-
-    return [p for p, _ in factorize(abs(n))] if abs(n) > 1 else []
 
 
 def eisenstein_deriv_coeff(fld, lat, mu, t):
@@ -198,29 +190,43 @@ def eisenstein_deriv_coeff(fld, lat, mu, t):
 
     The archimedean factor contributes the constant -2 after the gamma and
     d^{(s+1)/2} prefactor cancellations; division by h_k converts the
-    normalized derivative E^{*,'} to E'.  If two or more local values vanish
-    the result is zero; if none vanish (impossible for an incoherent
-    coefficient) the result carries the "nonvanishing-value" flag.
+    normalized derivative E^{*,'} to E'.  If a local factor is the zero
+    polynomial, or two or more local values vanish, the result is zero; if
+    none vanish (impossible for an incoherent coefficient) the result
+    carries the "nonvanishing-value" flag.
+
+    The ramified factors come first, and the assembly stops at the first
+    zero polynomial.  An unramified prime of t's denominator gives the zero
+    polynomial too, so only t's numerator is factored, and only when no
+    local factor is zero.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("eisenstein_deriv_coeff requires t > 0")
     if lat.field.d != fld.d:
         raise ValueError("lattice/field mismatch")
-    polys = _local_polys(fld, mu, t, lat.norm)
-    for w in polys.values():
+    polys = {}
+    for q in fld.ramified_primes:
+        w = _ramified_poly(fld, q, mu, t, lat.norm)
         if w.is_zero_poly():
-            return EisensteinDerivative(ZERO_LOG, None, polys)
+            return EisensteinDerivative(ZERO_LOG)
+        polys[q] = w
+    den = t.denominator
+    for q in fld.ramified_primes:
+        while den % q == 0:
+            den //= q
+    if den > 1:
+        return EisensteinDerivative(ZERO_LOG)
+    polys.update(_unramified_polys(fld, t.numerator, t))
     vanishing = [p for p, w in polys.items() if w.value_at_one() == 0]
     if len(vanishing) >= 2:
-        return EisensteinDerivative(ZERO_LOG, None, polys)
+        return EisensteinDerivative(ZERO_LOG)
     if not vanishing:
-        return EisensteinDerivative(ZERO_LOG, FLAG_NONVANISHING, polys)
+        return EisensteinDerivative(ZERO_LOG, FLAG_NONVANISHING)
     p0 = vanishing[0]
     _, deriv = value_deriv_at_zero(polys[p0])
-    other = Fraction(1)
+    other = 1
     for p, w in polys.items():
         if p != p0:
             other *= w.value_at_one()
-    coeff = Fraction(-2, fld.h) * other
-    return EisensteinDerivative(coeff * deriv, None, polys)
+    return EisensteinDerivative(Fraction(-2 * other, fld.h) * deriv)

@@ -285,6 +285,11 @@ def test_coset_length_must_match_the_rank():
         PosLattice(()).vector_norms_up_to((0,), 1)
     with pytest.raises(ValueError, match="length 1 .*rank 0"):
         PosLattice(()).q_of((0,))
+    ideal = make_ideal_lattice(make_field(7), "unit")
+    assert ideal.q_of((1, 0)) == -1
+    for coords in ((1, 0, 5), (1,)):
+        with pytest.raises(ValueError, match=f"length {len(coords)} .*rank 2"):
+            ideal.q_of(coords)
 
 
 def test_rank_zero_lattice():
