@@ -280,15 +280,11 @@ def build_corpus():
         coeffs = {k: v for k, v in coeffs.items() if v}
         if not coeffs:
             continue
-        if m_max_of(coeffs) > 3:
+        form = FourierForm(sl, coeffs)
+        if m_max(form) > 3:
             continue
-        triples.append((fld, sl, FourierForm(sl, coeffs)))
+        triples.append((fld, sl, form))
     return triples
-
-
-def m_max_of(coeffs):
-    neg = [-m for (_, m) in coeffs if m < 0]
-    return max(neg) if neg else Fraction(0)
 
 
 def criterion_prime_support():

@@ -10,6 +10,7 @@ so that rationality of downstream sums stays decidable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,42 +79,21 @@ def _check_lattice(lat):
         )
 
 
-def eta_q(fld, t, mu, q, norm=1):
-    """(1 - chi_q(-t*Na)) * prod over other ramified q' with mu_{q'} = 0 of
-    (1 + chi_{q'}(-t*Na)).  Only defined when mu_q = 0.
+def kappa_positive(fld, lat, mu, t):
+    """kappa(t, mu, a) for t > 0, as an exact FactoredLog-valued KappaValue.
+
+    kappa = -(1/h_k) * prod_q char(Q(mu_q) + Z_q)(t) * [
+        rho(dt) * sum_{q | d, mu_q = 0} eta_q (ord_q(t)+1) log q
+        + eta_0 * sum_{p inert} (ord_p(t)+1) rho(dt/p) log p ],
+
+    where, with chi_q = chi_q(-t*Na) over the ramified q with mu_q = 0,
+    eta_0 is the product of the (1 + chi_q) (1 when there are none) and
+    eta_q has the factor at q replaced by (1 - chi_q).
 
     The twist by Na (trivial for the unit ideal, and for every ideal in a
     genus whose norms are local norms at each ramified prime) carries the
     unit scaling of the local form -Nx/Na; chi_q(d) = 1 absorbs any
     ramified part of Na.
-    """
-    if not mu.local_zero(q):
-        raise ValueError(f"eta_q requires mu_{q} = 0")
-    tn = -Fraction(t) * Fraction(norm)
-    result = 1 - fld.chi(tn, q)
-    for q2 in fld.ramified_primes:
-        if q2 != q and mu.local_zero(q2):
-            result *= 1 + fld.chi(tn, q2)
-    return result
-
-
-def eta_0(fld, t, mu, norm=1):
-    """prod over ramified q with mu_q = 0 of (1 + chi_q(-t*Na)); 1 when
-    the index set is empty."""
-    tn = -Fraction(t) * Fraction(norm)
-    result = 1
-    for q in fld.ramified_primes:
-        if mu.local_zero(q):
-            result *= 1 + fld.chi(tn, q)
-    return result
-
-
-def kappa_positive(fld, lat, mu, t):
-    """kappa(t, mu, a) for t > 0, as an exact FactoredLog-valued KappaValue.
-
-    kappa = -(1/h_k) * prod_q char(Q(mu_q) + Z_q)(t) * [
-        rho(dt) * sum_{q | d, mu_q = 0} eta_q(t,mu) (ord_q(t)+1) log q
-        + eta_0(t,mu) * sum_{p inert} (ord_p(t)+1) rho(dt/p) log p ].
 
     The inert sum runs only over primes dividing the numerator of dt; all
     others contribute zero through rho(dt/p).
@@ -123,12 +103,10 @@ def kappa_positive(fld, lat, mu, t):
     if t <= 0:
         raise ValueError("kappa_positive requires t > 0")
     d = fld.d
-    norm = lat.norm
     # char conditions at ramified primes (Q(mu_q) = 0 mod Z_q when mu_q = 0)
     for q in fld.ramified_primes:
-        target = Fraction(0) if mu.local_zero(q) else Fraction(mu.q_value)
-        diff = t - target
-        if diff != 0 and valuation(diff, q) < 0:
+        diff = t if mu.local_zero(q) else t - mu.q_value
+        if diff and valuation(diff, q) < 0:
             return KAPPA_ZERO
     dt = d * t
     if dt.denominator != 1:
@@ -141,15 +119,15 @@ def kappa_positive(fld, lat, mu, t):
         rho_dt *= fld.rho_local(p, a)
         if rho_dt == 0:
             break
+    tn = -t * lat.norm
+    chi = {q: fld.chi(tn, q) for q in fld.ramified_primes if mu.local_zero(q)}
     terms = {}
     if rho_dt:
-        for q in fld.ramified_primes:
-            if not mu.local_zero(q):
-                continue
-            e = eta_q(fld, t, mu, q, norm)
+        for q, c in chi.items():
+            e = (1 - c) * math.prod(1 + c2 for q2, c2 in chi.items() if q2 != q)
             if e:
-                terms[q] = Fraction(e * (valuation(t, q) + 1) * rho_dt)
-    e0 = eta_0(fld, t, mu, norm)
+                terms[q] = e * (valuation(t, q) + 1) * rho_dt
+    e0 = math.prod(1 + c for c in chi.values())
     if e0:
         for p, a in dt_factors:
             if d % p == 0 or fld.splitting(p) != INERT:
@@ -161,9 +139,7 @@ def kappa_positive(fld, lat, mu, t):
                 if rho_rest == 0:
                     break
             if rho_rest:
-                terms[p] = terms.get(p, Fraction(0)) + Fraction(
-                    e0 * (a + 1) * rho_rest
-                )
+                terms[p] = terms.get(p, 0) + e0 * (a + 1) * rho_rest
     if not terms:
         return KAPPA_ZERO
     scale = Fraction(-1, fld.h)

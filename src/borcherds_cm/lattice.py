@@ -8,8 +8,15 @@ possibly non-split integral lattice L with L_+ + L_- <= L <= L^v.
 Every finite group the CM-value sums run over -- the discriminant groups
 L^v/L of the ideal, positive and glued lattices, and the glue group
 L/(L_+ + L_-) -- is a quotient Z^k / Z^k M listed by one routine,
-_coset_reps, through the Smith normal form of M, in canonical label order.
-An IdealLattice lists its dual cosets once, when it is built.
+_coset_reps, through the Smith normal form of M, in canonical label order:
+each coset is the integer numerator z of y M^{-1} = z/D over the single
+denominator D = |det M|.  One routine, _q_mod_one, computes the finite
+quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group in integers
+(Nikulin, Math. USSR Izv. 14 (1980)), and one, _q, computes Q(x).
+
+An IdealLattice takes its Gram matrix from the trace form of k and its
+omega-stability from an integral matrix test, without element arithmetic
+in k, and lists its dual cosets once, when it is built.
 """
 
 from __future__ import annotations
@@ -171,10 +178,15 @@ def smith_normal_form(M):
 
 class IntegerQuotient:
     """The finite abelian group Z^k / (Z^k * M) for a nonsingular integer
-    matrix M (row convention), with canonical mixed-radix labels."""
+    matrix M (row convention), with canonical mixed-radix labels.
+
+    With U M V = diag(d_1..d_k) its Smith normal form and D = |det M| =
+    d_1...d_k, adj = D M^{-1} = V diag(D/d_i) U is an integer matrix, so
+    y M^{-1} = (y adj)/D has the single denominator D."""
 
     def __init__(self, M):
-        diag, _, V = smith_normal_form(M)
+        M = tuple(tuple(int(x) for x in row) for row in M)
+        diag, U, V = smith_normal_form(M)
         self.M = M
         self.diag = diag
         self.V = V
@@ -182,6 +194,9 @@ class IntegerQuotient:
             tuple(int(x) for x in row) for row in mat_inv(V)
         )
         self.order = math.prod(diag)
+        self.adj = mat_mul(
+            V, tuple(tuple(self.order // di * x for x in row) for di, row in zip(diag, U))
+        )
 
     def reps(self):
         """Yield (label, coordinate row vector) for each coset in label
@@ -198,17 +213,37 @@ class IntegerQuotient:
         return label
 
 
-def _coset_reps(quotient, basis=None):
+def _coset_reps(quotient):
     """One representative per coset of Z^k / Z^k M (M = quotient.M), in label
-    order, mapped through M^{-1} and then, if given, times basis.
+    order, mapped through M^{-1}: the integer numerators z of y M^{-1} =
+    z / D over the single denominator D = quotient.order.
 
     With M a Gram matrix this lists the discriminant group L^v/L in lattice
-    (or, through basis, ambient) coordinates; with M the inverse of an
-    L-basis it lists L / Z^k."""
-    inv = mat_inv(quotient.M)
-    if basis is not None:
-        inv = mat_mul(inv, basis)
-    return [mat_vec(y, inv) for _, y in quotient.reps()]
+    coordinates; with M the inverse of an L-basis it lists L / Z^k."""
+    return [mat_vec(y, quotient.adj) for _, y in quotient.reps()]
+
+
+def _q(x, gram):
+    """Q(x) = x G x^T / 2 for a vector x of length rank G."""
+    k = len(gram)
+    if len(x) != k:
+        raise ValueError(
+            f"vector has length {len(x)} but the lattice has rank {k}"
+        )
+    x = tuple(map(Fraction, x))
+    return sum(
+        (gram[i][j] * x[i] * x[j] for i in range(k) for j in range(k)),
+        Fraction(0),
+    ) / 2
+
+
+def _q_mod_one(z, gram, D):
+    """q(z/D) = Q(z/D) mod 1 = (z G z^T mod 2D^2) / 2D^2, in integers, for
+    an integer Gram G and the integer numerators z of a coset of L^v/L."""
+    k = len(z)
+    num = sum(z[i] * sum(gram[i][j] * z[j] for j in range(k)) for i in range(k))
+    den = 2 * D * D
+    return Fraction(num % den, den)
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +253,6 @@ def _coset_reps(quotient, basis=None):
 # omega = (1 + sqrt(-d))/2, so omega^2 = omega - (1+d)/4.
 
 
-def elt_norm(x, d):
-    u, v = Fraction(x[0]), Fraction(x[1])
-    return u * u + u * v + v * v * (1 + d) / 4
-
-def elt_conj(x):
-    u, v = x
-    return (Fraction(u) + Fraction(v), -Fraction(v))
-
-def elt_mul(x, y, d):
-    u1, v1 = map(Fraction, x)
-    u2, v2 = map(Fraction, y)
-    return (u1 * u2 - v1 * v2 * Fraction(1 + d, 4),
-            u1 * v2 + u2 * v1 + v1 * v2)
-
-def elt_trace(x):
-    return 2 * Fraction(x[0]) + Fraction(x[1])
-
-
 class IdealLattice:
     """An integral O_k-ideal a viewed as a rank-2 lattice with
     Q(x) = -N(x)/N(a), so that the dual lattice is D^{-1} a.  Its d dual
@@ -243,7 +260,6 @@ class IdealLattice:
 
     def __init__(self, field, basis):
         self.field = field
-        d = field.d
         basis = tuple(
             tuple(Fraction(x) for x in row) for row in basis
         )
@@ -254,59 +270,61 @@ class IdealLattice:
             raise NotAnIdealError("basis elements are linearly dependent")
         if not all(_is_integral(row) for row in basis):
             raise NotAnIdealError("ideal is not contained in O_k")
-        inv = mat_inv(basis)
-        omega = (Fraction(0), Fraction(1))
-        for row in basis:
-            image = elt_mul(omega, row, d)
-            if not _is_integral(mat_vec(image, inv)):
-                raise NotAnIdealError("basis is not omega-stable")
+        B = tuple(tuple(int(x) for x in row) for row in basis)
         self.basis = basis
-        self.norm = abs(det)
-        # Gram of the bilinear form (x, y) = -Tr(x * conj(y)) / Na
-        gram = []
-        for bi in basis:
-            row = []
-            for bj in basis:
-                val = -elt_trace(elt_mul(bi, elt_conj(bj), d)) / self.norm
-                if val.denominator != 1:
-                    raise NotAnIdealError("non-integral Gram entry")
-                row.append(int(val))
-            gram.append(tuple(row))
-        self.gram = tuple(gram)
+        self.norm = abs(int(det))
+        c = (1 + field.d) // 4
+        # omega-stable: B W B^{-1} = B W adj(B) / det B is integral, with W
+        # the multiplication by omega: (u, v) W = (-c v, u + v)
+        W = ((0, 1), (-c, 1))
+        adj = ((B[1][1], -B[0][1]), (-B[1][0], B[0][0]))
+        if any(x % self.norm for row in mat_mul(mat_mul(B, W), adj) for x in row):
+            raise NotAnIdealError("basis is not omega-stable")
+        # Gram of the bilinear form (x, y) = -Tr(x * conj(y)) / Na, from the
+        # trace form x T y^T = Tr(x * conj(y)) on {1, omega} coordinates
+        T = ((2, 1), (1, 2 * c))
+        trace = mat_mul(mat_mul(B, T), _transpose(B))
+        if any(x % self.norm for row in trace for x in row):
+            raise NotAnIdealError("non-integral Gram entry")
+        self.gram = tuple(tuple(-x // self.norm for x in row) for row in trace)
         self._quotient = IntegerQuotient(self.gram)
         self._cosets = tuple(
-            DualCoset(self, coords, label)
-            for label, coords in enumerate(_coset_reps(self._quotient))
+            DualCoset(self, z, label)
+            for label, z in enumerate(_coset_reps(self._quotient))
         )
 
     def dual_index(self):
         """|L^v / L| = N(D) = d."""
-        return abs(int(mat_det(self.gram)))
+        return self._quotient.order
 
     def q_of(self, coords):
         """Q at an element given in a-basis coordinates."""
-        if len(coords) != 2:
-            raise ValueError(
-                f"vector has length {len(coords)} but the lattice has rank 2"
-            )
-        elt = mat_vec(tuple(map(Fraction, coords)), self.basis)
-        return -elt_norm(elt, self.field.d) / self.norm
+        return _q(coords, self.gram)
 
 
 class DualCoset:
-    """A coset mu of D^{-1}a / a, with its local data at ramified primes."""
+    """A coset mu of D^{-1}a / a, with its local data at ramified primes.
 
-    def __init__(self, lattice, coords, label):
+    It is given by the integer numerators z of its a-basis coordinates
+    z/d; since d is squarefree, mu_q = 0 exactly when q divides every z_i."""
+
+    def __init__(self, lattice, numerators, label):
         self.lattice = lattice
-        self.coords = tuple(Fraction(x) for x in coords)
+        self._z = tuple(numerators)
         self.label = label
-        self.is_zero = _is_integral(self.coords)
-        q_raw = lattice.q_of(self.coords)
-        self.q_value = q_raw - math.floor(q_raw)
+        d = lattice._quotient.order
+        self.is_zero = all(x % d == 0 for x in self._z)
+        self.q_value = _q_mod_one(self._z, lattice.gram, d)
         self._zero_at = {
-            q: all(c.denominator % q for c in self.coords)
+            q: all(x % q == 0 for x in self._z)
             for q in lattice.field.ramified_primes
         }
+
+    @property
+    def coords(self):
+        """The a-basis coordinates z/d of the representative."""
+        d = self.lattice._quotient.order
+        return tuple(Fraction(x, d) for x in self._z)
 
     def local_zero(self, q):
         """Whether the image mu_q in D^{-1}a_q / a_q is zero."""
@@ -396,19 +414,7 @@ class PosLattice:
 
     def q_of(self, x):
         """Q(x) = (x, x)/2 for a vector x of length rank."""
-        if len(x) != self.rank:
-            raise ValueError(
-                f"vector has length {len(x)} but the lattice has rank {self.rank}"
-            )
-        x = tuple(map(Fraction, x))
-        return sum(
-            (
-                self.gram[i][j] * x[i] * x[j]
-                for i in range(self.rank)
-                for j in range(self.rank)
-            ),
-            Fraction(0),
-        ) / 2
+        return _q(x, self.gram)
 
     def _decomposition(self):
         # Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2, computed
@@ -497,7 +503,11 @@ class PosLattice:
             return [(0, ())]
         if not all(_is_integral(row) for row in self.gram):
             raise ValueError("dual cosets require an integral Gram matrix")
-        return list(enumerate(_coset_reps(IntegerQuotient(self.gram))))
+        quotient = IntegerQuotient(self.gram)
+        return [
+            (label, tuple(Fraction(x, quotient.order) for x in z))
+            for label, z in enumerate(_coset_reps(quotient))
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -565,21 +575,38 @@ class SplitLattice:
         self.gram_L = tuple(
             tuple(int(x) for x in row) for row in gram_L
         )
-        # glue group L / (L_+ + L_-): Z^N / Z^N basis^{-1} mapped through basis
+        # q(eta) = Q(eta) mod 1 is well defined only on an even lattice
+        for i in range(N):
+            if self.gram_L[i][i] % 2:
+                raise InconsistentEmbeddingError(
+                    f"L is not even: Q of basis row {i} is "
+                    f"{Fraction(self.gram_L[i][i], 2)}, not an integer"
+                )
+        # glue group L / (L_+ + L_-): Z^N / Z^N basis^{-1}; its numerators z
+        # over D = [L : L_+ + L_-] give the ambient vectors z / D = y basis
+        glue = IntegerQuotient(basis_inv)
         self.glue = []
-        for amb in _coset_reps(IntegerQuotient(basis_inv)):
-            lp, lm = amb[:n], amb[n:]
-            if _is_integral(lm) and not _is_integral(lp):
+        for z in _coset_reps(glue):
+            plus_int = all(x % glue.order == 0 for x in z[:n])
+            minus_int = all(x % glue.order == 0 for x in z[n:])
+            if minus_int and not plus_int:
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")
-            if _is_integral(lp) and not _is_integral(lm):
+            if plus_int and not minus_int:
                 raise InconsistentEmbeddingError("U cap L exceeds L_-")
-            self.glue.append(GlueVector(lp, lm))
-        # dual cosets L^v / L in ambient coordinates
+            amb = tuple(Fraction(x, glue.order) for x in z)
+            self.glue.append(GlueVector(amb[:n], amb[n:]))
+        # dual cosets L^v / L: numerators z over D = |det gram_L| in L
+        # coordinates, shown in ambient coordinates as (z / D) * basis
+        dual = IntegerQuotient(self.gram_L)
+        e = math.lcm(*(x.denominator for row in basis for x in row))
+        basis_num = tuple(tuple(int(x * e) for x in row) for row in basis)
         self.etas = []
-        reps = _coset_reps(IntegerQuotient(self.gram_L), basis)
-        for label, amb in enumerate(reps):
-            q = self.q_ambient(amb)
-            self.etas.append(EtaCoset(label, amb[:n], amb[n:], q - math.floor(q)))
+        for label, z in enumerate(_coset_reps(dual)):
+            amb = tuple(
+                Fraction(x, dual.order * e) for x in mat_vec(z, basis_num)
+            )
+            q = _q_mod_one(z, self.gram_L, dual.order)
+            self.etas.append(EtaCoset(label, amb[:n], amb[n:], q))
         # kappa_eta(m) per (field, eta label, m), filled by cmvalue.kappa_eta
         self._kappa_eta = {}
         # (glue index, minus coset, plus coset) per glue vector, per eta
@@ -587,9 +614,8 @@ class SplitLattice:
         self._eta_pairs = {}
 
     def q_ambient(self, x):
-        x = tuple(map(Fraction, x))
-        n = self.plus.rank
-        return self.plus.q_of(x[:n]) + self.minus.q_of(x[n:])
+        """Q(x) for a vector x in ambient coordinates."""
+        return _q(x, self.gram_ambient)
 
 
 def _transpose(A):

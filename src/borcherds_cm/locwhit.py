@@ -18,22 +18,18 @@ from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, factorize, hilbert_symbol, valuation
 
-PREFACTOR_NONE = "none"
-PREFACTOR_GAMMA_Q_ROOT_Q = "gamma_q_root_q"
-
 
 @dataclass(frozen=True)
 class WhitPoly:
     """A local Whittaker function W*_{t,p}(s) as a polynomial in X = p^{-s}.
 
     coeffs is the tuple of int coefficients (empty tuple = identically
-    zero).  prefactor_class records a suppressed gamma_q * q^{-1/2} unit;
-    those units cancel globally and are never evaluated.
+    zero).  The ramified factors suppress a gamma_q * q^{-1/2} unit; those
+    units cancel globally and are never evaluated.
     """
 
     p: int
     coeffs: tuple
-    prefactor_class: str = PREFACTOR_NONE
 
     def is_zero_poly(self):
         return not self.coeffs
@@ -100,7 +96,7 @@ def whit_ramified_zero(fld, q, t, norm=1):
     if a < 0:
         raise ValueError("whit_ramified_zero requires ord_q(t) >= 0")
     sign = fld.chi(-_t_effective(fld, q, t, norm), q)
-    return WhitPoly(q, (1,) + (0,) * a + (sign,), PREFACTOR_GAMMA_Q_ROOT_Q)
+    return WhitPoly(q, (1,) + (0,) * a + (sign,))
 
 
 def whit_ramified_case_split(fld, q, t, norm=1):
@@ -118,7 +114,7 @@ def whit_ramified_case_split(fld, q, t, norm=1):
         sign = hilbert_symbol(q, -te, q)
     else:
         sign = hilbert_symbol(q, -fld.d * te, q)
-    return WhitPoly(q, (1,) + (0,) * a + (sign,), PREFACTOR_GAMMA_Q_ROOT_Q)
+    return WhitPoly(q, (1,) + (0,) * a + (sign,))
 
 
 def whit_ramified_nonzero(fld, q, t, q_mu):
@@ -129,7 +125,7 @@ def whit_ramified_nonzero(fld, q, t, q_mu):
     diff = t - q_mu
     member = diff == 0 or valuation(diff, q) >= 0
     coeffs = (1,) if member else ()
-    return WhitPoly(q, coeffs, PREFACTOR_GAMMA_Q_ROOT_Q)
+    return WhitPoly(q, coeffs)
 
 
 def value_deriv_at_zero(w):
@@ -162,7 +158,7 @@ def _ramified_poly(fld, q, mu, t, norm):
     if not mu.local_zero(q):
         return whit_ramified_nonzero(fld, q, t, mu.q_value)
     if valuation(t, q) < 0:
-        return WhitPoly(q, (), PREFACTOR_GAMMA_Q_ROOT_Q)
+        return WhitPoly(q, ())
     return whit_ramified_zero(fld, q, t, norm)
 
 

@@ -201,6 +201,7 @@ def test_bad_prime_ideal_rejected(capsys, spec, message):
         ("d=x\n", "d='x'"),
         ("d=7\nrank=one\n", "rank='one'"),
         ("d=7\nrank=1\ngram=1/0\n", "gram='1/0'"),
+        ("d=7\nrank=1\ngram=1\n", "L is not even: Q of basis row 0"),
     ],
 )
 def test_malformed_lattice_file(capsys, tmp_path, text, message):

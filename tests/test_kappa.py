@@ -139,8 +139,7 @@ RANDOM_D = [d for d in range(7, 1001, 4) if d not in D_SET and _odd_fundamental(
 @given(st.data())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_kappa_matches_the_oracle_on_random_fields(data):
-    # building the lattice's d dual cosets costs most, so each example
-    # checks several (mu, t) on one lattice
+    # each example checks several (mu, t) on one lattice
     d = data.draw(st.sampled_from(RANDOM_D), label="d")
     fld = make_field(d)
     split = [p for p in range(2, 60) if is_prime(p) and fld.splitting(p) == SPLIT]

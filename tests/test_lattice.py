@@ -22,7 +22,7 @@ from borcherds_cm.lattice import (
     mat_mul,
     smith_normal_form,
 )
-from borcherds_cm.quadfield import make_field
+from borcherds_cm.quadfield import INERT, UnsupportedDiscriminantError, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -135,13 +135,43 @@ def test_coset_round_trip():
             canonical = coset_of_element(lat, shifted)
             assert canonical.label == mu.label
             assert canonical is cosets[mu.label]
-            fresh = DualCoset(lat, shifted, mu.label)
+            fresh = DualCoset(lat, tuple(int(c * fld.d) for c in shifted), mu.label)
             assert fresh.q_value == canonical.q_value
             assert fresh.is_zero == canonical.is_zero
             for q in fld.ramified_primes:
                 assert fresh.local_zero(q) == canonical.local_zero(q)
     with pytest.raises(ValueError):
         coset_of_element(lat, (Fraction(1, 2), 0))
+
+
+def _odd_fundamental(d):
+    try:
+        make_field(d)
+    except UnsupportedDiscriminantError:
+        return False
+    return True
+
+
+def _norm(x, d):
+    """N(u + v omega) = u^2 + uv + (1+d)/4 v^2, for omega = (1 + sqrt(-d))/2."""
+    u, v = x
+    return u * u + u * v + Fraction(1 + d, 4) * v * v
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_dual_coset_q_is_minus_norm_over_na(data):
+    d = data.draw(st.sampled_from([d for d in range(7, 1001, 4) if _odd_fundamental(d)]), label="d")
+    fld = make_field(d)
+    primes = [p for p in (2, 3, 5, 7, 11) if fld.splitting(p) != INERT]
+    ideal = data.draw(st.sampled_from(["unit"] + [f"prime:{p}" for p in primes]), label="ideal")
+    lat = make_ideal_lattice(fld, ideal)
+    cosets = enumerate_dual_cosets(lat)
+    assert len(cosets) == d
+    for mu in cosets:
+        # the element of k with a-basis coordinates mu.coords
+        x = tuple(sum(c * row[j] for c, row in zip(mu.coords, lat.basis)) for j in range(2))
+        assert mu.q_value == (-_norm(x, d) / lat.norm) % 1
 
 
 def test_local_zero_crt_pattern_d15():
@@ -290,6 +320,12 @@ def test_coset_length_must_match_the_rank():
     for coords in ((1, 0, 5), (1,)):
         with pytest.raises(ValueError, match=f"length {len(coords)} .*rank 2"):
             ideal.q_of(coords)
+    # the ambient rank of L_+ (+) L_- is 3, not the rank 2 of its minus part
+    split = SplitLattice(PosLattice(((2,),)), ideal)
+    assert split.q_ambient((1, 1, 0)) == 0
+    for x in ((1, 0, 0, 0), (1, 0)):
+        with pytest.raises(ValueError, match=f"length {len(x)} .*rank 3"):
+            split.q_ambient(x)
 
 
 def test_rank_zero_lattice():
@@ -362,6 +398,9 @@ def test_inconsistent_embedding_errors():
         SplitLattice(plus, minus, shrunk)
     with pytest.raises(InconsistentEmbeddingError):
         SplitLattice(plus, minus, ((1, 0), (0, 1)))
+    # Q(eta) mod 1 needs an even L; Q(b_0) = 1/2 here
+    with pytest.raises(InconsistentEmbeddingError, match="basis row 0 is 1/2"):
+        SplitLattice(PosLattice(((1,),)), minus)
 
 
 def test_load_lattice(tmp_path):
