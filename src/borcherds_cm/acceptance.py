@@ -143,7 +143,7 @@ def criterion_kzero_two_routes(prec=64, tol="1e-40"):
         for d in D_SET:
             fld = make_field(d)
             route1 = kappa_zero_direct(fld, prec)
-            route2, _ = kappa_zero_constant(fld, prec)
+            route2 = kappa_zero_constant(fld, prec)
             if abs(route1 - route2) >= tol:
                 return False, (
                     f"d={d}: |route1 - route2| = {mp.nstr(abs(route1 - route2))}"

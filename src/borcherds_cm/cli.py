@@ -62,7 +62,7 @@ def cmd_field(args):
     print(f"w={fld.w}")
     print(f"ramified={','.join(str(q) for q in fld.ramified_primes)}")
     if args.prec:
-        k0, _ = kappa_zero_constant(fld, args.prec)
+        k0 = kappa_zero_constant(fld, args.prec)
         print(f"k0={k0}")
     return 0
 

@@ -10,9 +10,10 @@ Each SplitLattice keeps its table of kappa_eta(m) values, keyed by
 (field, eta label, m), so the reports of many forms on one lattice, and
 log_psi_product and phi_average on one form, share the double sum.
 quadfield.kappa_zero_constant keeps k0(0) per field and precision.
-A second table on the lattice holds, per eta, the pairs (lambda, mu,
-eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, so
-kappa_eta, c00_contraction and contraction_coeffs find each coset once.
+SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu,
+eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, built
+on the first request for that eta, so kappa_eta, c00_contraction and
+contraction_coeffs find each coset once.
 Every exact sum (kappa_eta(m) and the inner sum) is added up in one pass
 into one prime -> exponent dict and one k0(0) multiple.
 """
@@ -28,30 +29,7 @@ from mpmath import mp
 from .arith import FactoredLog, flog_combine
 from .forms import m_max
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
-from .lattice import coset_of_element
 from .quadfield import INERT
-
-
-def _coset_sum(a, b):
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
-
-
-def _eta_pairs(sl, eta_label):
-    """[(lambda index, mu, eta_+ + lambda_+)] over the glue vectors lambda,
-    where mu is the canonical coset of eta_- + lambda_- in the ideal
-    lattice.  Computed once per eta and kept in the lattice's table."""
-    pairs = sl._eta_pairs.get(eta_label)
-    if pairs is None:
-        eta = sl.etas[eta_label]
-        pairs = sl._eta_pairs[eta_label] = [
-            (
-                li,
-                coset_of_element(sl.minus, _coset_sum(eta.minus, lam.minus)),
-                _coset_sum(eta.plus, lam.plus),
-            )
-            for li, lam in enumerate(sl.glue)
-        ]
-    return pairs
 
 
 def _combine(pairs):
@@ -80,7 +58,7 @@ def contraction_coeffs(form, sl, m_values):
         ]
         if not support:
             continue
-        for li, _, coset in _eta_pairs(sl, eta.label):
+        for li, _, coset in sl.eta_pairs(eta.label):
             for m in m_values:
                 m = Fraction(m)
                 total = Fraction(0)
@@ -100,7 +78,7 @@ def c00_contraction(form, sl):
     for (label, m1), c in form.coeffs.items():
         if m1 > 0:
             continue
-        for _, mu, coset in _eta_pairs(sl, label):
+        for _, mu, coset in sl.eta_pairs(label):
             if mu.is_zero:
                 total += c * sl.plus.count_vectors(coset, -m1)
     return total
@@ -126,7 +104,7 @@ def kappa_eta(fld, sl, eta_label, m):
 def _kappa_eta_sum(fld, sl, eta_label, m):
     return _combine(
         (count, kappa_at(fld, sl.minus, mu, m - qx))
-        for _, mu, coset in _eta_pairs(sl, eta_label)
+        for _, mu, coset in sl.eta_pairs(eta_label)
         for qx, count in sl.plus.vector_norms_up_to(coset, m).items()
     )
 
@@ -208,7 +186,7 @@ class CMValueReport:
         with mp.workdps(prec + 20):
             val = self.rational_part.numeric(prec)
             if self.kzero_coeff:
-                k0, _ = kappa_zero_constant(fld, prec)
+                k0 = kappa_zero_constant(fld, prec)
                 val += (
                     k0
                     * self.kzero_coeff.numerator

@@ -50,7 +50,7 @@ class KappaValue:
 
         val = self.log_part.numeric(prec)
         if self.kzero_multiple:
-            k0, _ = kappa_zero_constant(fld, prec)
+            k0 = kappa_zero_constant(fld, prec)
             val += k0 * self.kzero_multiple.numerator / self.kzero_multiple.denominator
         return val
 

@@ -14,6 +14,12 @@ denominator D = |det M|.  One routine, _q_mod_one, computes the finite
 quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group in integers
 (Nikulin, Math. USSR Izv. 14 (1980)), and one, _q, computes Q(x).
 
+No Fraction elimination is left: the integer Smith normal form gives every
+coset list, the test that a SplitLattice basis is nonsingular and contains
+L_+ + L_-, and that basis's inverse; the one exact LDL^T of a PosLattice,
+computed when it is built, gives its definiteness test (Sylvester's
+criterion) and the floats its enumeration starts from.
+
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
 in k, and lists its dual cosets once, when it is built.
@@ -39,7 +45,7 @@ class InconsistentEmbeddingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Exact small-matrix helpers (rows of tuples of Fraction)
+# Exact small-matrix helpers (rows of tuples of ints or Fractions)
 # ---------------------------------------------------------------------------
 
 
@@ -56,43 +62,6 @@ def mat_vec(v, A):
     return tuple(
         sum(v[t] * A[t][j] for t in range(len(A))) for j in range(len(A[0]))
     )
-
-
-def mat_inv(A):
-    n = len(A)
-    aug = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def mat_det(A):
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = -det
-        det *= M[col][col]
-        inv = 1 / M[col][col]
-        for r in range(col + 1, n):
-            if M[r][col]:
-                f = M[r][col] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return det
 
 
 def _is_integral(v):
@@ -154,18 +123,13 @@ def smith_normal_form(M):
                 if A[t][j]:
                     add_col(t, j, -(A[t][j] // A[t][t]))
                     done = False
-            if done and all(A[i][t] == 0 for i in range(t + 1, k)) and all(
-                A[t][j] == 0 for j in range(t + 1, k)
-            ):
+            if done:
                 # enforce divisibility d_t | trailing entries
-                bad = None
-                for i in range(t + 1, k):
-                    for j in range(t + 1, k):
-                        if A[i][j] % A[t][t]:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
+                bad = next(
+                    (i for i in range(t + 1, k) for j in range(t + 1, k)
+                     if A[i][j] % A[t][t]),
+                    None,
+                )
                 if bad is None:
                     break
                 add_row(bad, t, 1)
@@ -180,29 +144,12 @@ class IntegerQuotient:
     """The finite abelian group Z^k / (Z^k * M) for a nonsingular integer
     matrix M (row convention), with canonical mixed-radix labels.
 
-    With U M V = diag(d_1..d_k) its Smith normal form and D = |det M| =
-    d_1...d_k, adj = D M^{-1} = V diag(D/d_i) U is an integer matrix, so
-    y M^{-1} = (y adj)/D has the single denominator D."""
+    With U M V = diag(d_1..d_k) its Smith normal form, y -> (y V)_i mod d_i
+    identifies the group with prod Z/d_i."""
 
     def __init__(self, M):
-        M = tuple(tuple(int(x) for x in row) for row in M)
-        diag, U, V = smith_normal_form(M)
-        self.M = M
-        self.diag = diag
-        self.V = V
-        self.Vinv = tuple(
-            tuple(int(x) for x in row) for row in mat_inv(V)
-        )
-        self.order = math.prod(diag)
-        self.adj = mat_mul(
-            V, tuple(tuple(self.order // di * x for x in row) for di, row in zip(diag, U))
-        )
-
-    def reps(self):
-        """Yield (label, coordinate row vector) for each coset in label
-        order; the mixed-radix labels of product(range(d_i)) count up."""
-        for label, w in enumerate(itertools.product(*map(range, self.diag))):
-            yield label, mat_vec(w, self.Vinv)
+        self.diag, self.U, self.V = smith_normal_form(M)
+        self.order = math.prod(self.diag)
 
     def label_of(self, y):
         """Canonical label of an integer coordinate vector y: the mixed-radix
@@ -214,13 +161,19 @@ class IntegerQuotient:
 
 
 def _coset_reps(quotient):
-    """One representative per coset of Z^k / Z^k M (M = quotient.M), in label
-    order, mapped through M^{-1}: the integer numerators z of y M^{-1} =
-    z / D over the single denominator D = quotient.order.
+    """One representative per coset of Z^k / Z^k M, in label order, mapped
+    through M^{-1}: the integer numerators z of y M^{-1} = z / D over the
+    single denominator D = quotient.order.
 
-    With M a Gram matrix this lists the discriminant group L^v/L in lattice
-    coordinates; with M the inverse of an L-basis it lists L / Z^k."""
-    return [mat_vec(y, quotient.adj) for _, y in quotient.reps()]
+    The coset with digits w in prod range(d_i) is y = w V^{-1}, and M^{-1} =
+    V diag(1/d_i) U, so z = w diag(D/d_i) U: V^{-1} cancels.  With M a Gram
+    matrix this lists the discriminant group L^v/L in lattice coordinates;
+    with M the inverse of an L-basis it lists L / Z^k."""
+    D = quotient.order
+    rows = [
+        tuple(D // di * x for x in row) for di, row in zip(quotient.diag, quotient.U)
+    ]
+    return [mat_vec(w, rows) for w in itertools.product(*map(range, quotient.diag))]
 
 
 def _q(x, gram):
@@ -260,12 +213,10 @@ class IdealLattice:
 
     def __init__(self, field, basis):
         self.field = field
-        basis = tuple(
-            tuple(Fraction(x) for x in row) for row in basis
-        )
+        basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
         if len(basis) != 2 or any(len(r) != 2 for r in basis):
             raise NotAnIdealError("ideal basis must be two elements of k")
-        det = mat_det(basis)
+        det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
         if det == 0:
             raise NotAnIdealError("basis elements are linearly dependent")
         if not all(_is_integral(row) for row in basis):
@@ -401,36 +352,31 @@ class PosLattice:
             for j in range(n):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram must be symmetric")
-        for k in range(1, n + 1):
-            minor = tuple(row[:k] for row in gram[:k])
-            if mat_det(minor) <= 0:
+        # Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2, the exact
+        # LDL^T of gram / 2; the pivots q[i][i] are the ratios of successive
+        # leading minors, so gram is positive definite exactly when each is
+        # positive (Sylvester's criterion)
+        q = [[x / 2 for x in row] for row in gram]
+        for i in range(n):
+            if q[i][i] <= 0:
                 raise ValueError("gram must be positive definite")
+            for j in range(i + 1, n):
+                q[j][i] = q[i][j]
+                q[i][j] = q[i][j] / q[i][i]
+            for k in range(i + 1, n):
+                for l in range(k, n):
+                    q[k][l] -= q[k][i] * q[i][l]
         self.rank = n
         self.gram = gram
         # g * gram is integral; vector_norms_up_to decides Q in its integers
         self._g = math.lcm(*(x.denominator for row in gram for x in row))
         self._gram_int = tuple(tuple(int(x * self._g) for x in row) for row in gram)
-        self._ldl = None
+        # kept as floats: they only choose candidates
+        self._ldl = [[float(x) for x in row] for row in q]
 
     def q_of(self, x):
         """Q(x) = (x, x)/2 for a vector x of length rank."""
         return _q(x, self.gram)
-
-    def _decomposition(self):
-        # Q(x) = sum_i q[i][i] * (x_i + sum_{j>i} q[i][j] x_j)^2, computed
-        # exactly and kept as floats: they only choose candidates
-        if self._ldl is None:
-            n = self.rank
-            q = [[self.gram[i][j] / 2 for j in range(n)] for i in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    q[j][i] = q[i][j]
-                    q[i][j] = q[i][j] / q[i][i]
-                for k in range(i + 1, n):
-                    for l in range(k, n):
-                        q[k][l] -= q[k][i] * q[i][l]
-            self._ldl = [[float(x) for x in row] for row in q]
-        return self._ldl
 
     def vector_norms_up_to(self, coset, bound):
         """Multiset {Q(x) : x in coset + Z^n, Q(x) <= bound} as a dict
@@ -456,7 +402,7 @@ class PosLattice:
         den = 2 * self._g * D * D
         top = math.floor(bound * den)
         residues = [c.numerator * (D // c.denominator) % D for c in coset]
-        q = self._decomposition()
+        q = self._ldl
         G = self._gram_int
         zs = [0] * n
         counts = {}
@@ -496,19 +442,6 @@ class PosLattice:
         m = Fraction(m)
         return self.vector_norms_up_to(coset, m).get(m, 0)
 
-    def dual_cosets(self):
-        """(label, representative) for each coset of L^v/L, in lattice
-        coordinates and label order."""
-        if self.rank == 0:
-            return [(0, ())]
-        if not all(_is_integral(row) for row in self.gram):
-            raise ValueError("dual cosets require an integral Gram matrix")
-        quotient = IntegerQuotient(self.gram)
-        return [
-            (label, tuple(Fraction(x, quotient.order) for x in z))
-            for label, z in enumerate(_coset_reps(quotient))
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Glued lattices for V = V_+ (+) U
@@ -542,39 +475,37 @@ class SplitLattice:
         n = plus.rank
         N = n + 2
         if basis is None:
-            basis = tuple(
-                tuple(Fraction(int(i == j)) for j in range(N)) for i in range(N)
-            )
+            basis = tuple(tuple(int(i == j) for j in range(N)) for i in range(N))
         basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
         if len(basis) != N or any(len(r) != N for r in basis):
             raise InconsistentEmbeddingError(
                 f"L basis must be {N}x{N} in ambient coordinates"
             )
-        if mat_det(basis) == 0:
-            raise InconsistentEmbeddingError("L basis is singular")
+        # Smith normal form U (e basis) V = diag(d_i) of the basis scaled by
+        # the lcm e of its denominators; it exists exactly when basis is
+        # nonsingular, and then basis^{-1} = V diag(e / d_i) U
+        e = math.lcm(*(x.denominator for row in basis for x in row))
+        basis_num = tuple(tuple(int(x * e) for x in row) for row in basis)
+        try:
+            diag, U, V = smith_normal_form(basis_num)
+        except ValueError:
+            raise InconsistentEmbeddingError("L basis is singular") from None
+        # L contains L_+ + L_- = Z^N exactly when basis^{-1} is integral
+        if any(e % di for di in diag):
+            raise InconsistentEmbeddingError("L does not contain L_+ + L_-")
+        basis_inv = mat_mul(
+            V, tuple(tuple(e // di * x for x in row) for di, row in zip(diag, U))
+        )
         self.basis = basis
         # ambient bilinear Gram: block diag of plus gram and ideal gram
-        B = [[Fraction(0)] * N for _ in range(N)]
-        for i in range(n):
-            for j in range(n):
-                B[i][j] = plus.gram[i][j]
-        for i in range(2):
-            for j in range(2):
-                B[n + i][n + j] = Fraction(minus.gram[i][j])
-        self.gram_ambient = tuple(map(tuple, B))
-        basis_inv = mat_inv(basis)
-        # L must contain L_+ + L_-
-        for i in range(N):
-            if not _is_integral(basis_inv[i]):
-                raise InconsistentEmbeddingError(
-                    "L does not contain L_+ + L_-"
-                )
+        zero = Fraction(0)
+        self.gram_ambient = tuple(row + (zero, zero) for row in plus.gram) + tuple(
+            (zero,) * n + tuple(map(Fraction, row)) for row in minus.gram
+        )
         gram_L = mat_mul(mat_mul(basis, self.gram_ambient), _transpose(basis))
         if not all(_is_integral(row) for row in gram_L):
             raise InconsistentEmbeddingError("L is not an integral lattice")
-        self.gram_L = tuple(
-            tuple(int(x) for x in row) for row in gram_L
-        )
+        self.gram_L = tuple(tuple(int(x) for x in row) for row in gram_L)
         # q(eta) = Q(eta) mod 1 is well defined only on an even lattice
         for i in range(N):
             if self.gram_L[i][i] % 2:
@@ -598,8 +529,6 @@ class SplitLattice:
         # dual cosets L^v / L: numerators z over D = |det gram_L| in L
         # coordinates, shown in ambient coordinates as (z / D) * basis
         dual = IntegerQuotient(self.gram_L)
-        e = math.lcm(*(x.denominator for row in basis for x in row))
-        basis_num = tuple(tuple(int(x * e) for x in row) for row in basis)
         self.etas = []
         for label, z in enumerate(_coset_reps(dual)):
             amb = tuple(
@@ -609,13 +538,31 @@ class SplitLattice:
             self.etas.append(EtaCoset(label, amb[:n], amb[n:], q))
         # kappa_eta(m) per (field, eta label, m), filled by cmvalue.kappa_eta
         self._kappa_eta = {}
-        # (glue index, minus coset, plus coset) per glue vector, per eta
-        # label, filled by cmvalue._eta_pairs
+        # eta label -> its eta_pairs list, filled on first request
         self._eta_pairs = {}
 
     def q_ambient(self, x):
         """Q(x) for a vector x in ambient coordinates."""
         return _q(x, self.gram_ambient)
+
+    def eta_pairs(self, label):
+        """[(lambda index, mu, eta_+ + lambda_+)] over the glue vectors
+        lambda, where mu is the canonical coset of eta_- + lambda_- in the
+        ideal lattice.  Computed once per eta, on first request."""
+        pairs = self._eta_pairs.get(label)
+        if pairs is None:
+            eta = self.etas[label]
+            pairs = self._eta_pairs[label] = [
+                (
+                    li,
+                    coset_of_element(
+                        self.minus, tuple(a + b for a, b in zip(eta.minus, lam.minus))
+                    ),
+                    tuple(a + b for a, b in zip(eta.plus, lam.plus)),
+                )
+                for li, lam in enumerate(self.glue)
+            ]
+        return pairs
 
 
 def _transpose(A):

@@ -17,8 +17,6 @@ from mpmath import mp
 
 from .arith import INFINITE_PLACE, factorize, hilbert_symbol, kronecker
 
-KZERO_TAG = "k0(0)"
-
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
@@ -252,8 +250,7 @@ def lambda_log_deriv_at_one(fld, prec=64):
 
 @functools.cache
 def kappa_zero_constant(fld, prec=64):
-    """The constant k0(0) = log(d) + 2 Lambda'(1)/Lambda(1), with its
-    symbolic tag.
+    """The constant k0(0) = log(d) + 2 Lambda'(1)/Lambda(1).
 
     Production path uses the functional-equation form
     k0(0) = log(4*d*pi) - 2 L'(0, chi_d)/L(0, chi_d) with the
@@ -262,10 +259,9 @@ def kappa_zero_constant(fld, prec=64):
     """
     _check_prec(prec)
     with mp.workdps(prec + 20):
-        val = +(
+        return +(
             mp.log(4 * fld.d * mp.pi) - 2 * chowla_selberg_log_deriv(fld, prec)
         )
-    return val, KZERO_TAG
 
 
 def kappa_zero_direct(fld, prec=64):

@@ -13,13 +13,13 @@ from borcherds_cm.lattice import (
     NotAnIdealError,
     PosLattice,
     SplitLattice,
+    _coset_reps,
     coset_of_element,
     enumerate_dual_cosets,
     load_lattice,
     make_ideal_lattice,
-    mat_det,
-    mat_inv,
     mat_mul,
+    mat_vec,
     smith_normal_form,
 )
 from borcherds_cm.quadfield import INERT, UnsupportedDiscriminantError, make_field
@@ -56,24 +56,40 @@ def test_snf_properties(M):
     assert diag[0] * diag[1] == abs(det)
     prod = mat_mul(mat_mul(U, M), V)
     assert prod == ((diag[0], 0), (0, diag[1]))
-    assert abs(mat_det(U)) == 1 and abs(mat_det(V)) == 1
+    for W in (U, V):
+        assert abs(W[0][0] * W[1][1] - W[0][1] * W[1][0]) == 1
+
+
+def _check_quotient_labels(M):
+    """_coset_reps lists Z^k / Z^k M in label order: its numerators z give
+    integer coordinates y = z M / D whose label is the list index."""
+    q = IntegerQuotient(M)
+    reps = _coset_reps(q)
+    assert len(reps) == q.order
+    assert reps[0] == (0,) * len(M)
+    for index, z in enumerate(reps):
+        y = mat_vec(z, M)
+        assert all(x % q.order == 0 for x in y)
+        assert q.label_of(tuple(x // q.order for x in y)) == index
+    for row in M:
+        assert q.label_of(row) == 0
+    return q
 
 
 def test_integer_quotient_labels():
     # the 3x3 matrix has SNF diag (1, 2, 6)
     for M, order in ((((2, 0), (1, 3)), 6),
                      (((1, 0, 0), (1, 2, 2), (1, 2, 8)), 12)):
-        q = IntegerQuotient(M)
-        assert q.order == order
-        reps = list(q.reps())
-        # reps() yields the labels 0..order-1 in order, unsorted
-        assert [label for label, _ in reps] == list(range(order))
-        # label 0 is the zero coset and labels are stable under label_of
-        for label, y in reps:
-            assert q.label_of(y) == label
-        assert q.label_of((0,) * len(M)) == 0
-        for row in M:
-            assert q.label_of(row) == 0
+        assert _check_quotient_labels(M).order == order
+
+
+@given(small_mats)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_integer_quotient_labels_on_random_matrices(M):
+    M = tuple(map(tuple, M))
+    det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
+    assume(det != 0)
+    assert _check_quotient_labels(M).order == abs(det)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +269,12 @@ def pos_grams(draw):
 
 def _brute_norms(gram, coset, bound):
     """{Q(x) : x in coset + Z^n, Q(x) <= bound} by walking a box that holds
-    the ellipsoid: |x_i| <= sqrt(2 bound (G^-1)_ii) for every x in it."""
+    the ellipsoid: the smallest eigenvalue of a pos_grams Gram is at least
+    1/2, so Q(x) >= |x|^2 / 4 and |x_i| <= 2 sqrt(bound) for every x in it."""
     n = len(gram)
-    inv = mat_inv(gram)
     ranges = []
     for i in range(n):
-        r = math.isqrt(math.ceil(2 * max(bound, 0) * inv[i][i])) + 1
+        r = math.isqrt(math.ceil(4 * max(bound, 0))) + 1
         c = math.floor(coset[i])
         ranges.append(range(-r - c - 1, r - c + 2))
     result = {}
@@ -338,10 +354,52 @@ def test_rank_zero_lattice():
 
 
 def test_dual_cosets_counts():
+    # L^v/L of (2) + (4) + the unit ideal of d = 7 has 2 * 4 * 7 cosets
     pl = PosLattice(((2, 0), (0, 4)))
-    cosets = pl.dual_cosets()
-    assert len(cosets) == 8
-    assert cosets[0][0] == 0
+    sl = SplitLattice(pl, make_ideal_lattice(make_field(7), "unit"))
+    assert len(sl.etas) == 56
+    assert sl.etas[0].label == 0 and sl.etas[0].q_mod_one == 0
+
+
+def _leading_minors(G):
+    """The leading principal minors of a symmetric Gram of rank 1-3, by
+    the explicit cofactor formulas."""
+    minors = [G[0][0]]
+    if len(G) > 1:
+        minors.append(G[0][0] * G[1][1] - G[0][1] ** 2)
+    if len(G) > 2:
+        minors.append(
+            G[0][0] * (G[1][1] * G[2][2] - G[1][2] ** 2)
+            - G[0][1] * (G[0][1] * G[2][2] - G[1][2] * G[0][2])
+            + G[0][2] * (G[0][1] * G[1][2] - G[1][1] * G[0][2])
+        )
+    return minors
+
+
+@st.composite
+def symmetric_grams(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    G = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            G[i][j] = G[j][i] = draw(entry)
+    return tuple(map(tuple, G))
+
+
+@given(symmetric_grams())
+@example(((0,),))
+@example(((1, 1), (1, 1)))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_pos_lattice_accepts_exactly_the_sylvester_grams(gram):
+    positive = all(m > 0 for m in _leading_minors(gram))
+    try:
+        PosLattice(gram)
+    except ValueError as exc:
+        assert str(exc) == "gram must be positive definite"
+        assert not positive
+    else:
+        assert positive
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +444,18 @@ def test_inconsistent_embedding_errors():
     minus = make_ideal_lattice(fld, "unit")
     plus = PosLattice(((2,),))
     singular = ((0, 0, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(InconsistentEmbeddingError):
+    with pytest.raises(InconsistentEmbeddingError, match="L basis is singular"):
         SplitLattice(plus, minus, singular)
-    # enlarging only the plus part violates L_+ = V_+ cap L
+    # enlarging only the plus part violates L_+ = V_+ cap L; here it already
+    # makes Q(b_0) = 1/4, so L is not integral
     stretched = ((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(InconsistentEmbeddingError):
+    with pytest.raises(InconsistentEmbeddingError, match="L is not an integral lattice"):
         SplitLattice(plus, minus, stretched)
     # shrinking below L_+ + L_- is rejected
     shrunk = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
-    with pytest.raises(InconsistentEmbeddingError):
+    with pytest.raises(InconsistentEmbeddingError, match=r"L does not contain L_\+ \+ L_-"):
         SplitLattice(plus, minus, shrunk)
-    with pytest.raises(InconsistentEmbeddingError):
+    with pytest.raises(InconsistentEmbeddingError, match="must be 3x3"):
         SplitLattice(plus, minus, ((1, 0), (0, 1)))
     # Q(eta) mod 1 needs an even L; Q(b_0) = 1/2 here
     with pytest.raises(InconsistentEmbeddingError, match="basis row 0 is 1/2"):

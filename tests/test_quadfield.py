@@ -107,8 +107,7 @@ def test_kzero_routes_quick():
     fld = make_field(7)
     with mp.workdps(50):
         r1 = kappa_zero_direct(fld, 40)
-        r2, tag = kappa_zero_constant(fld, 40)
-        assert tag == "k0(0)"
+        r2 = kappa_zero_constant(fld, 40)
         assert abs(r1 - r2) < mp.mpf("1e-30")
         cs = chowla_selberg_log_deriv(fld, 40)
         fd = l_log_deriv_at_zero_direct(fld, 40)
