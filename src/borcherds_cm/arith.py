@@ -169,6 +169,33 @@ def kronecker(a, n):
     return result if n == 1 else 0
 
 
+def sqrt_mod(a, p):
+    """A square root of a modulo an odd prime p (Tonelli-Shanks); 0 when p
+    divides a, and a ValueError when a is not a square mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    # invariants: r^2 = a t, c has order 2^m and t order dividing 2^(m-1)
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def hilbert_symbol(a, b, p):
     """The local quadratic Hilbert symbol (a, b)_p in {+1, -1}.
 

@@ -17,8 +17,10 @@ quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group in integers
 No Fraction elimination is left: the integer Smith normal form gives every
 coset list, the test that a SplitLattice basis is nonsingular and contains
 L_+ + L_-, and that basis's inverse; the one exact LDL^T of a PosLattice,
-computed when it is built, gives its definiteness test (Sylvester's
-criterion) and the floats its enumeration starts from.
+computed when it is built, tests definiteness (Sylvester's criterion) and
+seeds its enumeration.  A SplitLattice keeps its etas and glue vectors as
+integer ambient numerators over one denominator, with integer gram_L and
+eta_pairs; their Fraction plus/minus views are made only when read.
 
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
@@ -32,7 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime
+from .arith import is_prime, sqrt_mod
+from .quadfield import INERT, make_field
 
 
 class NotAnIdealError(ValueError):
@@ -62,10 +65,6 @@ def mat_vec(v, A):
     return tuple(
         sum(v[t] * A[t][j] for t in range(len(A))) for j in range(len(A[0]))
     )
-
-
-def _is_integral(v):
-    return all(Fraction(x).denominator == 1 for x in v)
 
 
 def smith_normal_form(M):
@@ -219,7 +218,7 @@ class IdealLattice:
         det = basis[0][0] * basis[1][1] - basis[0][1] * basis[1][0]
         if det == 0:
             raise NotAnIdealError("basis elements are linearly dependent")
-        if not all(_is_integral(row) for row in basis):
+        if any(x.denominator != 1 for row in basis for x in row):
             raise NotAnIdealError("ideal is not contained in O_k")
         B = tuple(tuple(int(x) for x in row) for row in basis)
         self.basis = basis
@@ -301,15 +300,12 @@ def make_ideal_lattice(field, spec="unit"):
         p = int(spec[1])
         if not is_prime(p):
             raise NotAnIdealError(f"ideal prime:{p}: {p} is not a positive prime")
-        d = field.d
-        # prime ideal (p, omega - r) with r^2 - r + (1+d)/4 = 0 mod p
-        c = (1 + d) // 4
-        r = next(
-            (r for r in range(p) if (r * r - r + c) % p == 0), None
-        )
-        if r is None:
+        if field.splitting(p) == INERT:
             raise NotAnIdealError(f"{p} is inert; no prime ideal of norm {p}")
-        return IdealLattice(field, ((p, 0), (-r, 1)))
+        # prime ideal (p, omega - r) with r^2 - r + (1+d)/4 = 0 mod p, that is
+        # (2r - 1)^2 = -d; r = 0 for p = 2, else the smaller of r and 1 - r
+        r = 0 if p == 2 else (p + 1) // 2 * (1 + sqrt_mod(-field.d, p)) % p
+        return IdealLattice(field, ((p, 0), (-min(r, (1 - r) % p), 1)))
     if isinstance(spec, str):
         if not spec.startswith("basis:"):
             raise NotAnIdealError(
@@ -325,13 +321,14 @@ def enumerate_dual_cosets(lat):
     return lat._cosets
 
 
-def coset_of_element(lat, coords):
+def coset_of_element(lat, num, den):
     """The canonical DualCoset (the one enumerate_dual_cosets lists) of the
-    coset containing an element of D^{-1}a given in a-basis coordinates."""
-    y = mat_vec(tuple(map(Fraction, coords)), lat.gram)
-    if not _is_integral(y):
+    coset containing an element of D^{-1}a, given by the integer numerators
+    num of its a-basis coordinates num / den."""
+    y = mat_vec(num, lat.gram)
+    if any(x % den for x in y):
         raise ValueError("element is not in the dual lattice D^{-1}a")
-    return lat._cosets[lat._quotient.label_of(y)]
+    return lat._cosets[lat._quotient.label_of([x // den for x in y])]
 
 
 # ---------------------------------------------------------------------------
@@ -449,17 +446,24 @@ class PosLattice:
 
 
 @dataclass(frozen=True)
-class GlueVector:
-    plus: tuple
-    minus: tuple
-
-
-@dataclass(frozen=True)
 class EtaCoset:
+    """A coset of L^v/L, or a glue vector of L/(L_+ + L_-) with q_mod_one 0
+    since L is even: the integer numerators num of its ambient coordinates
+    over the one denominator den.  The Fraction views plus (the first n
+    coordinates) and minus (the last two) are made when read."""
+
     label: int
-    plus: tuple
-    minus: tuple
-    q_mod_one: Fraction
+    num: tuple
+    den: int
+    q_mod_one: Fraction = Fraction(0)
+
+    @property
+    def plus(self):
+        return tuple(Fraction(x, self.den) for x in self.num[:-2])
+
+    @property
+    def minus(self):
+        return tuple(Fraction(x, self.den) for x in self.num[-2:])
 
 
 class SplitLattice:
@@ -497,15 +501,18 @@ class SplitLattice:
             V, tuple(tuple(e // di * x for x in row) for di, row in zip(diag, U))
         )
         self.basis = basis
-        # ambient bilinear Gram: block diag of plus gram and ideal gram
-        zero = Fraction(0)
-        self.gram_ambient = tuple(row + (zero, zero) for row in plus.gram) + tuple(
-            (zero,) * n + tuple(map(Fraction, row)) for row in minus.gram
+        # ambient bilinear Gram G = block diag of plus and ideal grams, as the
+        # integer g G (g = plus._g): gram_L = basis_num (g G) basis_num^T / g e^2
+        g = plus._g
+        gG = tuple(row + (0, 0) for row in plus._gram_int) + tuple(
+            (0,) * n + tuple(g * x for x in row) for row in minus.gram
         )
-        gram_L = mat_mul(mat_mul(basis, self.gram_ambient), _transpose(basis))
-        if not all(_is_integral(row) for row in gram_L):
+        self.gram_ambient = tuple(tuple(Fraction(x, g) for x in row) for row in gG)
+        gram_L = mat_mul(mat_mul(basis_num, gG), _transpose(basis_num))
+        scale = g * e * e
+        if any(x % scale for row in gram_L for x in row):
             raise InconsistentEmbeddingError("L is not an integral lattice")
-        self.gram_L = tuple(tuple(int(x) for x in row) for row in gram_L)
+        self.gram_L = tuple(tuple(x // scale for x in row) for row in gram_L)
         # q(eta) = Q(eta) mod 1 is well defined only on an even lattice
         for i in range(N):
             if self.gram_L[i][i] % 2:
@@ -513,29 +520,28 @@ class SplitLattice:
                     f"L is not even: Q of basis row {i} is "
                     f"{Fraction(self.gram_L[i][i], 2)}, not an integer"
                 )
-        # glue group L / (L_+ + L_-): Z^N / Z^N basis^{-1}; its numerators z
-        # over D = [L : L_+ + L_-] give the ambient vectors z / D = y basis
+        # L^v / L: numerators z over |det gram_L| in L coordinates; the glue
+        # group L / (L_+ + L_-) = Z^N / Z^N basis^{-1}: numerators z over D =
+        # [L : L_+ + L_-] of vectors z / D = y basis of L.  Both keep ambient
+        # numerators over den = |L^v / L| e, integers as L <= (1/e) Z^N
+        dual = IntegerQuotient(self.gram_L)
+        den = dual.order * e
         glue = IntegerQuotient(basis_inv)
         self.glue = []
-        for z in _coset_reps(glue):
+        for label, z in enumerate(_coset_reps(glue)):
             plus_int = all(x % glue.order == 0 for x in z[:n])
             minus_int = all(x % glue.order == 0 for x in z[n:])
             if minus_int and not plus_int:
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")
             if plus_int and not minus_int:
                 raise InconsistentEmbeddingError("U cap L exceeds L_-")
-            amb = tuple(Fraction(x, glue.order) for x in z)
-            self.glue.append(GlueVector(amb[:n], amb[n:]))
-        # dual cosets L^v / L: numerators z over D = |det gram_L| in L
-        # coordinates, shown in ambient coordinates as (z / D) * basis
-        dual = IntegerQuotient(self.gram_L)
-        self.etas = []
-        for label, z in enumerate(_coset_reps(dual)):
-            amb = tuple(
-                Fraction(x, dual.order * e) for x in mat_vec(z, basis_num)
-            )
-            q = _q_mod_one(z, self.gram_L, dual.order)
-            self.etas.append(EtaCoset(label, amb[:n], amb[n:], q))
+            num = tuple(den * x // glue.order for x in z)
+            self.glue.append(EtaCoset(label, num, den))
+        self.etas = [
+            EtaCoset(label, mat_vec(z, basis_num), den,
+                     _q_mod_one(z, self.gram_L, dual.order))
+            for label, z in enumerate(_coset_reps(dual))
+        ]
         # kappa_eta(m) per (field, eta label, m), filled by cmvalue.kappa_eta
         self._kappa_eta = {}
         # eta label -> its eta_pairs list, filled on first request
@@ -548,20 +554,18 @@ class SplitLattice:
     def eta_pairs(self, label):
         """[(lambda index, mu, eta_+ + lambda_+)] over the glue vectors
         lambda, where mu is the canonical coset of eta_- + lambda_- in the
-        ideal lattice.  Computed once per eta, on first request."""
+        ideal lattice.  Computed once per eta, on first request, from the
+        integer numerators; only the plus offsets are made Fractions."""
         pairs = self._eta_pairs.get(label)
         if pairs is None:
             eta = self.etas[label]
-            pairs = self._eta_pairs[label] = [
-                (
-                    li,
-                    coset_of_element(
-                        self.minus, tuple(a + b for a, b in zip(eta.minus, lam.minus))
-                    ),
-                    tuple(a + b for a, b in zip(eta.plus, lam.plus)),
-                )
-                for li, lam in enumerate(self.glue)
-            ]
+            pairs = []
+            for lam in self.glue:
+                x = [a + b for a, b in zip(eta.num, lam.num)]
+                mu = coset_of_element(self.minus, x[-2:], eta.den)
+                plus = tuple(Fraction(a, eta.den) for a in x[:-2])
+                pairs.append((lam.label, mu, plus))
+            self._eta_pairs[label] = pairs
         return pairs
 
 
@@ -594,8 +598,6 @@ def _int_key(keys, key, default=None):
 def load_lattice(path, field_cache=None):
     """Read a lattice file: key=value lines with keys d, ideal, rank, gram,
     basis (gram/basis rows ';'-separated, entries ','-separated)."""
-    from .quadfield import make_field
-
     keys = {}
     with open(path) as fh:
         for line in fh:
@@ -615,6 +617,8 @@ def load_lattice(path, field_cache=None):
         plus = PosLattice(_parse_rows("gram", keys["gram"]))
         if plus.rank != rank:
             raise ValueError("rank does not match gram size")
+    elif "gram" in keys:
+        raise ValueError(f"lattice file has gram= but rank={rank}")
     else:
         plus = PosLattice(())
     basis = _parse_rows("basis", keys["basis"]) if "basis" in keys else None

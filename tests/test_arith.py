@@ -15,6 +15,7 @@ from borcherds_cm.arith import (
     is_prime,
     kronecker,
     prime_unit_part,
+    sqrt_mod,
     valuation,
 )
 
@@ -28,6 +29,27 @@ def test_is_prime_small():
 def test_is_prime_large():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31 - 3)
+
+
+def test_sqrt_mod_small_primes():
+    # every residue mod every odd prime below 300: a root of each square
+    # (p = 1 mod 8 needs several Tonelli-Shanks steps), an error otherwise
+    for p in filter(is_prime, range(3, 300)):
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, p):
+            if a % p in squares:
+                r = sqrt_mod(a, p)
+                assert 0 <= r < p and (r * r - a) % p == 0
+            else:
+                with pytest.raises(ValueError, match="not a square"):
+                    sqrt_mod(a, p)
+
+
+def test_sqrt_mod_large_prime():
+    p = 2**61 - 1
+    for x in (3, 12345678901234567, p - 2):
+        r = sqrt_mod(x * x, p)
+        assert r in (x, p - x)
 
 
 def test_factorize_examples():

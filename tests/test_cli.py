@@ -202,6 +202,8 @@ def test_bad_prime_ideal_rejected(capsys, spec, message):
         ("d=7\nrank=one\n", "rank='one'"),
         ("d=7\nrank=1\ngram=1/0\n", "gram='1/0'"),
         ("d=7\nrank=1\ngram=1\n", "L is not even: Q of basis row 0"),
+        ("d=7\ngram=2\n", "has gram= but rank=0"),
+        ("d=7\nrank=0\ngram=2\n", "has gram= but rank=0"),
     ],
 )
 def test_malformed_lattice_file(capsys, tmp_path, text, message):
@@ -213,6 +215,14 @@ def test_malformed_lattice_file(capsys, tmp_path, text, message):
                           "--lattice", str(lat))
     assert code == 1
     assert message in err
+
+
+def test_large_inert_prime_ideal_rejected(capsys):
+    code, out, err = _run(
+        capsys, "kappa", "-d", "7", "--ideal", "prime:1000000000039", "-t", "1"
+    )
+    assert code == 1
+    assert "1000000000039 is inert" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

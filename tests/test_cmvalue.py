@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -24,7 +25,6 @@ from borcherds_cm.kappa import kappa_at
 from borcherds_cm.lattice import (
     PosLattice,
     SplitLattice,
-    _is_integral,
     coset_of_element,
     make_ideal_lattice,
 )
@@ -207,6 +207,12 @@ def _cm_report_pool():
     return build_pool(borcherds_cm)
 
 
+def _fraction_coset(lat, coords):
+    """coset_of_element of an element given by Fraction coordinates."""
+    den = math.lcm(*(x.denominator for x in coords))
+    return coset_of_element(lat, tuple(int(x * den) for x in coords), den)
+
+
 @pytest.mark.parametrize(
     "d, gram, row0",
     [
@@ -227,8 +233,8 @@ def test_eta_pair_table_on_glued_lattices(d, gram, row0):
         assert [gi for gi, _, _ in pairs] == list(range(len(sl.glue)))
         for (_, mu, plus), lam in zip(pairs, sl.glue):
             minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
-            assert mu is coset_of_element(sl.minus, minus)
-            assert mu.is_zero == _is_integral(minus)
+            assert mu is _fraction_coset(sl.minus, minus)
+            assert mu.is_zero == all(x.denominator == 1 for x in minus)
             assert plus == tuple(a + b for a, b in zip(eta.plus, lam.plus))
             zero_seen.add(mu.is_zero)
         assert sl.eta_pairs(eta.label) is pairs
@@ -242,7 +248,7 @@ def test_eta_pair_table_on_glued_lattices(d, gram, row0):
             eta = sl.etas[label]
             for lam in sl.glue:
                 minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
-                if _is_integral(minus):
+                if all(x.denominator == 1 for x in minus):
                     plus = tuple(a + b for a, b in zip(eta.plus, lam.plus))
                     brute += c * sl.plus.count_vectors(plus, -m1)
         assert c00_contraction(FourierForm(sl, coeffs), sl) == brute

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from borcherds_cm.lattice import (
     PosLattice,
     SplitLattice,
     _coset_reps,
+    _transpose,
     coset_of_element,
     enumerate_dual_cosets,
     load_lattice,
@@ -22,7 +24,8 @@ from borcherds_cm.lattice import (
     mat_vec,
     smith_normal_form,
 )
-from borcherds_cm.quadfield import INERT, UnsupportedDiscriminantError, make_field
+from borcherds_cm.arith import is_prime
+from borcherds_cm.quadfield import INERT, SPLIT, UnsupportedDiscriminantError, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +124,40 @@ def test_prime_ideal_norms():
         make_ideal_lattice(fld15, "prime:7")  # 7 inert in Q(sqrt(-15))
 
 
+def _scan_prime_basis(d, p):
+    """The basis of (p, omega - r) for the smallest r in range(p) with
+    r^2 - r + (1+d)/4 = 0 mod p, by a linear scan; None when there is none."""
+    c = (1 + d) // 4
+    r = next((r for r in range(p) if (r * r - r + c) % p == 0), None)
+    return None if r is None else ((p, 0), (-r, 1))
+
+
+def test_prime_ideal_basis_matches_the_linear_scan():
+    for d in (7, 15, 23, 71):
+        fld = make_field(d)
+        for p in filter(is_prime, range(2000)):
+            expected = _scan_prime_basis(d, p)
+            if expected is None:
+                with pytest.raises(NotAnIdealError, match=f"{p} is inert"):
+                    make_ideal_lattice(fld, f"prime:{p}")
+            else:
+                assert make_ideal_lattice(fld, f"prime:{p}").basis == expected
+
+
+def test_large_prime_ideals_need_no_scan():
+    fld = make_field(7)
+    start = time.perf_counter()
+    with pytest.raises(NotAnIdealError, match="inert"):
+        make_ideal_lattice(fld, "prime:1000000000039")
+    p = next(p for p in range(10**12 + 1, 10**12 + 1000, 2)
+             if is_prime(p) and fld.splitting(p) == SPLIT)
+    lat = make_ideal_lattice(fld, f"prime:{p}")
+    assert time.perf_counter() - start < 1
+    r = -lat.basis[1][0]
+    assert lat.norm == p and (r * r - r + 2) % p == 0
+    assert 0 <= r < (1 - r) % p  # the smaller of the two roots
+
+
 def test_basis_spec_parsing():
     fld = make_field(7)
     lat = make_ideal_lattice(fld, "basis:2,0;0,2")
@@ -143,21 +180,25 @@ def test_coset_round_trip():
         lat = make_ideal_lattice(fld, ideal)
         cosets = enumerate_dual_cosets(lat)
         for mu in cosets:
-            again = coset_of_element(lat, mu.coords)
+            num = tuple(int(c * fld.d) for c in mu.coords)
+            again = coset_of_element(lat, num, fld.d)
             assert again.label == mu.label
+            # any denominator of the element gives the same coset
+            assert coset_of_element(lat, tuple(3 * x for x in num), 3 * fld.d) is again
             # shifting by a lattice vector keeps the label, and every field
             # callers read is the same when computed from the shifted element
             shifted = tuple(c + k for c, k in zip(mu.coords, (1, -2)))
-            canonical = coset_of_element(lat, shifted)
+            shifted_num = tuple(int(c * fld.d) for c in shifted)
+            canonical = coset_of_element(lat, shifted_num, fld.d)
             assert canonical.label == mu.label
             assert canonical is cosets[mu.label]
-            fresh = DualCoset(lat, tuple(int(c * fld.d) for c in shifted), mu.label)
+            fresh = DualCoset(lat, shifted_num, mu.label)
             assert fresh.q_value == canonical.q_value
             assert fresh.is_zero == canonical.is_zero
             for q in fld.ramified_primes:
                 assert fresh.local_zero(q) == canonical.local_zero(q)
-    with pytest.raises(ValueError):
-        coset_of_element(lat, (Fraction(1, 2), 0))
+    with pytest.raises(ValueError, match="not in the dual lattice"):
+        coset_of_element(lat, (1, 0), 2)
 
 
 def _odd_fundamental(d):
@@ -437,6 +478,90 @@ def test_glued_lattice_index_seven():
     for g in nontrivial:
         assert any(x.denominator != 1 for x in g.minus)
         assert sl.q_ambient(g.plus + g.minus).denominator == 1
+
+
+_GLUE_FIELDS = (7, 15, 23, 35, 39, 55)
+
+
+@st.composite
+def glued_lattices(draw):
+    """SplitLattice(plus, minus, basis) with L = L_+ + L_- + Z v for one glue
+    row v = (x_+, mu) of order p | d: x_+ in (1/p) Z^n with first entry 1/p
+    over the even Gram p G0, and mu a p-torsion coset of the ideal lattice
+    with q(mu) = -Q(x_+) mod 1, so that Q(v) is an integer."""
+    d = draw(st.sampled_from(_GLUE_FIELDS))
+    fld = make_field(d)
+    p = draw(st.sampled_from(fld.ramified_primes))
+    specs = ["unit"] + [f"prime:{q}" for q in (2, 3) if fld.splitting(q) != INERT]
+    minus = make_ideal_lattice(fld, draw(st.sampled_from(specs)))
+    torsion = [
+        mu for mu in enumerate_dual_cosets(minus)
+        if not mu.is_zero and all((p * c).denominator == 1 for c in mu.coords)
+    ]
+    n = draw(st.integers(min_value=1, max_value=2))
+    if n == 1:
+        grams = [((2 * a,),) for a in (1, 2, 3)]
+    else:
+        grams = [((2 * a, b), (b, 2 * c))
+                 for a in (1, 2) for b in (-1, 0, 1) for c in (1, 2)]
+    candidates = []
+    for G0 in grams:
+        plus = PosLattice(tuple(tuple(p * x for x in row) for row in G0))
+        for rest in itertools.product(range(p), repeat=n - 1):
+            x_plus = (Fraction(1, p),) + tuple(Fraction(a, p) for a in rest)
+            target = -plus.q_of(x_plus) % 1
+            candidates += [
+                (plus, x_plus + mu.coords) for mu in torsion if mu.q_value == target
+            ]
+    assume(candidates)
+    plus, v = draw(st.sampled_from(candidates))
+    # an integral shift of every entry but the first keeps Z^N inside L
+    shift = (0,) + draw(st.tuples(*[st.integers(-1, 1)] * (n + 1)))
+    basis = (tuple(a + b for a, b in zip(v, shift)),) + tuple(
+        tuple(int(i == j) for j in range(n + 2)) for i in range(1, n + 2)
+    )
+    try:
+        return SplitLattice(plus, minus, basis)
+    except InconsistentEmbeddingError:
+        assume(False)
+
+
+def _fraction_coset(lat, coords):
+    """coset_of_element of an element given by Fraction coordinates."""
+    den = math.lcm(*(x.denominator for x in coords))
+    return coset_of_element(lat, tuple(int(x * den) for x in coords), den)
+
+
+@given(glued_lattices())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_random_glued_lattices_in_fractions(sl):
+    n = sl.plus.rank
+    G = tuple(row + (0, 0) for row in sl.plus.gram) + tuple(
+        (0,) * n + row for row in sl.minus.gram
+    )
+    B = sl.basis
+    assert sl.gram_L == mat_mul(mat_mul(B, G), _transpose(B))
+    pairing = mat_mul(G, _transpose(B))  # x -> (x, b_i) is x * pairing
+    for eta in sl.etas:
+        x = eta.plus + eta.minus
+        assert all(y.denominator == 1 for y in mat_vec(x, pairing))
+        assert eta.q_mod_one == sl.q_ambient(x) % 1
+    # L = Z^N + Z v with v = B[0] of order p, so lam is in L exactly when
+    # lam - k v is integral for some k
+    p = len(sl.glue)
+    assert p > 1 and B[0][0] == Fraction(1, p)
+    for lam in sl.glue:
+        assert lam.q_mod_one == 0
+        assert any(
+            all((a - k * b).denominator == 1 for a, b in zip(lam.plus + lam.minus, B[0]))
+            for k in range(p)
+        )
+    for eta in sl.etas:
+        for li, mu, plus in sl.eta_pairs(eta.label):
+            lam = sl.glue[li]
+            minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
+            assert mu is _fraction_coset(sl.minus, minus)
+            assert plus == tuple(a + b for a, b in zip(eta.plus, lam.plus))
 
 
 def test_inconsistent_embedding_errors():
