@@ -9,8 +9,13 @@ j(tau) = (1 + 256 x)^3 / x with x = Delta(2 tau) / Delta(tau)
 = q (E(q^2) / E(q))^24, where q = e^{2 pi i tau} and E(q) = prod (1 - q^n)
 is summed as Euler's pentagonal series (Cohen, GTM 138, section 7.6).
 At a reduced form's CM point |q| <= e^{-pi sqrt 3} < 0.0044, so the series
-is short and E(q) is within 1 % of 1.  The forms (a, b, c) and (a, -b, c)
-have conjugate j values, so each class evaluates j once per such pair.
+is short and E(q) is within 1 % of 1.  That makes fixed point relative
+precision: E(q), E(q^2) and their ratio to the 24th power are complex
+numbers held as pairs of Python integers scaled by 2^W, W = mp.prec + 20
+guard bits, and each product is one integer product pair and a shift.
+q, x and j stay mpmath numbers (see `j_value` for the error budget).  The
+forms (a, b, c) and (a, -b, c) have conjugate j values, so each class
+evaluates j once per such pair.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .arith import factorize, kronecker
 from .quadfield import reduced_forms
@@ -49,40 +55,83 @@ class GZResult:
         return sign + body
 
 
-def _euler(q):
-    """E(q) = prod_{n >= 1} (1 - q^n) by Euler's pentagonal number theorem,
-    sum_k (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}), for |q| small.
+# Bits carried below mp.prec by the fixed-point kernel; see j_value.
+_GUARD_BITS = 20
 
-    Each power comes from the previous one by multiplication, and the sum
-    stops once a term falls below 2^-(mp.prec + 8).
+
+def _mul(a, b, w):
+    """The product of complex numbers (re, im) held as integers scaled by
+    2^w, truncated back to that scale."""
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
+
+
+def _euler(q, w):
+    """E(q) = prod_{n >= 1} (1 - q^n) by Euler's pentagonal number theorem,
+    sum_k (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}), for |q| < 0.0045.
+
+    q and the result are fixed-point pairs for `_mul`.  Each power comes
+    from the previous one by `_mul`, and the sum stops once a term is
+    within one unit 2^-w in both parts.
     """
-    total = mp.mpf(1)
+    tr, ti = 1 << w, 0
     sign = -1
     qk = q  # q^k
     low = q  # q^{k(3k-1)/2}
     while True:
-        high = low * qk  # q^{k(3k+1)/2}
-        total += sign * (low + high)
-        if mp.mag(high) < -(mp.prec + 8):
-            return total
-        qk_next = qk * q
-        low = high * qk * qk_next  # k(3k+1)/2 + k + (k+1) = (k+1)(3k+2)/2
+        high = _mul(low, qk, w)  # q^{k(3k+1)/2}
+        tr += sign * (low[0] + high[0])
+        ti += sign * (low[1] + high[1])
+        if -2 < high[0] < 2 and -2 < high[1] < 2:
+            return tr, ti
+        qk_next = _mul(qk, q, w)
+        # k(3k+1)/2 + k + (k+1) = (k+1)(3k+2)/2
+        low = _mul(_mul(high, qk, w), qk_next, w)
         qk = qk_next
         sign = -sign
 
 
+def _ratio_power_24(a, b, w):
+    """(a / b)^24 for fixed-point pairs a, b near 1.
+
+    a / b = a conj(b) / |b|^2 with one floor division per part, and the
+    power is r^16 r^8 from four squarings and one product."""
+    (ar, ai), (br, bi) = a, b
+    den = br * br + bi * bi
+    r = ((ar * br + ai * bi) << w) // den, ((ai * br - ar * bi) << w) // den
+    for _ in range(3):
+        r = _mul(r, r, w)
+    return _mul(_mul(r, r, w), r, w)
+
+
 def j_value(form, d, prec=64):
     """j((-b + sqrt(-d)) / (2a)) as the eta quotient (1 + 256 x)^3 / x,
-    x = q (E(q^2) / E(q))^24, with E summed by `_euler`.
+    x = q R, R = (E(q^2) / E(q))^24, with E summed by `_euler`.
 
     This is safe for every reduced form: a <= sqrt(d/3), so
     |q| = e^{-pi sqrt(d) / a} <= e^{-pi sqrt 3} < 0.0044.  Then E(q) lies
-    within 1 % of 1 and no step cancels.  The series shares nothing with
-    the package's q-expansion code.  Since |j(tau)| is about
-    e^{pi sqrt(d)/a}, the work precision carries that many extra digits on
-    top of prec + 15, which keeps the result accurate to roughly 10^{-prec}
-    absolute.  For the form (a, -b, c), tau is -conj(tau) of (a, b, c),
-    and j has integer Fourier coefficients, so the value is the conjugate.
+    within 1 % of 1, so fixed point with W = mp.prec + _GUARD_BITS bits is
+    relative precision for E and R, and no step cancels.  Error budget in
+    units 2^-W per part:
+    - q and q^2 are truncated once each: one unit in each E.
+    - `_euler` makes 4 truncating products per index k, one unit each,
+      and multiplies every earlier error only by factors of modulus
+      < 0.0045.  So each k's two terms are off by at most 4 units, and
+      each E needs fewer than 40 values of k up to 4000 digits: at most
+      161 units.
+    - The division adds one unit, so E(q^2) / E(q) is within 330 units.
+    - The 24th power multiplies that relative error by 24, and its five
+      truncations add at most 24 units more.
+    That is below 2^13 units, so R is good to 2^-(mp.prec + 7).  Only q,
+    x = q R and (1 + 256 x)^3 / x are mpmath numbers: x is small and j is
+    large, so they keep mpmath's floating exponent.  The series shares
+    nothing with the package's q-expansion code.
+
+    Since |j(tau)| is about e^{pi sqrt(d)/a}, the work precision carries
+    that many extra digits on top of prec + 15, which keeps the result
+    accurate to roughly 10^{-prec} absolute.  For the form (a, -b, c),
+    tau is -conj(tau) of (a, b, c), and j has integer Fourier
+    coefficients, so the value is the conjugate.
     """
     if prec < 30:
         raise ValueError("j_value requires prec >= 30")
@@ -92,7 +141,10 @@ def j_value(form, d, prec=64):
     size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
     with mp.workdps(prec + 15 + size_digits):
         q = mp.expjpi((-b + mp.sqrt(-d)) / a)
-        x = q * (_euler(q * q) / _euler(q)) ** 24
+        w = mp.prec + _GUARD_BITS
+        qf = int(to_fixed(q.real._mpf_, w)), int(to_fixed(q.imag._mpf_, w))
+        rr, ri = _ratio_power_24(_euler(_mul(qf, qf, w), w), _euler(qf, w), w)
+        x = q * mp.mpc(mp.ldexp(rr, -w), mp.ldexp(ri, -w))
         return (1 + 256 * x) ** 3 / x
 
 

@@ -595,7 +595,7 @@ def _int_key(keys, key, default=None):
         raise ValueError(f"{key}={value!r} is not an integer") from None
 
 
-def load_lattice(path, field_cache=None):
+def load_lattice(path):
     """Read a lattice file: key=value lines with keys d, ideal, rank, gram,
     basis (gram/basis rows ';'-separated, entries ','-separated)."""
     keys = {}

@@ -2,7 +2,9 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from borcherds_cm import gzoracle
 from borcherds_cm.forms import classical_qexp
@@ -67,18 +69,43 @@ def test_j_value_matches_exact_qexp(d, form, prec):
         assert diff < mp.mpf(10) ** -(prec - 5)
 
 
-@pytest.mark.parametrize("prec", [60, 250])
-@pytest.mark.parametrize("d", [3, 7, 23, 39, 47, 55, 71, 95])
+# 896 = 56 * 2^4 is the top of gz_product(3, 7)'s doubling ladder.
+@pytest.mark.parametrize("prec", [60, 250, 896])
+@pytest.mark.parametrize("d", [3, 7, 23, 39, 47, 55, 71, 95, 995])
 def test_j_value_matches_kleinj(d, prec):
-    # forms with a = b, a = c and conjugate pairs (a, +-b, c)
+    # forms with a = b, a = c, conjugate pairs (a, +-b, c) and, at
+    # d = 995 with a = 1, |j| near 10^43
     tol = mp.mpf(10) ** -(prec - 5)
     for a, b, c in reduced_forms(d):
-        # |j| < 10^14 at these forms, so prec + 40 digits leave a margin
-        with mp.workdps(prec + 40):
+        # 40 digits beyond the size of j leave a margin for kleinj
+        size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
+        with mp.workdps(prec + 40 + size_digits):
             reference = 1728 * mp.kleinj((-b + mp.sqrt(-d)) / (2 * a))
             value = j_value((a, b, c), d, prec)
             assert abs(value - reference) < tol, (a, b, c)
             assert abs(j_value((a, -b, c), d, prec) - mp.conj(value)) < tol
+
+
+@given(
+    digits=st.integers(min_value=30, max_value=1000),
+    radius=st.floats(min_value=0, max_value=1),
+    turn=st.floats(min_value=0, max_value=1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fixed_point_euler_matches_qpochhammer(digits, radius, turn):
+    # |q| <= e^{-pi sqrt 3}, the bound at every reduced form's CM point,
+    # against mpmath's q-Pochhammer (q; q)_oo, which shares no code with
+    # the fixed-point kernel
+    with mp.workdps(digits):
+        q = radius * mp.exp(-mp.pi * mp.sqrt(3)) * mp.expjpi(2 * turn)
+        w = mp.prec + gzoracle._GUARD_BITS
+        qf = int(to_fixed(q.real._mpf_, w)), int(to_fixed(q.imag._mpf_, w))
+        er, ei = gzoracle._euler(qf, w)
+    with mp.workdps(digits + 20):
+        err = abs(mp.mpc(mp.ldexp(er, -w), mp.ldexp(ei, -w)) - mp.qp(q))
+        # one unit for q and 4 per index k (k <= 17 at 1000 digits): at
+        # most 69 units of 2^-w
+        assert err < mp.ldexp(1, 8 - w), (digits, radius, turn)
 
 
 def test_j_value_domain():
