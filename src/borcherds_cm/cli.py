@@ -19,7 +19,13 @@ from .forms import classical_qexp, load_form, m_max
 from .kappa import kappa_at
 from .lattice import enumerate_dual_cosets, load_lattice, make_ideal_lattice
 from .locwhit import _local_polys
-from .quadfield import _check_prec, kappa_zero_constant, make_field
+from .quadfield import (
+    MAX_PREC,
+    PrecisionError,
+    _check_prec,
+    kappa_zero_constant,
+    make_field,
+)
 
 
 def _cmsum_prec(prec):
@@ -100,7 +106,14 @@ def cmd_form(args):
     return 0
 
 
+# Highest exponent bcm qexp accepts: the exact series cost grows about as
+# N^2 (j takes seconds at N = 500 and minutes at N = 2000).
+QEXP_MAX_N = 500
+
+
 def cmd_qexp(args):
+    if args.N > QEXP_MAX_N:
+        raise ValueError(f"-N={args.N} is above the cap of {QEXP_MAX_N}")
     f = classical_qexp(args.name, args.N)
     print(f"leading={f.leading}")
     coeffs = ",".join(str(c) for c in f.coeffs)
@@ -158,6 +171,12 @@ def cmd_factor(args):
 def cmd_gz(args):
     from .gzoracle import gz_product, gz_support_check
 
+    # below 10 digits --prec only floors the starting digits, so only the
+    # upper end of _check_prec's range applies
+    if args.prec is not None and args.prec > MAX_PREC:
+        raise PrecisionError(
+            f"--prec={args.prec} beyond supported range (at most {MAX_PREC} digits)"
+        )
     result = gz_product(args.d1, args.d2, args.prec)
     print(f"product={result.product}")
     print(f"factored={result.factored_string()}")
@@ -212,7 +231,8 @@ def build_parser():
 
     p = sub.add_parser("qexp", help="classical q-expansions")
     p.add_argument("name", choices=["delta", "e4", "e6", "j"])
-    p.add_argument("-N", type=int, required=True, help="highest exponent")
+    p.add_argument("-N", type=int, required=True,
+                   help=f"highest exponent (at most {QEXP_MAX_N})")
     p.set_defaults(fn=cmd_qexp)
 
     p = sub.add_parser("cmsum", help="averaged CM value report")

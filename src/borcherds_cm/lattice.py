@@ -8,11 +8,13 @@ possibly non-split integral lattice L with L_+ + L_- <= L <= L^v.
 Every finite group the CM-value sums run over -- the discriminant groups
 L^v/L of the ideal, positive and glued lattices, and the glue group
 L/(L_+ + L_-) -- is a quotient Z^k / Z^k M listed by one routine,
-_coset_reps, through the Smith normal form of M, in canonical label order:
-each coset is the integer numerator z of y M^{-1} = z/D over the single
-denominator D = |det M|.  One routine, _q_mod_one, computes the finite
-quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group in integers
-(Nikulin, Math. USSR Izv. 14 (1980)), and one, _q, computes Q(x).
+_coset_walk, in canonical label order through the Smith normal form of M.
+Each coset is the integer numerator z of y M^{-1} = z/D over the single
+denominator D = |det M|, and z = w rows is linear in the Smith digits w,
+so the walk steps from each coset to the next by adding one precomputed
+row; the finite quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant
+group (Nikulin, Math. USSR Izv. 14 (1980)) steps with it, in integers,
+from the Gram matrix of the generators.  One routine, _q, computes Q(x).
 
 No Fraction elimination is left: the integer Smith normal form gives every
 coset list, the test that a SplitLattice basis is nonsingular and contains
@@ -29,8 +31,8 @@ in k, and lists its dual cosets once, when it is built.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -159,20 +161,53 @@ class IntegerQuotient:
         return label
 
 
-def _coset_reps(quotient):
-    """One representative per coset of Z^k / Z^k M, in label order, mapped
-    through M^{-1}: the integer numerators z of y M^{-1} = z / D over the
-    single denominator D = quotient.order.
+def _coset_walk(quotient, den, gram=None, basis=None):
+    """Yield (num, q) for every coset of Z^k / Z^k M, in label order.
 
-    The coset with digits w in prod range(d_i) is y = w V^{-1}, and M^{-1} =
-    V diag(1/d_i) U, so z = w diag(D/d_i) U: V^{-1} cancels.  With M a Gram
-    matrix this lists the discriminant group L^v/L in lattice coordinates;
-    with M the inverse of an L-basis it lists L / Z^k."""
-    D = quotient.order
-    rows = [
-        tuple(D // di * x for x in row) for di, row in zip(quotient.diag, quotient.U)
-    ]
-    return [mat_vec(w, rows) for w in itertools.product(*map(range, quotient.diag))]
+    The coset with Smith digits w in prod range(d_i) is z / den, z = w rows,
+    for the Smith generators U_i / d_i over den, rows = diag(den/d_i) U;
+    with den = |det M| this is y M^{-1} for y = w V^{-1}, as M^{-1} = V
+    diag(1/d_i) U and V^{-1} cancels.  num is z, or z basis for a given
+    (square) basis, and q = z gram z^T, the numerator of Q(z/den) over
+    2 den^2, for a given integer gram (else 0).
+
+    Only the digits with d_i > 1 move; the others stay 0, so the order is
+    that of itertools.product(*map(range, d)), which is label order.  Each
+    coset is the one before it plus one precomputed step: advancing digit j
+    adds s_j = e_j - sum_{t > j} (d_t - 1) e_t, since the later digits wrap
+    from d_t - 1 to 0.  With S the Gram matrix of the steps under gram and
+    the running v_j = (w, s_j) in that form, q(w + s_j) = q(w) + 2 v_j +
+    S_jj and v += S_j."""
+    moving = [i for i, di in enumerate(quotient.diag) if di > 1]
+    k = len(moving)
+    radix = [quotient.diag[i] for i in moving]
+    num = (0,) * len(basis or quotient.U)
+    yield num, 0
+    if not k:
+        return
+    s = tuple(
+        tuple(int(t == j) - (t > j) * (radix[t] - 1) for t in range(k))
+        for j in range(k)
+    )
+    rows = tuple(
+        tuple(den // radix[j] * x for x in quotient.U[i]) for j, i in enumerate(moving)
+    )
+    sz = mat_mul(s, rows)
+    steps = mat_mul(sz, basis) if basis else sz
+    S = mat_mul(mat_mul(sz, gram), _transpose(sz)) if gram else ((0,) * k,) * k
+    w = [0] * k
+    v = [0] * k
+    q = 0
+    for _ in range(quotient.order - 1):
+        j = k - 1
+        while w[j] == radix[j] - 1:
+            w[j] = 0
+            j -= 1
+        w[j] += 1
+        num = tuple(map(operator.add, num, steps[j]))
+        q += 2 * v[j] + S[j][j]
+        v = list(map(operator.add, v, S[j]))
+        yield num, q
 
 
 def _q(x, gram):
@@ -187,15 +222,6 @@ def _q(x, gram):
         (gram[i][j] * x[i] * x[j] for i in range(k) for j in range(k)),
         Fraction(0),
     ) / 2
-
-
-def _q_mod_one(z, gram, D):
-    """q(z/D) = Q(z/D) mod 1 = (z G z^T mod 2D^2) / 2D^2, in integers, for
-    an integer Gram G and the integer numerators z of a coset of L^v/L."""
-    k = len(z)
-    num = sum(z[i] * sum(gram[i][j] * z[j] for j in range(k)) for i in range(k))
-    den = 2 * D * D
-    return Fraction(num % den, den)
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +264,10 @@ class IdealLattice:
             raise NotAnIdealError("non-integral Gram entry")
         self.gram = tuple(tuple(-x // self.norm for x in row) for row in trace)
         self._quotient = IntegerQuotient(self.gram)
+        d = self._quotient.order
         self._cosets = tuple(
-            DualCoset(self, z, label)
-            for label, z in enumerate(_coset_reps(self._quotient))
+            DualCoset(self, z, label, Fraction(q % (2 * d * d), 2 * d * d))
+            for label, (z, q) in enumerate(_coset_walk(self._quotient, d, self.gram))
         )
 
     def dual_index(self):
@@ -256,15 +283,16 @@ class DualCoset:
     """A coset mu of D^{-1}a / a, with its local data at ramified primes.
 
     It is given by the integer numerators z of its a-basis coordinates
-    z/d; since d is squarefree, mu_q = 0 exactly when q divides every z_i."""
+    z/d and its q_value = Q(z/d) mod 1; since d is squarefree, mu_q = 0
+    exactly when q divides every z_i."""
 
-    def __init__(self, lattice, numerators, label):
+    def __init__(self, lattice, numerators, label, q_value):
         self.lattice = lattice
         self._z = tuple(numerators)
         self.label = label
         d = lattice._quotient.order
         self.is_zero = all(x % d == 0 for x in self._z)
-        self.q_value = _q_mod_one(self._z, lattice.gram, d)
+        self.q_value = q_value
         self._zero_at = {
             q: all(x % q == 0 for x in self._z)
             for q in lattice.field.ramified_primes
@@ -520,27 +548,29 @@ class SplitLattice:
                     f"L is not even: Q of basis row {i} is "
                     f"{Fraction(self.gram_L[i][i], 2)}, not an integer"
                 )
-        # L^v / L: numerators z over |det gram_L| in L coordinates; the glue
-        # group L / (L_+ + L_-) = Z^N / Z^N basis^{-1}: numerators z over D =
-        # [L : L_+ + L_-] of vectors z / D = y basis of L.  Both keep ambient
-        # numerators over den = |L^v / L| e, integers as L <= (1/e) Z^N
+        # Both groups keep ambient numerators over den = |L^v / L| e, integers
+        # as L <= (1/e) Z^N.  The glue group L / (L_+ + L_-) = Z^N / Z^N
+        # basis^{-1} has generators U_i / d_i in L, so each d_i divides e and
+        # den; L^v / L has generators z / D (D = |det gram_L|) in L
+        # coordinates, whose ambient numerators are z basis_num
         dual = IntegerQuotient(self.gram_L)
-        den = dual.order * e
+        D = dual.order
+        den = D * e
         glue = IntegerQuotient(basis_inv)
         self.glue = []
-        for label, z in enumerate(_coset_reps(glue)):
-            plus_int = all(x % glue.order == 0 for x in z[:n])
-            minus_int = all(x % glue.order == 0 for x in z[n:])
+        for label, (num, _) in enumerate(_coset_walk(glue, den)):
+            plus_int = all(x % den == 0 for x in num[:n])
+            minus_int = all(x % den == 0 for x in num[n:])
             if minus_int and not plus_int:
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")
             if plus_int and not minus_int:
                 raise InconsistentEmbeddingError("U cap L exceeds L_-")
-            num = tuple(den * x // glue.order for x in z)
             self.glue.append(EtaCoset(label, num, den))
         self.etas = [
-            EtaCoset(label, mat_vec(z, basis_num), den,
-                     _q_mod_one(z, self.gram_L, dual.order))
-            for label, z in enumerate(_coset_reps(dual))
+            EtaCoset(label, num, den, Fraction(q % (2 * D * D), 2 * D * D))
+            for label, (num, q) in enumerate(
+                _coset_walk(dual, D, self.gram_L, basis_num)
+            )
         ]
         # kappa_eta(m) per (field, eta label, m), filled by cmvalue.kappa_eta
         self._kappa_eta = {}

@@ -143,12 +143,16 @@ def make_field(d):
 # ---------------------------------------------------------------------------
 
 
+# Most digits any precision option accepts.
+MAX_PREC = 10000
+
+
 def _check_prec(prec, name="prec"):
-    """Reject digit counts outside [10, 10000]; name is the option that
+    """Reject digit counts outside [10, MAX_PREC]; name is the option that
     the message blames."""
     if prec < 10:
         raise PrecisionError(f"{name} must be >= 10, got {prec}")
-    if prec > 10000:
+    if prec > MAX_PREC:
         raise PrecisionError(f"{name}={prec} beyond supported range")
 
 

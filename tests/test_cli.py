@@ -84,6 +84,17 @@ def test_qexp(capsys):
     assert data["coeffs"] == "1,-24,252"
 
 
+def test_qexp_caps_N_before_output(capsys):
+    # the exact series would run for minutes (j at N = 2000) or forever
+    code, out, err = _run(capsys, "qexp", "delta", "-N", "100000000")
+    assert code == 1
+    assert out == ""
+    assert "-N" in err and "500" in err and "Traceback" not in err
+    code, out, err = _run(capsys, "qexp", "e4", "-N", "500")
+    assert code == 0
+    assert len(_parse(out)["coeffs"].split(",")) == 501
+
+
 def test_gz(capsys):
     code, out, err = _run(capsys, "gz", "--d1", "3", "--d2", "7")
     assert code == 0
@@ -301,7 +312,7 @@ def test_field_bad_prec_fails_before_output(capsys):
     assert "--prec" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("prec", ["0", "-5"])
+@pytest.mark.parametrize("prec", ["0", "-5", "10001"])
 def test_gz_rejects_non_positive_prec(capsys, prec):
     code, out, err = _run(capsys, "gz", "--d1", "3", "--d2", "7", "--prec", prec)
     assert code == 1

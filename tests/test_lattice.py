@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -14,7 +15,7 @@ from borcherds_cm.lattice import (
     NotAnIdealError,
     PosLattice,
     SplitLattice,
-    _coset_reps,
+    _coset_walk,
     _transpose,
     coset_of_element,
     enumerate_dual_cosets,
@@ -64,10 +65,10 @@ def test_snf_properties(M):
 
 
 def _check_quotient_labels(M):
-    """_coset_reps lists Z^k / Z^k M in label order: its numerators z give
-    integer coordinates y = z M / D whose label is the list index."""
+    """_coset_walk lists Z^k / Z^k M in label order: its numerators z over
+    D give integer coordinates y = z M / D whose label is the list index."""
     q = IntegerQuotient(M)
-    reps = _coset_reps(q)
+    reps = [z for z, _ in _coset_walk(q, q.order)]
     assert len(reps) == q.order
     assert reps[0] == (0,) * len(M)
     for index, z in enumerate(reps):
@@ -93,6 +94,45 @@ def test_integer_quotient_labels_on_random_matrices(M):
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     assume(det != 0)
     assert _check_quotient_labels(M).order == abs(det)
+
+
+@st.composite
+def multi_digit_grams(draw):
+    """Nonsingular symmetric integer 3x3 matrices with at least two Smith
+    digits > 1: P diag(g S, m) P^T for a nonsingular 2x2 block g S with
+    g >= 2, m != 0 and a unimodular P, so the g-part of the group has rank
+    two."""
+    g = draw(st.integers(2, 4))
+    a, b, c = (draw(st.integers(-4, 4)) for _ in range(3))
+    assume(a * c != b * b)
+    m = draw(st.integers(-6, 6).filter(bool))
+    G0 = ((g * a, g * b, 0), (g * b, g * c, 0), (0, 0, m))
+    x, y, z = (draw(st.integers(-2, 2)) for _ in range(3))
+    P = ((1, x, y), (0, 1, z), (0, 0, 1))
+    return mat_mul(mat_mul(P, G0), _transpose(P))
+
+
+@given(multi_digit_grams())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_coset_walk_matches_the_definition(G):
+    # the walk steps from coset to coset; the definition takes each coset
+    # afresh: z = w rows for the Smith digits w, q = (z G z^T mod 2D^2) / 2D^2
+    quotient = IntegerQuotient(G)
+    D = quotient.order
+    assert sum(di > 1 for di in quotient.diag) >= 2
+    rows = tuple(
+        tuple(D // di * x for x in row) for di, row in zip(quotient.diag, quotient.U)
+    )
+    listed = list(_coset_walk(quotient, D, G))
+    digits = list(itertools.product(*map(range, quotient.diag)))
+    assert len(listed) == len(digits) == D
+    for label, (w, (num, qn)) in enumerate(zip(digits, listed)):
+        z = tuple(sum(w[i] * rows[i][j] for i in range(3)) for j in range(3))
+        assert num == z
+        zG = tuple(sum(z[i] * G[i][j] for i in range(3)) for j in range(3))
+        q = sum(a * b for a, b in zip(zG, z)) % (2 * D * D)
+        assert Fraction(qn % (2 * D * D), 2 * D * D) == Fraction(q, 2 * D * D)
+        assert quotient.label_of(tuple(x // D for x in zG)) == label
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +232,15 @@ def test_coset_round_trip():
             canonical = coset_of_element(lat, shifted_num, fld.d)
             assert canonical.label == mu.label
             assert canonical is cosets[mu.label]
-            fresh = DualCoset(lat, shifted_num, mu.label)
+            G, d = lat.gram, fld.d
+            shifted_q = sum(
+                shifted_num[i] * G[i][j] * shifted_num[j]
+                for i in range(2) for j in range(2)
+            )
+            fresh = DualCoset(
+                lat, shifted_num, mu.label,
+                Fraction(shifted_q % (2 * d * d), 2 * d * d),
+            )
             assert fresh.q_value == canonical.q_value
             assert fresh.is_zero == canonical.is_zero
             for q in fld.ramified_primes:
@@ -458,6 +506,22 @@ def test_split_lattice_counts():
     assert sl.etas[0].label == 0
     for eta in sl.etas:
         assert 0 <= eta.q_mod_one < 1
+
+
+def test_two_digit_discriminant_group_pinned():
+    # L_+ is the unit ideal of Q(sqrt(-47)) with the sign flipped, so L^v/L
+    # is Z/47 x Z/47, two Smith digits; the digest pins the label order,
+    # the numerators and the q values of all 2209 etas
+    unit = make_ideal_lattice(make_field(47), "unit")
+    plus = PosLattice(tuple(tuple(-x for x in row) for row in unit.gram))
+    sl = SplitLattice(plus, unit)
+    assert len(sl.etas) == 47**2
+    digest = hashlib.sha256()
+    for e in sl.etas:
+        digest.update(f"{e.label} {e.num} {e.den} {e.q_mod_one}\n".encode())
+    assert digest.hexdigest() == (
+        "38a7af8d3456fad416c085896b566774bc8868f469931440e34d37990a992b34"
+    )
 
 
 def test_glued_lattice_index_seven():
