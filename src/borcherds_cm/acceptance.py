@@ -24,10 +24,10 @@ from .forms import FourierForm, m_max
 from .gzoracle import gz_product, gz_support_check
 from .kappa import kappa_positive
 from .lattice import (
-    InconsistentEmbeddingError,
     PosLattice,
     SplitLattice,
     enumerate_dual_cosets,
+    glue,
     make_ideal_lattice,
 )
 from .locwhit import eisenstein_deriv_coeff
@@ -205,38 +205,28 @@ _GRAM_POOL = {
 
 
 def _glue_candidates(split):
-    """Vectors v generating integral prime-index overlattices of the split
-    lattice L_+ + L_-, mixing both factors (Nikulin's gluing).
+    """Overlattices of a split lattice L_+ + L_- of positive rank, one per
+    prime p among the ramified primes and 2, each glued by lattice.glue
+    along an eta of order p that mixes both factors (Nikulin's gluing).
 
-    The candidates are its discriminant group (L_+ + L_-)^v / (L_+ + L_-),
-    each element reduced into [0,1)^N and sorted lexicographically; the
-    first valid v of each denominator is kept."""
-    plus, minus = split.plus, split.minus
-    n = plus.rank
-    reps = sorted(
-        tuple(x % 1 for x in eta.plus + eta.minus) for eta in split.etas
+    The candidates are the etas with q_mod_one 0, sorted by their
+    numerators reduced mod den; for each p the first one of order p with
+    a nonzero first coordinate and a nonzero minus part is glued."""
+    n = split.plus.rank
+    den = split.etas[0].den
+    etas = sorted(
+        (tuple(x % den for x in eta.num), eta.label)
+        for eta in split.etas
+        if eta.q_mod_one == 0
     )
     found = []
-    for den in sorted(set(minus.field.ramified_primes) | {2}):
-        for v in reps:
-            if any((den * x).denominator != 1 for x in v):
-                continue
-            if all(x.denominator == 1 for x in v[:n]):
-                continue
-            if all(x.denominator == 1 for x in v[n:]):
-                continue
-            if (2 * split.q_ambient(v)).denominator != 1:
-                continue
-            basis = [
-                tuple(Fraction(int(i == j)) for j in range(n + 2))
-                for i in range(n + 2)
-            ]
-            basis[0] = v
-            try:
-                found.append(SplitLattice(plus, minus, tuple(basis)))
-            except InconsistentEmbeddingError:
-                continue
-            break  # one glue per denominator keeps the corpus varied but small
+    for p in sorted(set(split.minus.field.ramified_primes) | {2}):
+        for num, label in etas:
+            # a nonzero first coordinate keeps the corpus of the earlier
+            # search, which glued on basis row 0, exactly
+            if num[0] and any(num[n:]) and all(p * x % den == 0 for x in num):
+                found.append(glue(split, label))
+                break  # one glue per prime keeps the corpus varied but small
     return found
 
 

@@ -19,13 +19,7 @@ from .forms import classical_qexp, load_form, m_max
 from .kappa import kappa_at
 from .lattice import enumerate_dual_cosets, load_lattice, make_ideal_lattice
 from .locwhit import _local_polys
-from .quadfield import (
-    MAX_PREC,
-    PrecisionError,
-    _check_prec,
-    kappa_zero_constant,
-    make_field,
-)
+from .quadfield import _check_prec, kappa_zero_constant, make_field
 
 
 def _cmsum_prec(prec):
@@ -171,12 +165,6 @@ def cmd_factor(args):
 def cmd_gz(args):
     from .gzoracle import gz_product, gz_support_check
 
-    # below 10 digits --prec only floors the starting digits, so only the
-    # upper end of _check_prec's range applies
-    if args.prec is not None and args.prec > MAX_PREC:
-        raise PrecisionError(
-            f"--prec={args.prec} beyond supported range (at most {MAX_PREC} digits)"
-        )
     result = gz_product(args.d1, args.d2, args.prec)
     print(f"product={result.product}")
     print(f"factored={result.factored_string()}")

@@ -27,7 +27,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from .arith import factorize, kronecker
-from .quadfield import reduced_forms
+from .quadfield import MAX_PREC, PrecisionError, reduced_forms
 
 
 class RoundingFailure(ArithmeticError):
@@ -171,10 +171,15 @@ def gz_product(d1, d2, prec=None):
     d1, d2 must be coprime with -d1, -d2 odd fundamental discriminants.
     Precision is chosen from the a-priori size bound log|product| <=
     h1 h2 (pi sqrt(d_max) + 30) and doubled on rounding failure; a
-    positive prec raises the starting digits to at least prec.
+    positive prec raises the starting digits to at least prec, and prec
+    above MAX_PREC is refused.
     """
     if prec is not None and prec <= 0:
         raise ValueError(f"prec={prec} must be a positive number of digits")
+    if prec is not None and prec > MAX_PREC:
+        raise PrecisionError(
+            f"prec={prec} beyond supported range (at most {MAX_PREC} digits)"
+        )
     d1, d2 = int(d1), int(d2)
     if math.gcd(d1, d2) != 1:
         raise ValueError(f"d1={d1}, d2={d2} are not coprime")

@@ -104,8 +104,9 @@ def kappa_positive(fld, lat, mu, t):
         raise ValueError("kappa_positive requires t > 0")
     d = fld.d
     # char conditions at ramified primes (Q(mu_q) = 0 mod Z_q when mu_q = 0)
-    for q in fld.ramified_primes:
-        diff = t if mu.local_zero(q) else t - mu.q_value
+    zero_at = {q: mu.local_zero(q) for q in fld.ramified_primes}
+    for q, zero in zero_at.items():
+        diff = t if zero else t - mu.q_value
         if diff and valuation(diff, q) < 0:
             return KAPPA_ZERO
     dt = d * t
@@ -120,7 +121,7 @@ def kappa_positive(fld, lat, mu, t):
         if rho_dt == 0:
             break
     tn = -t * lat.norm
-    chi = {q: fld.chi(tn, q) for q in fld.ramified_primes if mu.local_zero(q)}
+    chi = {q: fld.chi(tn, q) for q, zero in zero_at.items() if zero}
     terms = {}
     if rho_dt:
         for q, c in chi.items():

@@ -22,11 +22,15 @@ L_+ + L_-, and that basis's inverse; the one exact LDL^T of a PosLattice,
 computed when it is built, tests definiteness (Sylvester's criterion) and
 seeds its enumeration.  A SplitLattice keeps its etas and glue vectors as
 integer ambient numerators over one denominator, with integer gram_L and
-eta_pairs; their Fraction plus/minus views are made only when read.
+eta_pairs; their Fraction plus/minus views are made only when read.  One
+routine, glue, writes a glue row into a basis: it scales an isotropic eta
+of L_+ + L_- so that one coordinate is 1/m and puts it in place of that
+basis row.
 
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
-in k, and lists its dual cosets once, when it is built.
+in k, and lists its dual cosets once, when it is built; a coset tests
+whether it vanishes at a ramified prime only when asked.
 """
 
 from __future__ import annotations
@@ -284,7 +288,7 @@ class DualCoset:
 
     It is given by the integer numerators z of its a-basis coordinates
     z/d and its q_value = Q(z/d) mod 1; since d is squarefree, mu_q = 0
-    exactly when q divides every z_i."""
+    exactly when q divides every z_i, which local_zero tests when called."""
 
     def __init__(self, lattice, numerators, label, q_value):
         self.lattice = lattice
@@ -293,10 +297,6 @@ class DualCoset:
         d = lattice._quotient.order
         self.is_zero = all(x % d == 0 for x in self._z)
         self.q_value = q_value
-        self._zero_at = {
-            q: all(x % q == 0 for x in self._z)
-            for q in lattice.field.ramified_primes
-        }
 
     @property
     def coords(self):
@@ -305,8 +305,10 @@ class DualCoset:
         return tuple(Fraction(x, d) for x in self._z)
 
     def local_zero(self, q):
-        """Whether the image mu_q in D^{-1}a_q / a_q is zero."""
-        return self._zero_at[q]
+        """Whether the image mu_q in D^{-1}a_q / a_q is zero, tested on the
+        numerators when asked."""
+        a, b = self._z
+        return a % q == 0 and b % q == 0
 
     def __repr__(self):
         return f"DualCoset(label={self.label}, coords={self.coords})"
@@ -556,9 +558,9 @@ class SplitLattice:
         dual = IntegerQuotient(self.gram_L)
         D = dual.order
         den = D * e
-        glue = IntegerQuotient(basis_inv)
+        glue_group = IntegerQuotient(basis_inv)
         self.glue = []
-        for label, (num, _) in enumerate(_coset_walk(glue, den)):
+        for label, (num, _) in enumerate(_coset_walk(glue_group, den)):
             plus_int = all(x % den == 0 for x in num[:n])
             minus_int = all(x % den == 0 for x in num[n:])
             if minus_int and not plus_int:
@@ -597,6 +599,41 @@ class SplitLattice:
                 pairs.append((lam.label, mu, plus))
             self._eta_pairs[label] = pairs
         return pairs
+
+
+def glue(split, label):
+    """The overlattice L_+ + L_- + Z eta of a split lattice L = L_+ + L_-
+    (identity basis) along its eta of the given label, which must have
+    q_mod_one 0 so that the result is even (Nikulin's gluing).
+
+    With m the order of eta, its first coordinate i of denominator exactly
+    m is a/m with a prime to m, so c eta mod 1, c = a^{-1} mod m, has 1/m
+    there.  That vector and the unit rows e_j, j != i, span Z^N + Z eta;
+    it replaces basis row i, and SplitLattice checks the result."""
+    eta = split.etas[label]
+    N = len(eta.num)
+    basis = [tuple(int(i == j) for j in range(N)) for i in range(N)]
+    if split.basis != tuple(basis):
+        raise InconsistentEmbeddingError(
+            f"glue at eta {label}: the lattice basis is not the identity"
+        )
+    if eta.q_mod_one:
+        raise InconsistentEmbeddingError(
+            f"glue at eta {label}: q = {eta.q_mod_one} is not 0"
+        )
+    m = eta.den // math.gcd(eta.den, *eta.num)
+    if m == 1:
+        raise InconsistentEmbeddingError(f"glue at eta {label}: the eta is zero")
+    a = [x * m // eta.den for x in eta.num]
+    i = next((i for i, x in enumerate(a) if math.gcd(x, m) == 1), None)
+    if i is None:
+        raise InconsistentEmbeddingError(
+            f"glue at eta {label}: no coordinate has the denominator {m} "
+            "of its order"
+        )
+    c = pow(a[i], -1, m)
+    basis[i] = tuple(Fraction(c * x % m, m) for x in a)
+    return SplitLattice(split.plus, split.minus, tuple(basis))
 
 
 def _transpose(A):

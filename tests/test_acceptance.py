@@ -82,11 +82,17 @@ def test_corpus_pinned():
     corpus = acceptance.build_corpus()
     assert len(corpus) == 100
     digest = hashlib.sha256()
+    bases = hashlib.sha256()
     for fld, sl, form in corpus:
         key = (fld.d, sl.plus.gram, sl.minus.basis, sl.basis,
                sorted(form.coeffs.items()))
         digest.update(repr(key).encode())
+        bases.update(repr((fld.d, sl.basis, sorted(form.coeffs.items()))).encode())
     assert digest.hexdigest()[:16] == "18e2f9eb059bf334"
+    # the full SHA-256 over every glued basis and form
+    assert bases.hexdigest() == (
+        "b3b4cad4f53d141f1ab3f36e064225e2c0b844bcacb70ca061113bf702eb742f"
+    )
 
 
 def test_criterion_7_prime_support():

@@ -160,6 +160,22 @@ def test_factor_rejects_transcendental(capsys, tmp_path):
     assert "not rational" in err
 
 
+def test_factor_rejects_the_regularised_same_discriminant_value(capsys, tmp_path):
+    # L_+ = the unit ideal of Q(sqrt(-15)) with Q = N, glued to L_- = O_k
+    # along an eta of order 15: j(z1) - j(z2) on the diagonal CM cycle
+    lat = tmp_path / "lat.txt"
+    lat.write_text(
+        "d=15\nrank=2\ngram=2,1;1,8\n"
+        "basis=1/15,13/15,14/15,2/15;0,1,0,0;0,0,1,0;0,0,0,1\n"
+    )
+    form = tmp_path / "form.txt"
+    form.write_text("0 -1 1\n")
+    code, out, err = _run(capsys, "factor", "--form", str(form), "--lattice", str(lat))
+    assert code == 1
+    assert out == ""
+    assert "kzero_coeff = -4 is nonzero" in err
+
+
 def test_computation_error_exits_1(capsys):
     code, out, err = _run(capsys, "gz", "--d1", "7", "--d2", "7")
     assert code == 1

@@ -21,11 +21,13 @@ from borcherds_cm.cmvalue import (
     transcendental_base,
 )
 from borcherds_cm.forms import FourierForm
+from borcherds_cm.gzoracle import gz_product
 from borcherds_cm.kappa import kappa_at
 from borcherds_cm.lattice import (
     PosLattice,
     SplitLattice,
     coset_of_element,
+    glue,
     make_ideal_lattice,
 )
 from borcherds_cm.quadfield import kappa_zero_constant, make_field
@@ -85,6 +87,62 @@ def test_rank_one_instance():
     assert report.rational_part == FactoredLog({7: 2})
     assert report.c00 == 2  # the two vectors x = +-1 with Q(x) = 1
     assert report.kzero_coeff == -2
+
+
+def test_x1_lattice_gives_gross_zagier_at_composite_d1():
+    # glued along (1/15; 1/15, -2/15), Z(30) + O_k for k = Q(sqrt(-15)) is
+    # the X(1) lattice; {(gamma_1, -7/4): 1}, gamma_1 the coset with q = 3/4,
+    # lifts to prod (j(z) - j(tau_7)), whose CM value is 4 log|gz(15, 7)|
+    fld = make_field(15)
+    sl = SplitLattice(PosLattice(((30,),)), make_ideal_lattice(fld, "unit"))
+    v = (Fraction(1, 15), Fraction(1, 15), Fraction(13, 15))
+    x1 = glue(sl, next(
+        e.label for e in sl.etas if tuple(x % 1 for x in e.plus + e.minus) == v
+    ))
+    report = log_psi_product(FourierForm(x1, {(1, Fraction(-7, 4)): 1}), x1, fld)
+    gz = gz_product(15, 7)
+    assert abs(gz.product) == 754606125
+    assert report.rational_part == 4 * FactoredLog(dict(gz.factorization))
+    assert report.kzero_coeff == 0
+
+
+def _same_disc(d, spec):
+    """The unimodular lattice with L_+ the ideal c = spec of Q(sqrt(-d))
+    under Q = N/Nc and L_- the unit ideal, glued along the first eta with
+    q = 0 whose plus and minus parts both have order d."""
+    fld = make_field(d)
+    c = make_ideal_lattice(fld, spec)
+    plus = PosLattice(tuple(tuple(-x for x in row) for row in c.gram))
+    sl = SplitLattice(plus, make_ideal_lattice(fld, "unit"))
+
+    def order(num, den):
+        return den // math.gcd(den, *num)
+
+    label = next(
+        e.label for e in sl.etas
+        if e.q_mod_one == 0 and order(e.num[:2], e.den) == order(e.num[2:], e.den) == d
+    )
+    return fld, glue(sl, label)
+
+
+def test_same_discriminant_singular_moduli_d23():
+    # j(z1) - j(z2) at the CM pairs (tau_a, tau_ab), b the class of prime:2:
+    # 2 log|disc H_23|^2
+    fld, sl = _same_disc(23, "prime:2")
+    assert len(sl.etas) == 1
+    report = log_psi_product(FourierForm(sl, {(0, Fraction(-1)): 1}), sl, fld)
+    assert (report.c00, report.kzero_coeff) == (0, 0)
+    assert report.rational_part == FactoredLog(
+        {5: 36, 7: 24, 11: 8, 17: 4, 19: 4, 23: 2}
+    )
+
+
+def test_same_discriminant_unit_class_is_regularised():
+    # with b = 1, L_+ = O_k represents 1, so the CM cycle lies on div Psi
+    fld, sl = _same_disc(15, "unit")
+    assert len(sl.etas) == 1
+    report = log_psi_product(FourierForm(sl, {(0, Fraction(-1)): 1}), sl, fld)
+    assert (report.c00, report.kzero_coeff) == (2, -4)
 
 
 def test_numeric_consistency():

@@ -14,7 +14,11 @@ from borcherds_cm.gzoracle import (
     gz_support_check,
     j_value,
 )
-from borcherds_cm.quadfield import UnsupportedDiscriminantError, reduced_forms
+from borcherds_cm.quadfield import (
+    PrecisionError,
+    UnsupportedDiscriminantError,
+    reduced_forms,
+)
 
 
 def test_j_value_d3_is_zero():
@@ -234,6 +238,12 @@ def test_gz_rejects_non_coprime():
         gz_product(7, 7)
     with pytest.raises(ValueError):
         gz_product(15, 35)
+
+
+def test_gz_bounds_prec():
+    # the library refuses what bcm gz refuses, before any j evaluation
+    with pytest.raises(PrecisionError, match="prec=10001"):
+        gz_product(3, 7, 10001)
 
 
 def test_gz_support_check_pass():

@@ -19,6 +19,7 @@ from borcherds_cm.lattice import (
     _transpose,
     coset_of_element,
     enumerate_dual_cosets,
+    glue,
     load_lattice,
     make_ideal_lattice,
     mat_mul,
@@ -542,6 +543,60 @@ def test_glued_lattice_index_seven():
     for g in nontrivial:
         assert any(x.denominator != 1 for x in g.minus)
         assert sl.q_ambient(g.plus + g.minus).denominator == 1
+
+
+def _x1_split(d1):
+    """L_+ + L_- for the X(1) lattice: L_+ = Z with Q(x) = d1 x^2, L_- the
+    unit ideal of Q(sqrt(-d1))."""
+    fld = make_field(d1)
+    return SplitLattice(PosLattice(((2 * d1,),)), make_ideal_lattice(fld, "unit"))
+
+
+def _eta_at(sl, coords):
+    """The label of the eta congruent to coords mod L."""
+    return next(
+        e.label for e in sl.etas
+        if all((x - y).denominator == 1 for x, y in zip(e.plus + e.minus, coords))
+    )
+
+
+@pytest.mark.parametrize("d1", [7, 11, 15, 35, 39, 163])
+def test_glue_gives_the_x1_lattice(d1):
+    # the isotropic v = (1/d1; 1/d1, -2/d1) of order d1 glues L_+ + L_- to
+    # the lattice of trace-zero integer 2x2 matrices, L^v/L = Z/2 with
+    # q = 3/4, for prime and composite d1 alike
+    sl = _x1_split(d1)
+    v = (Fraction(1, d1), Fraction(1, d1), Fraction(-2, d1))
+    glued = glue(sl, _eta_at(sl, v))
+    assert glued.basis == (
+        (Fraction(1, d1), Fraction(1, d1), Fraction(d1 - 2, d1)),
+        (0, 1, 0),
+        (0, 0, 1),
+    )
+    assert [e.q_mod_one for e in glued.etas] == [0, Fraction(3, 4)]
+    # any unit multiple of v names the same lattice
+    assert glue(sl, _eta_at(sl, tuple(2 * x for x in v))).basis == glued.basis
+
+
+def test_glue_errors():
+    sl = _x1_split(7)
+    v = _eta_at(sl, (Fraction(1, 7), Fraction(1, 7), Fraction(-2, 7)))
+    nonzero_q = next(e.label for e in sl.etas if e.q_mod_one)
+    with pytest.raises(InconsistentEmbeddingError, match=f"eta {nonzero_q}: q = "):
+        glue(sl, nonzero_q)
+    glued = glue(sl, v)
+    with pytest.raises(InconsistentEmbeddingError, match="eta 0: .*not the identity"):
+        glue(glued, 0)
+    with pytest.raises(InconsistentEmbeddingError, match="eta 0: the eta is zero"):
+        glue(sl, 0)
+    # Q(1/2, 2/3) = 4/4 + 9 (4/9) = 5: order 6, with coordinate
+    # denominators 2 and 3 only
+    unit = make_ideal_lattice(make_field(7), "unit")
+    split = SplitLattice(PosLattice(((8, 0), (0, 18))), unit)
+    label = _eta_at(split, (Fraction(1, 2), Fraction(2, 3), 0, 0))
+    assert split.etas[label].q_mod_one == 0
+    with pytest.raises(InconsistentEmbeddingError, match=f"eta {label}: no coordinate"):
+        glue(split, label)
 
 
 _GLUE_FIELDS = (7, 15, 23, 35, 39, 55)
