@@ -10,12 +10,14 @@ j(tau) = (1 + 256 x)^3 / x with x = Delta(2 tau) / Delta(tau)
 is summed as Euler's pentagonal series (Cohen, GTM 138, section 7.6).
 At a reduced form's CM point |q| <= e^{-pi sqrt 3} < 0.0044, so the series
 is short and E(q) is within 1 % of 1.  That makes fixed point relative
-precision: E(q), E(q^2) and their ratio to the 24th power are complex
-numbers held as pairs of Python integers scaled by 2^W, W = mp.prec + 20
-guard bits, and each product is one integer product pair and a shift.
-q, x and j stay mpmath numbers (see `j_value` for the error budget).  The
-forms (a, b, c) and (a, -b, c) have conjugate j values, so each class
-evaluates j once per such pair.
+precision: q, E(q), E(q^2), their ratio to the 24th power, x and j are
+complex numbers held as pairs of Python integers scaled by 2^W, and each
+product is one integer product pair and a shift.  |q| and x carry a
+separate power of two, so they keep W relative bits however small they
+are.  q comes from mpmath's fixed-point kernels for pi, ln 2, exp and
+cos/sin, and only j becomes an mpmath number, exactly (see `j_value` for
+W and the error budget).  The forms (a, b, c) and (a, -b, c) have
+conjugate j values, so each class evaluates j once per such pair.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import dps_to_prec, from_man_exp
+from mpmath.libmp.libelefun import (
+    cos_sin_fixed,
+    exp_basecase,
+    ln2_fixed,
+    pi_fixed,
+)
 
 from .arith import factorize, kronecker
 from .quadfield import MAX_PREC, PrecisionError, reduced_forms
@@ -55,7 +63,7 @@ class GZResult:
         return sign + body
 
 
-# Bits carried below mp.prec by the fixed-point kernel; see j_value.
+# Bits carried beyond the digits j_value works at; see j_value.
 _GUARD_BITS = 20
 
 
@@ -110,10 +118,22 @@ def j_value(form, d, prec=64):
 
     This is safe for every reduced form: a <= sqrt(d/3), so
     |q| = e^{-pi sqrt(d) / a} <= e^{-pi sqrt 3} < 0.0044.  Then E(q) lies
-    within 1 % of 1, so fixed point with W = mp.prec + _GUARD_BITS bits is
-    relative precision for E and R, and no step cancels.  Error budget in
-    units 2^-W per part:
-    - q and q^2 are truncated once each: one unit in each E.
+    within 1 % of 1, so fixed point is relative precision for E and R, and
+    no step cancels.  Since |j(tau)| is about e^{pi sqrt(d)/a}, that is
+    size_digits digits, every step is an integer operation at scale 2^W,
+    W = dps_to_prec(prec + 15 + size_digits) + _GUARD_BITS.  Only the
+    result becomes an mpmath number, exactly, so mp.prec plays no part.
+
+    With t = pi sqrt(d) / a and (k, r) = divmod(t, ln 2), q is 2^-k M,
+    M = e^{-r} e^{-i pi b / a}, 1/2 < |M| <= 1.  So x = 2^-k M R keeps W
+    relative bits however small q is.  Error budget in units 2^-W per part:
+    - t, r and the angle pi b / a come from pi_fixed, ln2_fixed and
+      isqrt(d 2^2V) at V = W + bitlength(d) + 4 bits.  pi and sqrt(d) are
+      off by one unit of 2^-V each and ln 2 by one unit times k < 5 sqrt(d),
+      so r is within (6 sqrt(d) + 6) 2^-V < 2^-W.  exp_basecase and
+      cos_sin_fixed add a few units of 2^-V, and M's two truncating
+      products one unit each: M is within 3 units.
+    - q = 2^-k M and q^2 are truncated once each: one unit in each E.
     - `_euler` makes 4 truncating products per index k, one unit each,
       and multiplies every earlier error only by factors of modulus
       < 0.0045.  So each k's two terms are off by at most 4 units, and
@@ -121,17 +141,20 @@ def j_value(form, d, prec=64):
       161 units.
     - The division adds one unit, so E(q^2) / E(q) is within 330 units.
     - The 24th power multiplies that relative error by 24, and its five
-      truncations add at most 24 units more.
-    That is below 2^13 units, so R is good to 2^-(mp.prec + 7).  Only q,
-    x = q R and (1 + 256 x)^3 / x are mpmath numbers: x is small and j is
-    large, so they keep mpmath's floating exponent.  The series shares
+      truncations add at most 24 units more: R is within 2^13 units.
+    - X = M R, 0.44 < |X| < 1.12, is within 2^14 units, so x = 2^-k X is
+      good to 2^(16 - W) relative, and 1 / |x| < 2^(k + 1.2).
+    - u = 1 + 256 x takes 256 * 2^-k <= 2 times X's error and one
+      truncation: 2^15 + 1 units.  As |u| < 2.26, u^3 is within 2^19.
+    - j = u^3 conj(X) 2^k / |X|^2 takes one floor division per part.  As
+      |j| < 11.6 / |x|, j is within 2^19 / |x| + |j| 2^(16 - W) + 1
+      < 2^(k + 22) units.
+    Since 2^k <= 10^size_digits and 2^W >= 2^20 10^(prec + 15 + size_digits),
+    j is accurate to 4 * 10^-(prec + 15) absolute.  The series shares
     nothing with the package's q-expansion code.
 
-    Since |j(tau)| is about e^{pi sqrt(d)/a}, the work precision carries
-    that many extra digits on top of prec + 15, which keeps the result
-    accurate to roughly 10^{-prec} absolute.  For the form (a, -b, c),
-    tau is -conj(tau) of (a, b, c), and j has integer Fourier
-    coefficients, so the value is the conjugate.
+    For the form (a, -b, c), tau is -conj(tau) of (a, b, c), and j has
+    integer Fourier coefficients, so the value is the conjugate.
     """
     if prec < 30:
         raise ValueError("j_value requires prec >= 30")
@@ -139,13 +162,23 @@ def j_value(form, d, prec=64):
     if b * b - 4 * a * c != -d:
         raise ValueError("form discriminant does not match -d")
     size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
-    with mp.workdps(prec + 15 + size_digits):
-        q = mp.expjpi((-b + mp.sqrt(-d)) / a)
-        w = mp.prec + _GUARD_BITS
-        qf = int(to_fixed(q.real._mpf_, w)), int(to_fixed(q.imag._mpf_, w))
-        rr, ri = _ratio_power_24(_euler(_mul(qf, qf, w), w), _euler(qf, w), w)
-        x = q * mp.mpc(mp.ldexp(rr, -w), mp.ldexp(ri, -w))
-        return (1 + 256 * x) ** 3 / x
+    w = dps_to_prec(prec + 15 + size_digits) + _GUARD_BITS
+    v = w + d.bit_length() + 4
+    pi = int(pi_fixed(v))
+    k, r = divmod((pi * math.isqrt(d << 2 * v) >> v) // a, int(ln2_fixed(v)))
+    m = int(exp_basecase(-r, v))
+    cos, sin = cos_sin_fixed(pi * b // a, v, pi >> 1)
+    shift = 2 * v - w
+    qm = (m * int(cos)) >> shift, -(m * int(sin)) >> shift
+    q = qm[0] >> k, qm[1] >> k
+    ratio = _ratio_power_24(_euler(_mul(q, q, w), w), _euler(q, w), w)
+    xr, xi = _mul(qm, ratio, w)
+    u = (1 << w) + ((xr << 8) >> k), (xi << 8) >> k
+    ur, ui = _mul(_mul(u, u, w), u, w)
+    den = xr * xr + xi * xi
+    jr = ((ur * xr + ui * xi) << (k + w)) // den
+    ji = ((ui * xr - ur * xi) << (k + w)) // den
+    return mp.make_mpc((from_man_exp(jr, -w), from_man_exp(ji, -w)))
 
 
 def _class_j_values(forms, d, digits):
@@ -171,8 +204,9 @@ def gz_product(d1, d2, prec=None):
     d1, d2 must be coprime with -d1, -d2 odd fundamental discriminants.
     Precision is chosen from the a-priori size bound log|product| <=
     h1 h2 (pi sqrt(d_max) + 30) and doubled on rounding failure; a
-    positive prec raises the starting digits to at least prec, and prec
-    above MAX_PREC is refused.
+    positive prec raises the starting digits to at least prec.  Digits
+    above MAX_PREC are refused, whether prec asks for them or the size
+    bound does, and the doublings stop there.
     """
     if prec is not None and prec <= 0:
         raise ValueError(f"prec={prec} must be a positive number of digits")
@@ -190,7 +224,15 @@ def gz_product(d1, d2, prec=None):
     digits = int(size_bound / math.log(10)) + 40
     if prec is not None:
         digits = max(digits, int(prec))
-    for attempt in range(_MAX_DOUBLINGS + 1):
+    if digits > MAX_PREC:
+        raise PrecisionError(
+            f"d1={d1}, d2={d2} need {digits} digits, beyond supported range "
+            f"(at most {MAX_PREC} digits)"
+        )
+    ladder = [
+        digits << i for i in range(_MAX_DOUBLINGS + 1) if digits << i <= MAX_PREC
+    ]
+    for attempt, digits in enumerate(ladder):
         with mp.workdps(digits + 20):
             j1 = _class_j_values(forms1, d1, digits)
             j2 = _class_j_values(forms2, d2, digits)
@@ -211,9 +253,8 @@ def gz_product(d1, d2, prec=None):
                     margin=float(margin),
                     doublings=attempt,
                 )
-        digits *= 2
     raise RoundingFailure(
-        f"gz_product({d1},{d2}) failed to round at {digits // 2} digits"
+        f"gz_product({d1},{d2}) failed to round at {digits} digits"
     )
 
 

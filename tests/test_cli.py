@@ -334,3 +334,12 @@ def test_gz_rejects_non_positive_prec(capsys, prec):
     assert code == 1
     assert out == ""
     assert "prec" in err and "Traceback" not in err
+
+
+def test_gz_refuses_size_bound_beyond_max_prec(capsys):
+    # h(2000003) = 357: the a-priori bound asks for 693530 digits
+    code, out, err = _run(capsys, "gz", "--d1", "3", "--d2", "2000003")
+    assert code == 1
+    assert out == ""
+    assert "d1=3, d2=2000003 need 693530 digits" in err
+    assert "Traceback" not in err

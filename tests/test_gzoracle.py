@@ -7,9 +7,11 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from borcherds_cm import gzoracle
+from borcherds_cm.arith import factorize
 from borcherds_cm.forms import classical_qexp
 from borcherds_cm.gzoracle import (
     GZResult,
+    RoundingFailure,
     gz_product,
     gz_support_check,
     j_value,
@@ -88,6 +90,39 @@ def test_j_value_matches_kleinj(d, prec):
             value = j_value((a, b, c), d, prec)
             assert abs(value - reference) < tol, (a, b, c)
             assert abs(j_value((a, -b, c), d, prec) - mp.conj(value)) < tol
+
+
+def test_j_value_accuracy_ignores_caller_precision():
+    # at mpmath's default 15 digits, j_value must still return 60 digits
+    with mp.workdps(15):
+        value = j_value((1, 1, 6), 23, 60)
+    with mp.workdps(120):
+        reference = 1728 * mp.kleinj((-1 + mp.sqrt(-23)) / 2)
+        assert abs(value - reference) < mp.mpf(10) ** -55
+
+
+def _squarefree(n):
+    return all(e == 1 for _, e in factorize(n))
+
+
+@given(
+    d=st.integers(min_value=0, max_value=1249).map(lambda n: 4 * n + 3).filter(
+        _squarefree
+    ),
+    index=st.integers(min_value=0, max_value=100),
+    prec=st.integers(min_value=30, max_value=1000),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_j_value_matches_kleinj_random_forms(d, index, prec):
+    # d < 5000 reaches |j| near 10^95 at a = 1; the comparison runs 40
+    # digits beyond the size of j, or the subtraction itself shows an error
+    forms = reduced_forms(d)
+    a, b, c = forms[index % len(forms)]
+    size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
+    with mp.workdps(prec + 40 + size_digits):
+        reference = 1728 * mp.kleinj((-b + mp.sqrt(-d)) / (2 * a))
+        diff = abs(j_value((a, b, c), d, prec) - reference)
+        assert diff < mp.mpf(10) ** -(prec - 5), (a, b, c)
 
 
 @given(
@@ -217,6 +252,23 @@ def test_gz_counts_doublings(monkeypatch):
     assert base.doublings == 0
 
 
+@pytest.mark.parametrize(
+    "prec, ladder", [(None, [56, 112, 224, 448, 896]), (5000, [5000, 10000])]
+)
+def test_gz_doublings_stop_at_max_prec(monkeypatch, prec, ladder):
+    precs = []
+
+    def never_rounds(form, d, digits):
+        precs.append(digits)
+        return mp.mpc(0.5 if d == 3 else 0)
+
+    monkeypatch.setattr(gzoracle, "j_value", never_rounds)
+    with pytest.raises(RoundingFailure, match=f"at {ladder[-1]} digits"):
+        gz_product(3, 7, prec)
+    # one form for each of d = 3 and d = 7 per rung
+    assert precs == [p for p in ladder for _ in (3, 7)]
+
+
 def test_gz_evaluates_j_once_per_conjugate_pair(monkeypatch):
     calls = []
     exact_j = gzoracle.j_value
@@ -244,6 +296,15 @@ def test_gz_bounds_prec():
     # the library refuses what bcm gz refuses, before any j evaluation
     with pytest.raises(PrecisionError, match="prec=10001"):
         gz_product(3, 7, 10001)
+
+
+def test_gz_bounds_size_bound_digits(monkeypatch):
+    # h(10007) = 77 puts the a-priori bound above MAX_PREC
+    calls = []
+    monkeypatch.setattr(gzoracle, "j_value", lambda *args: calls.append(args))
+    with pytest.raises(PrecisionError, match="d1=3, d2=10007 need 11552 digits"):
+        gz_product(3, 10007)
+    assert calls == []
 
 
 def test_gz_support_check_pass():
