@@ -44,16 +44,6 @@ class KappaValue:
     def is_zero(self):
         return self.log_part.is_zero() and self.kzero_multiple == 0
 
-    def numeric(self, fld, prec=50):
-        """Evaluate numerically, substituting k0(0) for its symbol."""
-        from .quadfield import kappa_zero_constant
-
-        val = self.log_part.numeric(prec)
-        if self.kzero_multiple:
-            k0 = kappa_zero_constant(fld, prec)
-            val += k0 * self.kzero_multiple.numerator / self.kzero_multiple.denominator
-        return val
-
     def render(self):
         parts = []
         if self.log_part:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from borcherds_cm.cli import main
@@ -82,6 +84,29 @@ def test_qexp(capsys):
     data = _parse(out)
     assert data["leading"] == "1"
     assert data["coeffs"] == "1,-24,252"
+
+
+def test_qexp_series_ends_at_last_term(capsys):
+    # every coefficient through q^N is printed, so no `...` follows
+    code, out, err = _run(capsys, "qexp", "j", "-N", "2")
+    assert code == 0
+    assert _parse(out)["series"] == "q^-1 + 744 + 196884*q + 21493760*q^2"
+
+
+# SHA-256 prefixes of the whole stdout of bcm qexp NAME -N 500
+QEXP_500_SHA256 = {
+    "delta": "015a9b298f38aefe",
+    "e4": "5fac14d998c0f2e3",
+    "e6": "93b9cccde8887e4c",
+    "j": "88a63f5d7c318e77",
+}
+
+
+@pytest.mark.parametrize("name", sorted(QEXP_500_SHA256))
+def test_qexp_pinned_at_cap(capsys, name):
+    code, out, err = _run(capsys, "qexp", name, "-N", "500")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == QEXP_500_SHA256[name]
 
 
 def test_qexp_caps_N_before_output(capsys):
@@ -276,6 +301,32 @@ def test_malformed_form_record(capsys, tmp_path, record):
     assert code == 1
     assert str(form) in err and repr(record) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("9 -1 1", "eta label 9 out of range"),
+        ("0 -1 1/2", "c_0(-1) = 1/2 must be an integer for m <= 0"),
+        ("1 -1 1", "c_1(-1) nonzero but -1 + Q(eta) = -2/7 is not an integer"),
+    ],
+)
+def test_invalid_form_record_names_file(capsys, tmp_path, record, message):
+    lat, _ = _write_desk_files(tmp_path)
+    form = tmp_path / "bad_form.txt"
+    form.write_text(f"d=7\n{record}\n")
+    code, out, err = _run(capsys, "form", "validate", str(form), "--lattice", lat)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {form}: {message}\n"
+
+
+@pytest.mark.parametrize("mu", ["7", "-1"])
+def test_unknown_dual_coset_label(capsys, mu):
+    # Q(sqrt(-7)) has the 7 dual cosets 0..6
+    code, out, err = _run(capsys, "kappa", "-d", "7", "--mu", mu, "-t", "1")
+    assert code == 1
+    assert err == f"error: no dual coset with label {mu}\n"
 
 
 def test_gz_negative_discriminant_message(capsys):

@@ -11,7 +11,6 @@ from borcherds_cm.forms import (
     classical_qexp,
     load_form,
     m_max,
-    save_form,
 )
 from borcherds_cm.lattice import PosLattice, SplitLattice, make_ideal_lattice
 from borcherds_cm.quadfield import make_field
@@ -29,8 +28,7 @@ def test_qexp_basic():
     assert f.coeff(2) == 3
     with pytest.raises(IndexError):
         f.coeff(3)
-    g = f.truncate(1)
-    assert g.coeffs == (1, 2)
+    assert QExpansion(-1, (1, 0, 5)).coeff(0) == 0
 
 
 def test_qexp_normalizes_leading_zeros():
@@ -54,21 +52,41 @@ def test_qexp_inverse_identity():
     assert all(c == 0 for c in one.coeffs[1:])
 
 
-coeff_lists = st.lists(
-    st.integers(min_value=-9, max_value=9), min_size=1, max_size=6
+def _convolve(a, b):
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+series = st.lists(
+    st.integers(min_value=-9, max_value=9), min_size=1, max_size=8
 ).filter(lambda xs: xs[0] != 0)
 
 
-@given(coeff_lists, coeff_lists)
-@settings(max_examples=100, deadline=None)
-def test_qexp_ring_laws(a, b):
-    fa = QExpansion(0, a)
-    fb = QExpansion(0, b)
-    assert fa * fb == fb * fa
-    assert (fa + fb) - fb == fa.truncate((fa + fb).order)
-    inv = fa.inverse()
-    prod = fa * inv
-    assert prod.coeff(0) == 1
+@given(st.integers(-3, 3), series, st.integers(-3, 3), series,
+       st.integers(1, 5))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_qexp_products_match_convolution(va, a, vb, b, e):
+    fa, fb = QExpansion(va, a), QExpansion(vb, b)
+    prod = fa * fb
+    assert (prod.leading, prod.coeffs) == (va + vb, tuple(_convolve(a, b)))
+    power = a
+    for _ in range(e - 1):
+        power = _convolve(power, a)
+    pw = fa**e
+    assert (pw.leading, pw.coeffs) == (e * va, tuple(power))
+    unit = QExpansion(va, [1 if a[0] > 0 else -1] + a[1:])
+    inv = unit.inverse()
+    assert inv.leading == -va and all(type(c) is int for c in inv.coeffs)
+    one = _convolve(list(unit.coeffs), list(inv.coeffs))
+    assert one == [1] + [0] * (len(a) - 1)
+
+
+def test_qexp_inverse_needs_unit_first_coefficient():
+    for coeffs in [(2, 1), (-3, 0, 1)]:
+        with pytest.raises(ValueError, match="first coefficient"):
+            QExpansion(1, coeffs).inverse()
+    inv = QExpansion(1, (-1, 2)).inverse()
+    assert (inv.leading, inv.coeffs) == (-1, (-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +125,9 @@ def test_j_integrality_to_200():
     assert j.coeff(-1) == 1
     assert j.coeff(0) == 744
     assert j.coeff(1) == 196884
+    assert len(j.coeffs) == 202
     for n in range(-1, 201):
-        assert j.coeff(n).denominator == 1
+        assert type(j.coeff(n)) is int
 
 
 def test_classical_qexp_errors():
@@ -132,20 +151,9 @@ def _desk_lattice():
 def test_fourier_form_basic():
     fld, sl = _desk_lattice()
     form = FourierForm(sl, {(0, Fraction(-1)): 1, (0, Fraction(0)): 3})
-    assert form.c(0, -1) == 1
-    assert form.c(0, 5) == 0
+    assert form.coeffs == {(0, Fraction(-1)): 1, (0, Fraction(0)): 3}
     assert form.principal_support == [(0, Fraction(-1))]
     assert m_max(form) == 1
-    assert form.labels() == [0]
-
-
-def test_fourier_form_scaling_and_sum():
-    fld, sl = _desk_lattice()
-    a = FourierForm(sl, {(0, Fraction(-1)): 1})
-    b = a.scaled(2)
-    assert b.c(0, -1) == 2
-    c = a.plus(b)
-    assert c.c(0, -1) == 3
 
 
 def test_integrality_violation():
@@ -178,13 +186,12 @@ def test_m_max_holomorphic():
 
 def test_save_load_round_trip(tmp_path):
     fld, sl = _desk_lattice()
-    form = FourierForm(
-        sl, {(0, Fraction(-2)): 3, (1, Fraction(2, 7)): Fraction(1, 2)}
-    )
     path = tmp_path / "form.txt"
-    save_form(form, path, d=7)
+    path.write_text("d=7\n0 -2/1 3/1  # principal part\n\n1 2/7 1/2\n")
     loaded = load_form(path, sl)
-    assert loaded.coeffs == form.coeffs
+    assert loaded.coeffs == {
+        (0, Fraction(-2)): 3, (1, Fraction(2, 7)): Fraction(1, 2)
+    }
 
 
 def test_load_form_errors(tmp_path):
