@@ -9,6 +9,7 @@ or a Fraction and strip p from them in integers; they build no Fractions.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -370,8 +371,19 @@ class FactoredLog:
         with mp.workdps(prec + 10):
             total = mp.mpf(0)
             for p, e in self._terms.items():
-                total += mp.mpf(e.numerator) / e.denominator * mp.log(p)
+                log_p = _log_prime(p, mp.prec)
+                total += mp.mpf(e.numerator) / e.denominator * log_p
             return +total
+
+
+@functools.cache
+def _log_prime(p, bits):
+    """log(p) as an mpmath real at `bits` bits of working precision.
+    Computed once per (p, bits); the mpf result is immutable."""
+    from mpmath import mp
+
+    with mp.workprec(bits):
+        return mp.log(p)
 
 
 ZERO_LOG = FactoredLog()

@@ -7,9 +7,13 @@ multiple of the constant k0(0)); the transcendental part exponentiates
 k0(0) and is evaluated numerically only on request.
 
 Each SplitLattice keeps its table of kappa_eta(m) values, keyed by
-(field, eta label, m), so the reports of many forms on one lattice, and
-log_psi_product and phi_average on one form, share the double sum.
-quadfield.kappa_zero_constant keeps k0(0) per field and precision.
+(field, eta label, m), so the reports of many forms on one lattice share
+the double sum.  Each FourierForm keeps one inner sum per (lattice,
+field), before the vol_KT scaling, so log_psi_product and phi_average on
+one form compute it once whatever vol_KT they take.
+quadfield.kappa_zero_constant keeps k0(0) per field and precision, and
+FactoredLog.numeric takes log p from a table kept per prime and working
+precision.
 SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu,
 eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, built
 on the first request for that eta, so kappa_eta, c00_contraction and
@@ -29,7 +33,7 @@ from mpmath import mp
 from .arith import FactoredLog, flog_combine
 from .forms import m_max
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
-from .quadfield import INERT
+from .quadfield import INERT, kappa_zero_constant
 
 
 def _combine(pairs):
@@ -111,12 +115,19 @@ def _kappa_eta_sum(fld, sl, eta_label, m):
 
 def _inner_sum(form, sl, fld):
     """sum_eta sum_{m >= 0} c_eta(-m) kappa_eta(m) over the principal part
-    and constant terms of the form."""
-    return _combine(
-        (c, kappa_eta(fld, sl, label, -m1))
-        for (label, m1), c in form.coeffs.items()
-        if m1 <= 0
-    )
+    and constant terms of the form.
+
+    Each value is computed once per (lattice, field) and kept on the form,
+    unscaled, so log_psi_product and phi_average share it at any vol_KT."""
+    key = (sl, fld)
+    value = form._inner_sum.get(key)
+    if value is None:
+        value = form._inner_sum[key] = _combine(
+            (c, kappa_eta(fld, sl, label, -m1))
+            for (label, m1), c in form.coeffs.items()
+            if m1 <= 0
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -181,8 +192,6 @@ class CMValueReport:
 
     def numeric(self, fld, prec=64):
         """sum_z log ||Psi(z)||^2 at prec digits."""
-        from .quadfield import kappa_zero_constant
-
         with mp.workdps(prec + 20):
             val = self.rational_part.numeric(prec)
             if self.kzero_coeff:

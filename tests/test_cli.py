@@ -277,6 +277,33 @@ def test_large_inert_prime_ideal_rejected(capsys):
     assert "1000000000039 is inert" in err and "Traceback" not in err
 
 
+def test_cmsum_refuses_dual_group_above_cap(capsys, tmp_path):
+    # |L^v/L| = 7 * 2000000, refused before its cosets are listed
+    lat = tmp_path / "lat.txt"
+    lat.write_text("d=7\nrank=1\ngram=2000000\n")
+    form = tmp_path / "form.txt"
+    form.write_text("0 -1 1\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(form),
+                          "--lattice", str(lat))
+    assert code == 1
+    assert out == ""
+    assert err == "error: L^v/L has order 14000000, above the cap of 100000\n"
+
+
+def test_kappa_refuses_ideal_dual_group_above_cap(capsys):
+    code, out, err = _run(capsys, "kappa", "-d", "100003", "-t", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: L^v/L has order 100003, above the cap of 100000\n"
+
+
+def test_field_refuses_d_above_cap(capsys):
+    code, out, err = _run(capsys, "field", "-d", "100000000003")
+    assert code == 1
+    assert out == ""
+    assert err == "error: d=100000000003 is above the cap of 10000000\n"
+
+
 @pytest.mark.parametrize(
     "spec, message",
     [

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 import borcherds_cm
-from borcherds_cm import cmvalue
+from borcherds_cm import arith, cmvalue
 from borcherds_cm.arith import FactoredLog
 from borcherds_cm.cmvalue import (
     c00_contraction,
@@ -213,20 +213,65 @@ def test_phi_average_reuses_the_inner_sum(monkeypatch):
     coeffs = {(0, Fraction(-2)): Fraction(1), (0, Fraction(0)): Fraction(2)}
     fld, sl, form = _instance(d=15, gram=((2,),), coeffs=coeffs)
     calls = []
+    eta_calls = []
 
     def counting_kappa_at(*args):
         calls.append(args)
         return kappa_at(*args)
 
+    def counting_kappa_eta(*args):
+        eta_calls.append(args)
+        return kappa_eta(*args)
+
     monkeypatch.setattr(cmvalue, "kappa_at", counting_kappa_at)
+    monkeypatch.setattr(cmvalue, "kappa_eta", counting_kappa_eta)
     report = log_psi_product(form, sl, fld)
-    assert calls
+    assert calls and eta_calls
     calls.clear()
+    eta_calls.clear()
     phi = phi_average(form, sl, fld)
     assert not calls
+    assert not eta_calls
     cold_fld, cold_sl, cold_form = _instance(d=15, gram=((2,),), coeffs=coeffs)
     assert phi == phi_average(cold_form, cold_sl, cold_fld)
     assert report == log_psi_product(cold_form, cold_sl, cold_fld)
+
+
+def test_inner_sum_kept_per_lattice_and_any_vol_kt():
+    """One form on two lattices it is valid on, each at two vol_KT values,
+    gives what a fresh form gives every time."""
+    coeffs = {(0, Fraction(-1)): Fraction(1), (0, Fraction(0)): Fraction(2)}
+    fld = make_field(7)
+    unit = make_ideal_lattice(fld, "unit")
+    lattices = [SplitLattice(PosLattice(gram), unit) for gram in ((), ((2,),))]
+    form = FourierForm(lattices[0], coeffs)
+    inners = []
+    for sl in lattices:
+        for vol_kt in (None, Fraction(2, 3)):
+            report = log_psi_product(form, sl, fld, vol_kt)
+            phi = phi_average(form, sl, fld, vol_kt)
+            assert report == log_psi_product(FourierForm(sl, coeffs), sl, fld, vol_kt)
+            assert phi == phi_average(FourierForm(sl, coeffs), sl, fld, vol_kt)
+        inners.append(phi.inner)
+    # the lattices give different sums, so a value kept for one cannot
+    # stand in for the other
+    assert inners[0] != inners[1]
+
+
+def test_numeric_log_cache_matches_a_cold_cache():
+    """log p is kept per working precision: a value at 200 digits after one
+    at 40 equals the value from an empty cache, digit for digit."""
+    coeffs = {(0, Fraction(-2)): Fraction(1), (0, Fraction(0)): Fraction(2)}
+    fld, sl, form = _instance(d=15, gram=((2,),), coeffs=coeffs)
+    report = log_psi_product(form, sl, fld)
+    assert len(report.rational_part.primes()) > 1 and report.kzero_coeff
+    arith._log_prime.cache_clear()
+    warm = [report.numeric(fld, prec) for prec in (40, 200)]
+    cold = []
+    for prec in (40, 200):
+        arith._log_prime.cache_clear()
+        cold.append(report.numeric(fld, prec))
+    assert warm == cold
 
 
 def _glued_15():

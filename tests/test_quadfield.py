@@ -5,6 +5,7 @@ from mpmath import mp
 
 from borcherds_cm.quadfield import (
     INERT,
+    MAX_D,
     L_at_one,
     L_at_zero,
     RAMIFIED,
@@ -24,6 +25,17 @@ def test_reduced_forms_examples():
     assert reduced_forms(3) == [(1, 1, 1)]
     assert len(reduced_forms(23)) == 3
     assert reduced_forms(15) == [(1, 1, 4), (2, 1, 2)]
+
+
+def test_discriminant_cap():
+    # h(2000003) = 357, which the Gross-Zagier size bound reads
+    assert len(reduced_forms(2000003)) == 357
+    for fn in (reduced_forms, make_field):
+        with pytest.raises(
+            UnsupportedDiscriminantError,
+            match=f"d=100000000003 is above the cap of {MAX_D}",
+        ):
+            fn(100000000003)
 
 
 def test_reduced_forms_rejects_bad_discriminants():
