@@ -5,6 +5,9 @@ the FactoredLog value type: a finite rational-coefficient combination
 sum_p e_p * log(p) over distinct primes, with exact (decidable) equality.
 Valuations and Hilbert symbols read the numerator and denominator of an int
 or a Fraction and strip p from them in integers; they build no Fractions.
+A FactoredLog keeps integer numerators over one denominator, in lowest
+terms, so its sums and scalings are integer work as well; Fraction
+exponents are made only when read.
 """
 
 from __future__ import annotations
@@ -20,8 +23,14 @@ class UndefinedValuationError(ValueError):
     """Raised when the valuation of zero is requested."""
 
 
+# Miller-Rabin to the twelve prime bases up to 37 is a proof of primality
+# below this bound (Sorenson and Webster, 2015).
+PRIME_PROOF_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Deterministic Miller-Rabin for 64-bit-scale inputs."""
+    """Miller-Rabin to the prime bases up to 37, deterministic for
+    n < PRIME_PROOF_BOUND."""
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -68,7 +77,9 @@ def factorize(n):
 
     Trial division up to 10^6; a composite cofactor left after it has all
     its prime factors above 10^6, so it exceeds 10^12, and Pollard rho
-    splits it.
+    splits it.  Rho has no useful time bound on large cofactors, so a
+    composite cofactor above PRIME_PROOF_BOUND raises a ValueError that
+    names it; below the bound every factor is proven prime.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -94,6 +105,12 @@ def factorize(n):
             m = stack.pop()
             if is_prime(m):
                 factors[m] = factors.get(m, 0) + 1
+            elif m > PRIME_PROOF_BOUND:
+                raise ValueError(
+                    f"cannot factor: the cofactor {m} left after trial "
+                    f"division is composite and above the cap of "
+                    f"{PRIME_PROOF_BOUND}"
+                )
             else:
                 d = _pollard_rho(m)
                 stack.extend((d, m // d))
@@ -234,15 +251,22 @@ def hilbert_symbol(a, b, p):
 
 
 class FactoredLog:
-    """An exact finite sum  sum_p e_p * log(p)  with rational exponents e_p.
+    """An exact finite sum  sum_p e_p * log(p)  with rational exponents e_p
+    over distinct primes p.
 
-    Values are immutable; addition, rational scaling, and equality are exact.
+    The exponents are integer numerators n_p over one denominator den > 0,
+    e_p = n_p / den, in lowest terms: no n_p is zero, den is prime to the
+    gcd of the n_p, and den = 1 for the empty sum.  Equal values thus have
+    equal numerators and denominators, so equality and hashing read
+    integers.  Addition and rational scaling are integer work with one lcm
+    and one gcd; Fraction exponents are made only when read.  Values are
+    immutable.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms=None):
-        clean = {}
+        exps = {}
         if terms:
             for p, e in dict(terms).items():
                 e = Fraction(e)
@@ -251,79 +275,93 @@ class FactoredLog:
                 p = int(p)
                 if p < 2 or not is_prime(p):
                     raise ValueError(f"FactoredLog key {p} is not prime")
-                clean[p] = e
-        self._terms = clean
+                exps[p] = e
+        # each e is in lowest terms, so over the lcm of their denominators
+        # the numerators already have no common factor with it
+        den = math.lcm(*(e.denominator for e in exps.values()))
+        self._num = {
+            p: e.numerator * (den // e.denominator) for p, e in exps.items()
+        }
+        self._den = den
+
+    @classmethod
+    def _of(cls, num, den):
+        """A FactoredLog on integer numerators {p: n} over den > 0 whose keys
+        are already known primes (those of existing values, or of
+        factorize); zero numerators are dropped and the fraction is brought
+        to lowest terms, nothing else is validated."""
+        num = {p: n for p, n in num.items() if n}
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {p: n // g for p, n in num.items()}
+        flog = object.__new__(cls)
+        flog._num = num
+        flog._den = den
+        return flog
+
+    def _exponents(self):
+        """(p, a, b) with e_p = a/b in lowest terms, b > 0, in term order."""
+        den = self._den
+        for p, n in self._num.items():
+            g = math.gcd(n, den)
+            yield p, n // g, den // g
 
     @property
     def terms(self):
-        return dict(self._terms)
+        return {p: Fraction(n, self._den) for p, n in self._num.items()}
 
     def primes(self):
-        return sorted(self._terms)
+        return sorted(self._num)
 
     def __getitem__(self, p):
-        return self._terms.get(p, Fraction(0))
+        return Fraction(self._num.get(p, 0), self._den)
 
     def is_zero(self):
-        return not self._terms
+        return not self._num
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     def __eq__(self, other):
         if not isinstance(other, FactoredLog):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    @classmethod
-    def _of(cls, terms):
-        """A FactoredLog on a prime -> Fraction dict whose keys are already
-        checked primes (those of existing values); zero exponents are
-        dropped, nothing else is validated."""
-        flog = object.__new__(cls)
-        flog._terms = {p: e for p, e in terms.items() if e}
-        return flog
+        return hash((frozenset(self._num.items()), self._den))
 
     def __add__(self, other):
         if not isinstance(other, FactoredLog):
             return NotImplemented
-        terms = dict(self._terms)
-        for p, e in other._terms.items():
-            terms[p] = terms.get(p, 0) + e
-        return FactoredLog._of(terms)
+        return flog_combine(((1, self), (1, other)))
 
     def __sub__(self, other):
         if not isinstance(other, FactoredLog):
             return NotImplemented
-        terms = dict(self._terms)
-        for p, e in other._terms.items():
-            terms[p] = terms.get(p, 0) - e
-        return FactoredLog._of(terms)
+        return flog_combine(((1, self), (-1, other)))
 
     def __neg__(self):
-        return FactoredLog._of({p: -e for p, e in self._terms.items()})
+        return self * -1
 
     def __mul__(self, c):
-        c = Fraction(c)
-        return FactoredLog._of({p: c * e for p, e in self._terms.items()})
+        a, b = _ratio(c)
+        num = {p: a * n for p, n in self._num.items()}
+        return FactoredLog._of(num, b * self._den)
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        return f"FactoredLog({self._terms!r})"
+        return f"FactoredLog({self.terms!r})"
 
     def serialize(self):
         """Canonical text form: "p^(a/b)" terms joined by "*"; "1" if empty."""
-        if not self._terms:
+        if not self._num:
             return "1"
-        parts = []
-        for p in sorted(self._terms):
-            e = self._terms[p]
-            parts.append(f"{p}^({e.numerator}/{e.denominator})")
-        return "*".join(parts)
+        return "*".join(
+            f"{p}^({a}/{b})" for p, a, b in sorted(self._exponents())
+        )
 
     @classmethod
     def deserialize(cls, text):
@@ -341,12 +379,14 @@ class FactoredLog:
 
     def log_string(self):
         """Human-readable form like "-2*log(7) + 1/2*log(3)"; "0" if empty."""
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for p in sorted(self._terms):
-            e = self._terms[p]
-            term = f"log({p})" if e == 1 else f"{e}*log({p})"
+        for p, a, b in sorted(self._exponents()):
+            if a == b:
+                term = f"log({p})"
+            else:
+                term = f"{a}*log({p})" if b == 1 else f"{a}/{b}*log({p})"
             if not parts:
                 parts.append(term)
             elif term.startswith("-"):
@@ -357,11 +397,11 @@ class FactoredLog:
 
     def exp_rational(self):
         """exp(self) as an exact Fraction; requires all integer exponents."""
+        if self._den != 1:
+            raise ValueError("non-integer exponent; value is irrational")
         num = Fraction(1)
-        for p, e in self._terms.items():
-            if e.denominator != 1:
-                raise ValueError("non-integer exponent; value is irrational")
-            num *= Fraction(p) ** e.numerator
+        for p, n in self._num.items():
+            num *= Fraction(p) ** n
         return num
 
     def numeric(self, prec=50):
@@ -370,9 +410,9 @@ class FactoredLog:
 
         with mp.workdps(prec + 10):
             total = mp.mpf(0)
-            for p, e in self._terms.items():
+            for p, a, b in self._exponents():
                 log_p = _log_prime(p, mp.prec)
-                total += mp.mpf(e.numerator) / e.denominator * log_p
+                total += mp.mpf(a) / b * log_p
             return +total
 
 
@@ -390,11 +430,19 @@ ZERO_LOG = FactoredLog()
 
 
 def flog_combine(pairs):
-    """Exact linear combination sum_i c_i * F_i of FactoredLog values,
-    summed in one pass into one prime -> exponent dict."""
-    terms = {}
+    """Exact linear combination sum_i c_i * F_i of FactoredLog values, in
+    integers: each term goes over the lcm of the denominators of c_i * F_i,
+    numerators are summed into one prime -> numerator dict, and one gcd
+    brings the result to lowest terms."""
+    scaled = []
     for c, flog in pairs:
-        c = Fraction(c)
-        for p, e in flog._terms.items():
-            terms[p] = terms.get(p, 0) + c * e
-    return FactoredLog._of(terms)
+        if flog._num:
+            a, b = _ratio(c)
+            scaled.append((a, b * flog._den, flog._num))
+    den = math.lcm(*(b for _, b, _ in scaled))
+    num = {}
+    for a, b, terms in scaled:
+        k = a * (den // b)
+        for p, n in terms.items():
+            num[p] = num.get(p, 0) + k * n
+    return FactoredLog._of(num, den)

@@ -8,22 +8,27 @@ k0(0) and is evaluated numerically only on request.
 
 Each SplitLattice keeps its table of kappa_eta(m) values, keyed by
 (field, eta label, m), so the reports of many forms on one lattice share
-the double sum.  Each FourierForm keeps one inner sum per (lattice,
-field), before the vol_KT scaling, so log_psi_product and phi_average on
-one form compute it once whatever vol_KT they take.
+the double sum.  Each entry also keeps n0, the number of vectors x with
+Q(x) = m over the pairs whose mu is zero, which the double sum walks
+anyway; c00_contraction sums c_eta(-m) * n0 from these entries.
+Each FourierForm keeps one inner sum per (lattice, field), before the
+vol_KT scaling, so log_psi_product and phi_average on one form compute it
+once whatever vol_KT they take.
 quadfield.kappa_zero_constant keeps k0(0) per field and precision, and
 FactoredLog.numeric takes log p from a table kept per prime and working
 precision.
 SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu,
 eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, built
-on the first request for that eta, so kappa_eta, c00_contraction and
-contraction_coeffs find each coset once.
+on the first request for that eta, so kappa_eta and contraction_coeffs
+find each coset once.
 Every exact sum (kappa_eta(m) and the inner sum) is added up in one pass
-into one prime -> exponent dict and one k0(0) multiple.
+into one prime -> numerator dict over one denominator and one k0(0)
+multiple.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,11 +43,14 @@ from .quadfield import INERT, kappa_zero_constant
 
 def _combine(pairs):
     """sum_i c_i * v_i over (c_i, KappaValue v_i), in one pass: one
-    prime -> exponent dict and one k0(0) multiple."""
+    FactoredLog sum and one k0(0) multiple over the nonzero multiples."""
     pairs = list(pairs)
     return KappaValue(
         flog_combine((c, v.log_part) for c, v in pairs),
-        sum((c * v.kzero_multiple for c, v in pairs), Fraction(0)),
+        sum(
+            (c * v.kzero_multiple for c, v in pairs if v.kzero_multiple),
+            Fraction(0),
+        ),
     )
 
 
@@ -77,15 +85,18 @@ def contraction_coeffs(form, sl, m_values):
 
 def c00_contraction(form, sl):
     """The zeroth coefficient of <F, theta_+>:
-    sum_eta sum_{lambda : eta_- + lambda_- = 0} C_{eta, lambda_+}(0)."""
-    total = Fraction(0)
-    for (label, m1), c in form.coeffs.items():
-        if m1 > 0:
-            continue
-        for _, mu, coset in sl.eta_pairs(label):
-            if mu.is_zero:
-                total += c * sl.plus.count_vectors(coset, -m1)
-    return total
+    sum_eta sum_{lambda : eta_- + lambda_- = 0} C_{eta, lambda_+}(0),
+    that is sum_eta sum_{m >= 0} c_eta(-m) n0 with n0 from the kappa_eta
+    entry of (eta, m) over the lattice's own field."""
+    fld = sl.minus.field
+    return sum(
+        (
+            c * _kappa_eta_entry(fld, sl, label, -m1)[1]
+            for (label, m1), c in form.coeffs.items()
+            if m1 <= 0
+        ),
+        Fraction(0),
+    )
 
 
 def kappa_eta(fld, sl, eta_label, m):
@@ -95,22 +106,35 @@ def kappa_eta(fld, sl, eta_label, m):
 
     Each value is computed once per lattice and kept in its table; a
     KappaValue is immutable, so callers may share it."""
+    return _kappa_eta_entry(fld, sl, eta_label, m)[0]
+
+
+def _kappa_eta_entry(fld, sl, eta_label, m):
+    """The table entry (kappa_eta(m), n0) of (fld, eta_label, m), with n0 =
+    #{x in eta_+ + lambda_+ + L_+ : Q(x) = m} summed over the lambda with
+    mu = eta_- + lambda_- zero; computed on first request."""
     m = Fraction(m)
     if m < 0:
-        return KAPPA_ZERO
+        return KAPPA_ZERO, 0
     key = (fld, eta_label, m)
-    value = sl._kappa_eta.get(key)
-    if value is None:
-        value = sl._kappa_eta[key] = _kappa_eta_sum(fld, sl, eta_label, m)
-    return value
+    entry = sl._kappa_eta.get(key)
+    if entry is None:
+        entry = sl._kappa_eta[key] = _kappa_eta_sum(fld, sl, eta_label, m)
+    return entry
 
 
 def _kappa_eta_sum(fld, sl, eta_label, m):
-    return _combine(
-        (count, kappa_at(fld, sl.minus, mu, m - qx))
-        for _, mu, coset in sl.eta_pairs(eta_label)
-        for qx, count in sl.plus.vector_norms_up_to(coset, m).items()
-    )
+    pairs = []
+    n0 = 0
+    for _, mu, coset in sl.eta_pairs(eta_label):
+        norms = sl.plus.vector_norms_up_to(coset, m)
+        pairs.extend(
+            (count, kappa_at(fld, sl.minus, mu, m - qx))
+            for qx, count in norms.items()
+        )
+        if mu.is_zero:
+            n0 += norms.get(m, 0)
+    return _combine(pairs), n0
 
 
 def _inner_sum(form, sl, fld):
@@ -140,13 +164,17 @@ class PhiAverage:
     vol_kt: Fraction
 
 
+@functools.cache
 def default_vol_kt(fld):
+    """2 / h, made once per field."""
     return Fraction(2, fld.h)
 
 
 def _checked_vol_kt(fld, vol_kt):
     """vol_kt as a positive Fraction; default_vol_kt(fld) when None."""
-    vol_kt = default_vol_kt(fld) if vol_kt is None else Fraction(vol_kt)
+    if vol_kt is None:
+        return default_vol_kt(fld)
+    vol_kt = Fraction(vol_kt)
     if vol_kt <= 0:
         raise ValueError("vol_KT must be positive")
     return vol_kt
@@ -158,7 +186,7 @@ def phi_average(form, sl, fld, vol_kt=None):
     return PhiAverage(
         inner=inner,
         value=2 * inner,
-        cycle_sum=Fraction(4) / vol_kt * inner,
+        cycle_sum=4 / vol_kt * inner,
         vol_kt=vol_kt,
     )
 
@@ -209,7 +237,7 @@ def log_psi_product(form, sl, fld, vol_kt=None):
     sum_eta sum_{m>=0} c_eta(-m) kappa_eta(m)."""
     vol_kt = _checked_vol_kt(fld, vol_kt)
     inner = _inner_sum(form, sl, fld)
-    scaled = Fraction(-2) / vol_kt * inner
+    scaled = -2 / vol_kt * inner
     return CMValueReport(
         rational_part=scaled.log_part,
         kzero_coeff=scaled.kzero_multiple,

@@ -33,8 +33,10 @@ class KappaValue:
         )
 
     def __mul__(self, c):
-        c = Fraction(c)
-        return KappaValue(c * self.log_part, c * self.kzero_multiple)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        k = self.kzero_multiple
+        return KappaValue(self.log_part * c, k * c if k else k)
 
     __rmul__ = __mul__
 
@@ -133,8 +135,9 @@ def kappa_positive(fld, lat, mu, t):
                 terms[p] = terms.get(p, 0) + e0 * (a + 1) * rho_rest
     if not terms:
         return KAPPA_ZERO
-    scale = Fraction(-1, fld.h)
-    return KappaValue(FactoredLog({p: scale * c for p, c in terms.items()}))
+    # the keys are primes of factorize(dt) or ramified primes
+    num = {p: -c for p, c in terms.items()}
+    return KappaValue(FactoredLog._of(num, fld.h))
 
 
 def kappa_at(fld, lat, mu, m):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from borcherds_cm.arith import (
     FactoredLog,
     INFINITE_PLACE,
+    PRIME_PROOF_BOUND,
     UndefinedValuationError,
     ZERO_LOG,
     factorize,
@@ -65,6 +66,22 @@ def test_factorize_above_trial_bound():
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert factorize(p * p) == [(p, 2)]
     assert factorize(8 * p * q * r) == [(2, 3), (p, 1), (q, 1), (r, 1)]
+
+
+def test_factorize_refuses_a_composite_cofactor_above_the_cap():
+    # (10^15 + 37)(3 * 10^15 + 37) is past the bound where the twelve
+    # Miller-Rabin bases are a proof, and rho would run without end
+    cofactor = (10**15 + 37) * (3 * 10**15 + 37)
+    assert cofactor == 3000000000000148000000000001369
+    assert cofactor > PRIME_PROOF_BOUND == 3317044064679887385961981
+    message = (
+        f"cannot factor: the cofactor {cofactor} left after trial division "
+        f"is composite and above the cap of {PRIME_PROOF_BOUND}"
+    )
+    for n in (cofactor, 8 * 7**3 * cofactor):
+        with pytest.raises(ValueError) as exc:
+            factorize(n)
+        assert str(exc.value) == message
 
 
 def test_factorize_rejects_nonpositive():
@@ -261,6 +278,64 @@ def test_factored_log_arithmetic_matches_the_public_constructor(a, b):
         assert all(e != 0 for e in got.terms.values())
     with pytest.raises(ValueError):
         FactoredLog({4: 1})
+
+
+def _reference(*pairs):
+    """sum_i c_i * terms_i as a prime -> nonzero Fraction dict."""
+    total = {}
+    for c, terms in pairs:
+        for p, e in terms.items():
+            total[p] = total.get(p, 0) + Fraction(c) * Fraction(e)
+    return {p: e for p, e in total.items() if e}
+
+
+def _assert_canonical(flog, terms):
+    """flog holds exactly terms, as integer numerators over one denominator
+    in lowest terms."""
+    den, num = flog._den, flog._num
+    assert type(den) is int and den >= 1
+    assert all(type(n) is int and n != 0 for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert flog.terms == terms
+
+
+@given(
+    flog_terms,
+    flog_terms,
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_factored_log_integer_arithmetic_matches_fractions(a, b, k, c):
+    fa, fb = FactoredLog(a), FactoredLog(b)
+    cases = [
+        (fa, _reference((1, a))),
+        (fa + fb, _reference((1, a), (1, b))),
+        (fa - fb, _reference((1, a), (-1, b))),
+        (-fa, _reference((-1, a))),
+        (k * fa, _reference((k, a))),
+        (fa * c, _reference((c, a))),
+        (
+            flog_combine([(k, fa), (c, fb), (0, fa)]),
+            _reference((k, a), (c, b)),
+        ),
+    ]
+    for got, terms in cases:
+        _assert_canonical(got, terms)
+        if not terms:
+            assert got._den == 1 and got == ZERO_LOG
+    # one value by four routes: the same integers, hash and text
+    s = fa + fb
+    routes = [
+        FactoredLog(_reference((1, a), (1, b))),
+        flog_combine([(1, fb), (1, fa)]),
+        FactoredLog.deserialize(s.serialize()),
+        (2 * fa + 2 * fb) * Fraction(1, 2),
+    ]
+    for other in routes:
+        assert other == s
+        assert hash(other) == hash(s)
+        assert other.serialize() == s.serialize()
 
 
 @given(flog_terms)

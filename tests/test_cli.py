@@ -297,6 +297,17 @@ def test_kappa_refuses_ideal_dual_group_above_cap(capsys):
     assert err == "error: L^v/L has order 100003, above the cap of 100000\n"
 
 
+def test_kappa_refuses_a_composite_cofactor_above_the_cap(capsys):
+    t = "3000000000000148000000000001369"  # (10^15 + 37)(3 * 10^15 + 37)
+    code, out, err = _run(capsys, "kappa", "-d", "7", "-t", t)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: cannot factor: the cofactor {t} left after trial division "
+        "is composite and above the cap of 3317044064679887385961981\n"
+    )
+
+
 def test_field_refuses_d_above_cap(capsys):
     code, out, err = _run(capsys, "field", "-d", "100000000003")
     assert code == 1

@@ -235,6 +235,19 @@ def test_phi_average_reuses_the_inner_sum(monkeypatch):
     cold_fld, cold_sl, cold_form = _instance(d=15, gram=((2,),), coeffs=coeffs)
     assert phi == phi_average(cold_form, cold_sl, cold_fld)
     assert report == log_psi_product(cold_form, cold_sl, cold_fld)
+    # c00 reads n0 from the kappa_eta entries log_psi_product made
+    norm_calls = []
+    vector_norms_up_to = PosLattice.vector_norms_up_to
+
+    def counting_norms(*args):
+        norm_calls.append(args)
+        return vector_norms_up_to(*args)
+
+    monkeypatch.setattr(PosLattice, "vector_norms_up_to", counting_norms)
+    calls.clear()
+    eta_calls.clear()
+    assert c00_contraction(form, sl) == report.c00
+    assert not calls and not eta_calls and not norm_calls
 
 
 def test_inner_sum_kept_per_lattice_and_any_vol_kt():
@@ -355,3 +368,33 @@ def test_eta_pair_table_on_glued_lattices(d, gram, row0):
                     plus = tuple(a + b for a, b in zip(eta.plus, lam.plus))
                     brute += c * sl.plus.count_vectors(plus, -m1)
         assert c00_contraction(FourierForm(sl, coeffs), sl) == brute
+
+
+@pytest.mark.parametrize("li", [0, 5, 13, 29, 37, 56])
+def test_c00_from_the_table_matches_a_fresh_lattice_and_the_count(li):
+    """c00_contraction on a fresh lattice, and after log_psi_product has
+    filled the kappa_eta table of another fresh copy, equals the count of
+    vectors by PosLattice.count_vectors."""
+    pool = _cm_report_pool()
+
+    def fresh():
+        fld, sl = pool[li]
+        return fld, SplitLattice(sl.plus, sl.minus, sl.basis)
+
+    for k in range(8):
+        coeffs = instance_coeffs(pool, li, k)
+        fld, sl = fresh()
+        brute = Fraction(0)
+        for (label, m1), c in coeffs.items():
+            eta = sl.etas[label]
+            for lam in sl.glue:
+                minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
+                if m1 <= 0 and all(x.denominator == 1 for x in minus):
+                    plus = tuple(a + b for a, b in zip(eta.plus, lam.plus))
+                    brute += c * sl.plus.count_vectors(plus, -m1)
+        cold = c00_contraction(FourierForm(sl, coeffs), sl)
+        fld, warm_sl = fresh()
+        form = FourierForm(warm_sl, coeffs)
+        report = log_psi_product(form, warm_sl, fld)
+        assert warm_sl._kappa_eta
+        assert cold == report.c00 == c00_contraction(form, warm_sl) == brute
