@@ -7,7 +7,9 @@ Valuations and Hilbert symbols read the numerator and denominator of an int
 or a Fraction and strip p from them in integers; they build no Fractions.
 A FactoredLog keeps integer numerators over one denominator, in lowest
 terms, so its sums and scalings are integer work as well; Fraction
-exponents are made only when read.
+exponents are made only when read.  Its numeric value is an integer sum
+of n_p * round(log(p) 2^w) over the denominator, rounded once to an
+mpmath real.
 """
 
 from __future__ import annotations
@@ -405,25 +407,59 @@ class FactoredLog:
         return num
 
     def numeric(self, prec=50):
-        """Evaluate as an mpmath real at prec decimal digits."""
-        from mpmath import mp
+        """The value as an mpmath real, rounded to dps_to_prec(prec + 10)
+        bits (prec + 10 digits); see fixed_point_value."""
+        from mpmath.libmp import dps_to_prec
 
-        with mp.workdps(prec + 10):
-            total = mp.mpf(0)
-            for p, a, b in self._exponents():
-                log_p = _log_prime(p, mp.prec)
-                total += mp.mpf(a) / b * log_p
-            return +total
+        return self.fixed_point_value(dps_to_prec(prec + 10))
+
+    def fixed_point_value(self, bits, c=0, x=None):
+        """self + c * x for a rational c and an mpmath real x (x is read only
+        when c is nonzero), as an mpmath real rounded once to `bits` bits.
+
+        The sum is integer work.  With e_p = n_p / den and c = a/b, b den 2^w
+        times the value is  N = b sum_p n_p L_p + a den X,  where
+        L_p = round(log(p) 2^w) is kept per (p, w) and X = floor(x 2^w).
+        Error budget, in units of 2^-w: each L_p and X is within one unit,
+        so N is within S = b sum_p |n_p| + |a| den units, and N / (b den 2^w)
+        is within S 2^-w <= 2^-(bits + _GUARD_BITS) of the value, as
+        w = bits + bitlength(S) + _GUARD_BITS.  Rounding N / (b den 2^w) to
+        `bits` bits adds at most |value| 2^-bits.  Any error of x itself
+        comes in times |c|.  The empty value with c = 0 is exactly 0.
+        """
+        # mpmath is imported on use: imported at the top of arith, the
+        # package's first module, it raises the peak RSS of a process that
+        # imports the package by about 1 MB
+        from mpmath import mp
+        from mpmath.libmp import from_rational, round_nearest, to_fixed
+
+        a, b = _ratio(c)
+        den = self._den
+        weight = b * sum(map(abs, self._num.values())) + abs(a) * den
+        w = bits + weight.bit_length() + _GUARD_BITS
+        total = b * sum(n * _log_fixed(p, w) for p, n in self._num.items())
+        if a:
+            total += a * den * int(to_fixed(x._mpf_, w))
+        return mp.make_mpf(
+            from_rational(total, (b * den) << w, bits, round_nearest)
+        )
+
+
+# bits that a fixed-point sum keeps below its output precision, beyond the
+# bit length of its error bound
+_GUARD_BITS = 8
 
 
 @functools.cache
-def _log_prime(p, bits):
-    """log(p) as an mpmath real at `bits` bits of working precision.
-    Computed once per (p, bits); the mpf result is immutable."""
-    from mpmath import mp
+def _log_fixed(p, w):
+    """round(log(p) 2^w), within 1/2 + 2^-9 of it: log p < bitlength(p) is
+    taken to w + 10 + bitlength(bitlength(p)) relative bits, so to within
+    2^-(w + 10) absolute, and floored at w + 1 bits.  Computed once per
+    (p, w)."""
+    from mpmath.libmp import from_int, mpf_log, to_fixed
 
-    with mp.workprec(bits):
-        return mp.log(p)
+    wp = w + 10 + p.bit_length().bit_length()
+    return (int(to_fixed(mpf_log(from_int(p), wp), w + 1)) + 1) >> 1
 
 
 ZERO_LOG = FactoredLog()

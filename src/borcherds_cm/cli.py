@@ -13,6 +13,8 @@ import os
 import sys
 from fractions import Fraction
 
+from mpmath import mp
+
 from .arith import factorize
 from .cmvalue import check_prime_support, log_psi_product, phi_average
 from .forms import classical_qexp, load_form, m_max
@@ -63,7 +65,7 @@ def cmd_field(args):
     print(f"ramified={','.join(str(q) for q in fld.ramified_primes)}")
     if args.prec:
         k0 = kappa_zero_constant(fld, args.prec)
-        print(f"k0={k0}")
+        print(f"k0={mp.nstr(k0, args.prec)}")
     return 0
 
 
@@ -130,7 +132,7 @@ def _report_lines(report, fld, form, prec):
     yield f"support_ok={int(ok)}"
     if violations:
         yield f"support_violations={','.join(map(str, violations))}"
-    yield f"numeric={report.numeric(fld, prec)}"
+    yield f"numeric={mp.nstr(report.numeric(fld, prec), prec)}"
 
 
 def cmd_cmsum(args):

@@ -6,17 +6,21 @@ All exact data flows through KappaValue (FactoredLog plus a rational
 multiple of the constant k0(0)); the transcendental part exponentiates
 k0(0) and is evaluated numerically only on request.
 
-Each SplitLattice keeps its table of kappa_eta(m) values, keyed by
-(field, eta label, m), so the reports of many forms on one lattice share
-the double sum.  Each entry also keeps n0, the number of vectors x with
-Q(x) = m over the pairs whose mu is zero, which the double sum walks
+Each SplitLattice keeps its table of kappa_eta(m) values per field, keyed
+within the field by the integer triple (eta label, num, den) with
+m = num/den in lowest terms, so the reports of many forms on one lattice
+share the double sum.  FourierForm.terms uses the same (label, num, den)
+keys, so _inner_sum and c00_contraction fetch the field's table once per
+call and then look up tuples of ints; a Fraction m is made only when an
+entry is computed.  Each entry also keeps n0, the number of vectors x
+with Q(x) = m over the pairs whose mu is zero, which the double sum walks
 anyway; c00_contraction sums c_eta(-m) * n0 from these entries.
 Each FourierForm keeps one inner sum per (lattice, field), before the
 vol_KT scaling, so log_psi_product and phi_average on one form compute it
 once whatever vol_KT they take.
 quadfield.kappa_zero_constant keeps k0(0) per field and precision, and
-FactoredLog.numeric takes log p from a table kept per prime and working
-precision.
+CMValueReport.numeric adds its multiple to the rational part in one
+fixed-point integer sum (FactoredLog.fixed_point_value), rounded once.
 SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu,
 eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, built
 on the first request for that eta, so kappa_eta and contraction_coeffs
@@ -34,8 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
-from .arith import FactoredLog, flog_combine
+from .arith import FactoredLog, _ratio, flog_combine
 from .forms import m_max
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
 from .quadfield import INERT, kappa_zero_constant
@@ -61,12 +66,11 @@ def contraction_coeffs(form, sl, m_values):
     Returns a dict (eta_label, lambda_index, m) -> rational.  The m1 sum
     runs over the finite support of c_eta; d counts vectors of norm m2 >= 0.
     """
+    coeffs = form.coeffs
     table = {}
     for eta in sl.etas:
         support = [
-            (m1, c)
-            for (label, m1), c in form.coeffs.items()
-            if label == eta.label
+            (m1, c) for (label, m1), c in coeffs.items() if label == eta.label
         ]
         if not support:
             continue
@@ -89,14 +93,12 @@ def c00_contraction(form, sl):
     that is sum_eta sum_{m >= 0} c_eta(-m) n0 with n0 from the kappa_eta
     entry of (eta, m) over the lattice's own field."""
     fld = sl.minus.field
-    return sum(
-        (
-            c * _kappa_eta_entry(fld, sl, label, -m1)[1]
-            for (label, m1), c in form.coeffs.items()
-            if m1 <= 0
-        ),
-        Fraction(0),
-    )
+    table = _field_table(sl, fld)
+    return Fraction(sum(
+        c * _kappa_eta_entry(table, fld, sl, (label, -num, den))[1]
+        for (label, num, den), c in form.terms.items()
+        if num <= 0
+    ))
 
 
 def kappa_eta(fld, sl, eta_label, m):
@@ -106,20 +108,31 @@ def kappa_eta(fld, sl, eta_label, m):
 
     Each value is computed once per lattice and kept in its table; a
     KappaValue is immutable, so callers may share it."""
-    return _kappa_eta_entry(fld, sl, eta_label, m)[0]
+    num, den = _ratio(m)
+    if num < 0:
+        return KAPPA_ZERO
+    key = (eta_label, num, den)
+    return _kappa_eta_entry(_field_table(sl, fld), fld, sl, key)[0]
 
 
-def _kappa_eta_entry(fld, sl, eta_label, m):
-    """The table entry (kappa_eta(m), n0) of (fld, eta_label, m), with n0 =
-    #{x in eta_+ + lambda_+ + L_+ : Q(x) = m} summed over the lambda with
-    mu = eta_- + lambda_- zero; computed on first request."""
-    m = Fraction(m)
-    if m < 0:
-        return KAPPA_ZERO, 0
-    key = (fld, eta_label, m)
-    entry = sl._kappa_eta.get(key)
+def _field_table(sl, fld):
+    """The lattice's kappa_eta table of one field: (eta label, num, den) ->
+    (kappa_eta(m), n0) with m = num/den >= 0 in lowest terms."""
+    table = sl._kappa_eta.get(fld)
+    if table is None:
+        table = sl._kappa_eta[fld] = {}
+    return table
+
+
+def _kappa_eta_entry(table, fld, sl, key):
+    """The entry (kappa_eta(m), n0) of key = (eta label, num, den) in the
+    field's table, with n0 = #{x in eta_+ + lambda_+ + L_+ : Q(x) = m}
+    summed over the lambda with mu = eta_- + lambda_- zero; computed on
+    first request."""
+    entry = table.get(key)
     if entry is None:
-        entry = sl._kappa_eta[key] = _kappa_eta_sum(fld, sl, eta_label, m)
+        label, num, den = key
+        entry = table[key] = _kappa_eta_sum(fld, sl, label, Fraction(num, den))
     return entry
 
 
@@ -146,10 +159,11 @@ def _inner_sum(form, sl, fld):
     key = (sl, fld)
     value = form._inner_sum.get(key)
     if value is None:
+        table = _field_table(sl, fld)
         value = form._inner_sum[key] = _combine(
-            (c, kappa_eta(fld, sl, label, -m1))
-            for (label, m1), c in form.coeffs.items()
-            if m1 <= 0
+            (c, _kappa_eta_entry(table, fld, sl, (label, -num, den))[0])
+            for (label, num, den), c in form.terms.items()
+            if num <= 0
         )
     return value
 
@@ -219,17 +233,14 @@ class CMValueReport:
         return self.rational_part.exp_rational()
 
     def numeric(self, fld, prec=64):
-        """sum_z log ||Psi(z)||^2 at prec digits."""
-        with mp.workdps(prec + 20):
-            val = self.rational_part.numeric(prec)
-            if self.kzero_coeff:
-                k0 = kappa_zero_constant(fld, prec)
-                val += (
-                    k0
-                    * self.kzero_coeff.numerator
-                    / self.kzero_coeff.denominator
-                )
-            return +val
+        """sum_z log ||Psi(z)||^2 at prec digits: rational_part plus
+        kzero_coeff times k0(0) at prec digits, summed in fixed-point
+        integers and rounded once to dps_to_prec(prec + 20) bits (see
+        FactoredLog.fixed_point_value for the error budget)."""
+        k0 = kappa_zero_constant(fld, prec) if self.kzero_coeff else None
+        return self.rational_part.fixed_point_value(
+            dps_to_prec(prec + 20), self.kzero_coeff, k0
+        )
 
 
 def log_psi_product(form, sl, fld, vol_kt=None):

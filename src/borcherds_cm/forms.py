@@ -8,13 +8,17 @@ builds them (products, powers, the inverse of a series with constant term
 c_eta(m) of a weakly holomorphic input form on a SplitLattice, whose etas
 give the labels and Q(eta) mod 1.  The table is validated against the
 coefficient-level constraints: integral principal part and the support
-congruence m + Q(eta) in Z.
+congruence m + Q(eta) in Z.  It keeps its terms under integer keys
+(label, num, den) with m = num/den, so validation and the lookups of
+cmvalue are integer work; the Fraction views are made only when read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+
+from .arith import _ratio
 
 
 class IntegralityViolation(ValueError):
@@ -169,47 +173,72 @@ def classical_qexp(name, N):
 class FourierForm:
     """The coefficient table of a weakly holomorphic input form.
 
-    coeffs maps (eta label, m) to a rational c_eta(m); entries absent from
-    the map are zero.  The SplitLattice's etas provide the labels and
-    Q(eta) mod 1.
+    The table is kept as integer terms {(label, num, den): c}, with m =
+    num/den in lowest terms and c an int when it is integral (a Fraction
+    otherwise); entries absent from it are zero.  The key does not depend
+    on the lattice, so one form serves every lattice it is valid on.  The
+    SplitLattice's etas provide the labels and Q(eta) mod 1: m and
+    q = Q(eta) mod 1 are both in lowest terms, so m + q is an integer
+    exactly when den == q.denominator and num + q.numerator is divisible
+    by den, an integer test.  `coeffs` and `principal_support` are the
+    Fraction views, made when read.
     """
 
     def __init__(self, lattice, coeffs):
         self.lattice = lattice
         etas = lattice.etas
-        clean = {}
+        terms = {}
         for (label, m), c in coeffs.items():
             label = int(label)
-            m = Fraction(m)
-            c = Fraction(c)
-            if c == 0:
+            num, den = _ratio(m)
+            cn, cd = _ratio(c)
+            if not cn:
                 continue
             if not 0 <= label < len(etas):
                 raise ValueError(f"eta label {label} out of range")
-            if m <= 0 and c.denominator != 1:
+            if num <= 0 and cd != 1:
                 raise IntegralityViolation(
-                    f"c_{label}({m}) = {c} must be an integer for m <= 0"
+                    f"c_{label}({Fraction(num, den)}) = {Fraction(cn, cd)} "
+                    "must be an integer for m <= 0"
                 )
             q = etas[label].q_mod_one
-            if (m + q).denominator != 1:
+            if den != q.denominator or (num + q.numerator) % den:
+                m = Fraction(num, den)
                 raise SupportCongruenceViolation(
                     f"c_{label}({m}) nonzero but {m} + Q(eta) = "
                     f"{m + q} is not an integer"
                 )
-            clean[(label, m)] = c
-        self.coeffs = clean
-        self.principal_support = sorted(
-            (label, m) for (label, m) in clean if m < 0
-        )
+            terms[(label, num, den)] = cn if cd == 1 else Fraction(cn, cd)
+        self.terms = terms
         # the inner sum per (lattice, field), filled by cmvalue._inner_sum
         self._inner_sum = {}
 
+    @property
+    def coeffs(self):
+        """{(eta label, m): c_eta(m)} with Fraction m and c."""
+        return {
+            (label, Fraction(num, den)): Fraction(c)
+            for (label, num, den), c in self.terms.items()
+        }
+
+    @property
+    def principal_support(self):
+        """The sorted (eta label, m) with m < 0 and c_eta(m) != 0."""
+        return sorted(
+            (label, Fraction(num, den))
+            for label, num, den in self.terms
+            if num < 0
+        )
+
 
 def m_max(form):
-    """max{m > 0 : c_eta(-m) != 0 for some eta}; 0 for a holomorphic form."""
-    if not form.principal_support:
-        return Fraction(0)
-    return max(-m for _, m in form.principal_support)
+    """max{m > 0 : c_eta(-m) != 0 for some eta}; 0 for a holomorphic form.
+    The terms are compared by cross-multiplying their integers."""
+    top, bottom = 0, 1
+    for _, num, den in form.terms:
+        if -num * bottom > top * den:
+            top, bottom = -num, den
+    return Fraction(top, bottom)
 
 
 def load_form(path, lattice):

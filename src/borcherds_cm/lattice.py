@@ -590,7 +590,8 @@ class SplitLattice:
                 _coset_walk(dual, D, self.gram_L, basis_num)
             )
         ]
-        # kappa_eta(m) per (field, eta label, m), filled by cmvalue.kappa_eta
+        # field -> {(eta label, num, den): (kappa_eta(m), n0)}, filled by
+        # cmvalue on first request
         self._kappa_eta = {}
         # eta label -> its eta_pairs list, filled on first request
         self._eta_pairs = {}

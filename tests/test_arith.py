@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 from borcherds_cm.arith import (
     FactoredLog,
@@ -19,6 +20,8 @@ from borcherds_cm.arith import (
     sqrt_mod,
     valuation,
 )
+from borcherds_cm.cmvalue import CMValueReport
+from borcherds_cm.quadfield import kappa_zero_constant, make_field
 
 
 def test_is_prime_small():
@@ -365,6 +368,65 @@ def test_numeric_matches_math_log():
     f = FactoredLog({2: 1, 7: Fraction(-1, 2)})
     expect = math.log(2) - math.log(7) / 2
     assert abs(float(f.numeric(30)) - expect) < 1e-12
+
+
+def _log_reference(terms, prec):
+    """sum_p e_p log(p), term by term in mpmath at prec + 30 digits."""
+    with mp.workdps(prec + 30):
+        return mp.fsum(
+            mp.mpf(e.numerator) / e.denominator * mp.log(p)
+            for p, e in terms.items()
+        )
+
+
+@given(flog_terms, st.sampled_from([30, 64, 200]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_fixed_point_numeric_matches_an_mpmath_sum(terms, prec):
+    got = FactoredLog(terms).numeric(prec)
+    with mp.workdps(prec + 30):
+        assert abs(got - _log_reference(terms, prec)) < mp.mpf(10) ** -(prec + 5)
+
+
+@given(
+    flog_terms,
+    st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(bool),
+    st.sampled_from([7, 15, 23]),
+    st.sampled_from([30, 64, 200]),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fixed_point_report_numeric_matches_an_mpmath_sum(terms, kzero, d, prec):
+    """The report adds kzero_coeff * k0(0) in the same integer sum."""
+    fld = make_field(d)
+    report = CMValueReport(
+        rational_part=FactoredLog(terms),
+        kzero_coeff=kzero,
+        c00=Fraction(0),
+        degree=2 * fld.h,
+        vol_kt=Fraction(2, fld.h),
+        d=d,
+    )
+    got = report.numeric(fld, prec)
+    with mp.workdps(prec + 30):
+        want = _log_reference(terms, prec) + (
+            mp.mpf(kzero.numerator) / kzero.denominator
+            * kappa_zero_constant(fld, prec + 30)
+        )
+        assert abs(got - want) < mp.mpf(10) ** -(prec + 5)
+
+
+def test_fixed_point_numeric_of_the_empty_value_is_zero():
+    fld = make_field(7)
+    report = CMValueReport(
+        rational_part=FactoredLog(),
+        kzero_coeff=Fraction(0),
+        c00=Fraction(0),
+        degree=2,
+        vol_kt=Fraction(2),
+        d=7,
+    )
+    for prec in (30, 64, 200):
+        for value in (ZERO_LOG.numeric(prec), report.numeric(fld, prec)):
+            assert isinstance(value, mp.mpf) and value == 0
 
 
 def test_flog_combine():

@@ -31,7 +31,7 @@ def test_field(capsys):
 def test_field_with_k0(capsys):
     code, out, err = _run(capsys, "field", "-d", "7", "--prec", "30")
     assert code == 0
-    assert "k0=" in out
+    assert _parse(out)["k0"] == "-0.321979686609711832337853285373"
 
 
 def test_kappa_desk_value(capsys):
@@ -164,6 +164,39 @@ def test_cmsum_report(capsys, tmp_path):
     assert data["kzero_coeff"] == "0"
     assert data["support_ok"] == "1"
     assert data["phi_so_integral"] == "-4*log(7)"
+
+
+def _write_ci_files(tmp_path):
+    """The glued d = 7 lattice and the form of the CI console check."""
+    lat = tmp_path / "lat.txt"
+    lat.write_text("d=7\nrank=1\ngram=14\nbasis=1/7,1/7,5/7;0,1,0;0,0,1\n")
+    form = tmp_path / "form.txt"
+    form.write_text("1 -3/4 1\n0 -1 -2\n0 0 3\n")
+    return str(lat), str(form)
+
+
+CI_NUMERIC = {
+    30: "-22.3521956600179100529097185232",
+    40: "-22.35219566001791005290971852319832289458",
+    64: "-22.35219566001791005290971852319832289458135695790349521132503048",
+}
+
+
+@pytest.mark.parametrize(
+    "flags, bcm_prec, prec", [(["--prec", "30"], None, 30), ([], "40", 40), ([], None, 64)]
+)
+def test_cmsum_prints_prec_digits(capsys, tmp_path, monkeypatch, flags, bcm_prec, prec):
+    """numeric= has --prec, else BCM_PREC, else 64 significant digits."""
+    if bcm_prec is None:
+        monkeypatch.delenv("BCM_PREC", raising=False)
+    else:
+        monkeypatch.setenv("BCM_PREC", bcm_prec)
+    lat, form = _write_ci_files(tmp_path)
+    code, out, err = _run(capsys, "cmsum", "--form", form, "--lattice", lat, *flags)
+    assert code == 0
+    numeric = _parse(out)["numeric"]
+    assert numeric == CI_NUMERIC[prec]
+    assert len(numeric.lstrip("-").replace(".", "")) == prec
 
 
 def test_factor(capsys, tmp_path):

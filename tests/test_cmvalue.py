@@ -213,25 +213,27 @@ def test_phi_average_reuses_the_inner_sum(monkeypatch):
     coeffs = {(0, Fraction(-2)): Fraction(1), (0, Fraction(0)): Fraction(2)}
     fld, sl, form = _instance(d=15, gram=((2,),), coeffs=coeffs)
     calls = []
-    eta_calls = []
+    entry_calls = []
+    kappa_eta_sum = cmvalue._kappa_eta_sum
 
     def counting_kappa_at(*args):
         calls.append(args)
         return kappa_at(*args)
 
-    def counting_kappa_eta(*args):
-        eta_calls.append(args)
-        return kappa_eta(*args)
+    def counting_kappa_eta_sum(*args):
+        entry_calls.append(args)
+        return kappa_eta_sum(*args)
 
+    # every kappa_eta table entry is computed by _kappa_eta_sum
     monkeypatch.setattr(cmvalue, "kappa_at", counting_kappa_at)
-    monkeypatch.setattr(cmvalue, "kappa_eta", counting_kappa_eta)
+    monkeypatch.setattr(cmvalue, "_kappa_eta_sum", counting_kappa_eta_sum)
     report = log_psi_product(form, sl, fld)
-    assert calls and eta_calls
+    assert calls and entry_calls
     calls.clear()
-    eta_calls.clear()
+    entry_calls.clear()
     phi = phi_average(form, sl, fld)
     assert not calls
-    assert not eta_calls
+    assert not entry_calls
     cold_fld, cold_sl, cold_form = _instance(d=15, gram=((2,),), coeffs=coeffs)
     assert phi == phi_average(cold_form, cold_sl, cold_fld)
     assert report == log_psi_product(cold_form, cold_sl, cold_fld)
@@ -245,9 +247,9 @@ def test_phi_average_reuses_the_inner_sum(monkeypatch):
 
     monkeypatch.setattr(PosLattice, "vector_norms_up_to", counting_norms)
     calls.clear()
-    eta_calls.clear()
+    entry_calls.clear()
     assert c00_contraction(form, sl) == report.c00
-    assert not calls and not eta_calls and not norm_calls
+    assert not calls and not entry_calls and not norm_calls
 
 
 def test_inner_sum_kept_per_lattice_and_any_vol_kt():
@@ -272,17 +274,17 @@ def test_inner_sum_kept_per_lattice_and_any_vol_kt():
 
 
 def test_numeric_log_cache_matches_a_cold_cache():
-    """log p is kept per working precision: a value at 200 digits after one
-    at 40 equals the value from an empty cache, digit for digit."""
+    """round(log(p) 2^w) is kept per (p, w): a value at 200 digits after
+    one at 40 equals the value from an empty cache, digit for digit."""
     coeffs = {(0, Fraction(-2)): Fraction(1), (0, Fraction(0)): Fraction(2)}
     fld, sl, form = _instance(d=15, gram=((2,),), coeffs=coeffs)
     report = log_psi_product(form, sl, fld)
     assert len(report.rational_part.primes()) > 1 and report.kzero_coeff
-    arith._log_prime.cache_clear()
+    arith._log_fixed.cache_clear()
     warm = [report.numeric(fld, prec) for prec in (40, 200)]
     cold = []
     for prec in (40, 200):
-        arith._log_prime.cache_clear()
+        arith._log_fixed.cache_clear()
         cold.append(report.numeric(fld, prec))
     assert warm == cold
 

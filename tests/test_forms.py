@@ -1,8 +1,13 @@
+import functools
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import borcherds_cm
+from borcherds_cm.cmvalue import log_psi_product
 from borcherds_cm.forms import (
     FourierForm,
     IntegralityViolation,
@@ -14,6 +19,11 @@ from borcherds_cm.forms import (
 )
 from borcherds_cm.lattice import PosLattice, SplitLattice, make_ideal_lattice
 from borcherds_cm.quadfield import make_field
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+from workloads import build_pool  # noqa: E402
 
 
 # ---------------------------------------------------------------------------
@@ -203,3 +213,102 @@ def test_load_form_errors(tmp_path):
     path.write_text("0 -1/1 1/1\n0 -1/1 2/1\n")
     with pytest.raises(ValueError):
         load_form(path, sl)
+
+
+# Every message as the Fraction-keyed table wrote it, for m and c given as
+# an int, a str "a/b" or a Fraction; eta 1 of the desk lattice has
+# Q(eta) = 5/7 mod 1 and eta 2 has 6/7.
+VIOLATIONS = [
+    ({(0, -1): "1/2"}, IntegralityViolation,
+     "c_0(-1) = 1/2 must be an integer for m <= 0"),
+    ({(0, "-2/2"): Fraction(3, 2)}, IntegralityViolation,
+     "c_0(-1) = 3/2 must be an integer for m <= 0"),
+    ({(0, Fraction(0)): "-5/3"}, IntegralityViolation,
+     "c_0(0) = -5/3 must be an integer for m <= 0"),
+    ({(0, 0): Fraction(1, 2)}, IntegralityViolation,
+     "c_0(0) = 1/2 must be an integer for m <= 0"),
+    ({(1, "-9/7"): "1/2"}, IntegralityViolation,
+     "c_1(-9/7) = 1/2 must be an integer for m <= 0"),
+    ({(1, -1): 1}, SupportCongruenceViolation,
+     "c_1(-1) nonzero but -1 + Q(eta) = -2/7 is not an integer"),
+    ({(1, "-3/7"): 2}, SupportCongruenceViolation,
+     "c_1(-3/7) nonzero but -3/7 + Q(eta) = 2/7 is not an integer"),
+    ({(1, Fraction(-3, 7)): -1}, SupportCongruenceViolation,
+     "c_1(-3/7) nonzero but -3/7 + Q(eta) = 2/7 is not an integer"),
+    ({(0, "1/7"): 1}, SupportCongruenceViolation,
+     "c_0(1/7) nonzero but 1/7 + Q(eta) = 1/7 is not an integer"),
+    ({(0, Fraction(2, 3)): "1/3"}, SupportCongruenceViolation,
+     "c_0(2/3) nonzero but 2/3 + Q(eta) = 2/3 is not an integer"),
+    ({(2, "-2/7"): 1}, SupportCongruenceViolation,
+     "c_2(-2/7) nonzero but -2/7 + Q(eta) = 4/7 is not an integer"),
+]
+
+
+@pytest.mark.parametrize("coeffs, error, message", VIOLATIONS)
+def test_violation_messages_are_unchanged(coeffs, error, message):
+    fld, sl = _desk_lattice()
+    with pytest.raises(error) as info:
+        FourierForm(sl, coeffs)
+    assert str(info.value) == message
+
+
+@functools.cache
+def _pool():
+    return build_pool(borcherds_cm)
+
+
+def _as(kind, x):
+    """The rational x as an int (when integral), a str "a/b" or a Fraction."""
+    if kind == 0 and x.denominator == 1:
+        return int(x)
+    if kind == 1:
+        return f"{x.numerator}/{x.denominator}"
+    return x
+
+
+@st.composite
+def pool_forms(draw):
+    """A pool lattice index, a principal part by the corpus rule (up to three
+    terms c_eta(m), m = -(Q(eta) mod 1) - {1, 2, 3}, and maybe a constant
+    term on an eta with Q(eta) = 0 mod 1) as a Fraction dict, and the same
+    table with each m and c written as an int, a str or a Fraction."""
+    li = draw(st.integers(0, len(_pool()) - 1))
+    sl = _pool()[li][1]
+    coeffs = {}
+    for _ in range(draw(st.integers(1, 3))):
+        label = draw(st.integers(0, len(sl.etas) - 1))
+        m = (-sl.etas[label].q_mod_one) % 1 - draw(st.integers(1, 3))
+        coeffs[(label, m)] = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))
+    zero_ok = [e.label for e in sl.etas if e.q_mod_one == 0]
+    if zero_ok and draw(st.booleans()):
+        coeffs[(draw(st.sampled_from(zero_ok)), Fraction(0))] = Fraction(
+            draw(st.integers(-5, 5))
+        )
+    written = {
+        (label, _as(draw(st.integers(0, 2)), m)): _as(draw(st.integers(0, 2)), c)
+        for (label, m), c in coeffs.items()
+    }
+    return li, coeffs, written
+
+
+@given(pool_forms())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_integer_terms_match_the_fraction_table(case):
+    """A form given with int, str and Fraction entries on a pool lattice has
+    the Fraction views, m_max and report of a form built from the Fraction
+    dict on a second, fresh lattice object."""
+    li, coeffs, written = case
+    fld, sl = _pool()[li]
+    fresh = SplitLattice(sl.plus, sl.minus, sl.basis)
+    form = FourierForm(sl, written)
+    ref = FourierForm(fresh, coeffs)
+    nonzero = {k: c for k, c in coeffs.items() if c}
+    assert form.coeffs == ref.coeffs == nonzero
+    assert all(type(c) is Fraction for c in form.coeffs.values())
+    assert all(type(c) is int for c in form.terms.values())
+    negative = sorted(k for k in nonzero if k[1] < 0)
+    assert form.principal_support == ref.principal_support == negative
+    assert m_max(form) == m_max(ref) == max(
+        (-m for _, m in negative), default=Fraction(0)
+    )
+    assert log_psi_product(form, sl, fld) == log_psi_product(ref, fresh, fld)
