@@ -6,18 +6,17 @@ All exact data flows through KappaValue (FactoredLog plus a rational
 multiple of the constant k0(0)); the transcendental part exponentiates
 k0(0) and is evaluated numerically only on request.
 
-Each SplitLattice keeps its table of kappa_eta(m) values per field, keyed
-within the field by the integer triple (eta label, num, den) with
-m = num/den in lowest terms, so the reports of many forms on one lattice
-share the double sum.  FourierForm.terms uses the same (label, num, den)
-keys, so _inner_sum and c00_contraction fetch the field's table once per
-call and then look up tuples of ints; a Fraction m is made only when an
-entry is computed.  Each entry also keeps n0, the number of vectors x
-with Q(x) = m over the pairs whose mu is zero, which the double sum walks
-anyway; c00_contraction sums c_eta(-m) * n0 from these entries.
-Each FourierForm keeps one inner sum per (lattice, field), before the
-vol_KT scaling, so log_psi_product and phi_average on one form compute it
-once whatever vol_KT they take.
+L_- is an ideal lattice of k = Q(sqrt(-d)), so the lattice fixes the
+field: the exact sums read it from sl.minus.field, and check_field
+refuses a public call's fld whose d is not the lattice's (or report's).
+Each SplitLattice keeps one table of (kappa_eta(m), n0), keyed by the
+integer triple (eta label, num, den) with m = num/den in lowest terms, the
+key of FourierForm.terms too, so the reports of many forms on one lattice
+share the double sum; n0 counts the x with Q(x) = m over the pairs whose
+mu is zero, which the double sum walks anyway.  One pass over a form's
+terms gives the inner sum of c_eta(-m) kappa_eta(m) and c00 = sum
+c_eta(-m) n0; the form keeps that pair per lattice, before the vol_KT
+scaling, for log_psi_product, phi_average and c00_contraction.
 quadfield.kappa_zero_constant keeps k0(0) per field and precision, and
 CMValueReport.numeric adds its multiple to the rational part in one
 fixed-point integer sum (FactoredLog.fixed_point_value), rounded once.
@@ -33,7 +32,6 @@ multiple.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,9 +39,9 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .arith import FactoredLog, _ratio, flog_combine
-from .forms import m_max
+from .forms import _m_max_ratio
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
-from .quadfield import INERT, kappa_zero_constant
+from .quadfield import INERT, check_field, kappa_zero_constant
 
 
 def _combine(pairs):
@@ -91,14 +89,8 @@ def c00_contraction(form, sl):
     """The zeroth coefficient of <F, theta_+>:
     sum_eta sum_{lambda : eta_- + lambda_- = 0} C_{eta, lambda_+}(0),
     that is sum_eta sum_{m >= 0} c_eta(-m) n0 with n0 from the kappa_eta
-    entry of (eta, m) over the lattice's own field."""
-    fld = sl.minus.field
-    table = _field_table(sl, fld)
-    return Fraction(sum(
-        c * _kappa_eta_entry(table, fld, sl, (label, -num, den))[1]
-        for (label, num, den), c in form.terms.items()
-        if num <= 0
-    ))
+    entry of (eta, m)."""
+    return _form_sums(form, sl)[1]
 
 
 def kappa_eta(fld, sl, eta_label, m):
@@ -107,36 +99,29 @@ def kappa_eta(fld, sl, eta_label, m):
     kappa vanishes at negative arguments.
 
     Each value is computed once per lattice and kept in its table; a
-    KappaValue is immutable, so callers may share it."""
+    KappaValue is immutable, so callers may share it.  fld must be the
+    field of L_-."""
+    check_field(fld, sl.minus.field.d)
     num, den = _ratio(m)
     if num < 0:
         return KAPPA_ZERO
-    key = (eta_label, num, den)
-    return _kappa_eta_entry(_field_table(sl, fld), fld, sl, key)[0]
+    return _kappa_eta_entry(sl, (eta_label, num, den))[0]
 
 
-def _field_table(sl, fld):
-    """The lattice's kappa_eta table of one field: (eta label, num, den) ->
-    (kappa_eta(m), n0) with m = num/den >= 0 in lowest terms."""
-    table = sl._kappa_eta.get(fld)
-    if table is None:
-        table = sl._kappa_eta[fld] = {}
-    return table
-
-
-def _kappa_eta_entry(table, fld, sl, key):
-    """The entry (kappa_eta(m), n0) of key = (eta label, num, den) in the
-    field's table, with n0 = #{x in eta_+ + lambda_+ + L_+ : Q(x) = m}
-    summed over the lambda with mu = eta_- + lambda_- zero; computed on
-    first request."""
-    entry = table.get(key)
+def _kappa_eta_entry(sl, key):
+    """The entry (kappa_eta(m), n0) of key = (eta label, num, den) with
+    m = num/den >= 0 in the lattice's table, with
+    n0 = #{x in eta_+ + lambda_+ + L_+ : Q(x) = m} summed over the lambda
+    with mu = eta_- + lambda_- zero; computed on first request."""
+    entry = sl._kappa_eta.get(key)
     if entry is None:
         label, num, den = key
-        entry = table[key] = _kappa_eta_sum(fld, sl, label, Fraction(num, den))
+        entry = sl._kappa_eta[key] = _kappa_eta_sum(sl, label, Fraction(num, den))
     return entry
 
 
-def _kappa_eta_sum(fld, sl, eta_label, m):
+def _kappa_eta_sum(sl, eta_label, m):
+    fld = sl.minus.field
     pairs = []
     n0 = 0
     for _, mu, coset in sl.eta_pairs(eta_label):
@@ -150,21 +135,24 @@ def _kappa_eta_sum(fld, sl, eta_label, m):
     return _combine(pairs), n0
 
 
-def _inner_sum(form, sl, fld):
-    """sum_eta sum_{m >= 0} c_eta(-m) kappa_eta(m) over the principal part
-    and constant terms of the form.
+def _form_sums(form, sl):
+    """(inner, c00) over the principal part and constant terms of the
+    form, in one pass: inner = sum_eta sum_{m >= 0} c_eta(-m) kappa_eta(m)
+    and c00 = sum_eta sum_{m >= 0} c_eta(-m) n0, from the same entries.
 
-    Each value is computed once per (lattice, field) and kept on the form,
-    unscaled, so log_psi_product and phi_average share it at any vol_KT."""
-    key = (sl, fld)
-    value = form._inner_sum.get(key)
+    The pair is computed once per lattice and kept on the form, unscaled,
+    so log_psi_product, phi_average and c00_contraction share it at any
+    vol_KT."""
+    value = form._sums.get(sl)
     if value is None:
-        table = _field_table(sl, fld)
-        value = form._inner_sum[key] = _combine(
-            (c, _kappa_eta_entry(table, fld, sl, (label, -num, den))[0])
-            for (label, num, den), c in form.terms.items()
-            if num <= 0
-        )
+        pairs = []
+        c00 = 0
+        for (label, num, den), c in form.terms.items():
+            if num <= 0:
+                kappa, n0 = _kappa_eta_entry(sl, (label, -num, den))
+                pairs.append((c, kappa))
+                c00 += c * n0
+        value = form._sums[sl] = (_combine(pairs), Fraction(c00))
     return value
 
 
@@ -195,8 +183,9 @@ def _checked_vol_kt(fld, vol_kt):
 
 
 def phi_average(form, sl, fld, vol_kt=None):
+    check_field(fld, sl.minus.field.d)
     vol_kt = _checked_vol_kt(fld, vol_kt)
-    inner = _inner_sum(form, sl, fld)
+    inner = _form_sums(form, sl)[0]
     return PhiAverage(
         inner=inner,
         value=2 * inner,
@@ -236,7 +225,9 @@ class CMValueReport:
         """sum_z log ||Psi(z)||^2 at prec digits: rational_part plus
         kzero_coeff times k0(0) at prec digits, summed in fixed-point
         integers and rounded once to dps_to_prec(prec + 20) bits (see
-        FactoredLog.fixed_point_value for the error budget)."""
+        FactoredLog.fixed_point_value for the error budget).  fld must be
+        the field of the report."""
+        check_field(fld, self.d)
         k0 = kappa_zero_constant(fld, prec) if self.kzero_coeff else None
         return self.rational_part.fixed_point_value(
             dps_to_prec(prec + 20), self.kzero_coeff, k0
@@ -246,13 +237,14 @@ class CMValueReport:
 def log_psi_product(form, sl, fld, vol_kt=None):
     """CMValueReport for sum_z log ||Psi(z; F)||^2 = (-2 / vol_KT) *
     sum_eta sum_{m>=0} c_eta(-m) kappa_eta(m)."""
+    check_field(fld, sl.minus.field.d)
     vol_kt = _checked_vol_kt(fld, vol_kt)
-    inner = _inner_sum(form, sl, fld)
+    inner, c00 = _form_sums(form, sl)
     scaled = -2 / vol_kt * inner
     return CMValueReport(
         rational_part=scaled.log_part,
         kzero_coeff=scaled.kzero_multiple,
-        c00=c00_contraction(form, sl),
+        c00=c00,
         degree=2 * fld.h,
         vol_kt=vol_kt,
         d=fld.d,
@@ -280,12 +272,14 @@ def transcendental_base(fld, prec=64):
 def check_prime_support(report, fld, form):
     """Verify that every prime in the rational part is ramified, or inert
     with p <= d * m_max(F).  Returns (ok, violations)."""
-    bound = fld.d * m_max(form)
+    check_field(fld, report.d)
+    d = fld.d
+    top, bottom = _m_max_ratio(form)
     violations = []
     for p in report.rational_part.primes():
-        if fld.d % p == 0:
+        if d % p == 0:
             continue
-        if fld.splitting(p) == INERT and p <= bound:
+        if fld.splitting(p) == INERT and p * bottom <= d * top:
             continue
         violations.append(p)
     return not violations, violations

@@ -185,7 +185,6 @@ class FourierForm:
     """
 
     def __init__(self, lattice, coeffs):
-        self.lattice = lattice
         etas = lattice.etas
         terms = {}
         for (label, m), c in coeffs.items():
@@ -210,8 +209,8 @@ class FourierForm:
                 )
             terms[(label, num, den)] = cn if cd == 1 else Fraction(cn, cd)
         self.terms = terms
-        # the inner sum per (lattice, field), filled by cmvalue._inner_sum
-        self._inner_sum = {}
+        # SplitLattice -> (inner sum, c00), filled by cmvalue._form_sums
+        self._sums = {}
 
     @property
     def coeffs(self):
@@ -231,14 +230,19 @@ class FourierForm:
         )
 
 
-def m_max(form):
-    """max{m > 0 : c_eta(-m) != 0 for some eta}; 0 for a holomorphic form.
+def _m_max_ratio(form):
+    """m_max(form) as integers (top, bottom) in lowest terms, bottom > 0.
     The terms are compared by cross-multiplying their integers."""
     top, bottom = 0, 1
     for _, num, den in form.terms:
         if -num * bottom > top * den:
             top, bottom = -num, den
-    return Fraction(top, bottom)
+    return top, bottom
+
+
+def m_max(form):
+    """max{m > 0 : c_eta(-m) != 0 for some eta}; 0 for a holomorphic form."""
+    return Fraction(*_m_max_ratio(form))
 
 
 def load_form(path, lattice):

@@ -2,7 +2,8 @@
 imaginary quadratic field.
 
 The lattice must be an IdealLattice (a, -Nx/Na) and mu one of its
-DualCosets; anything else raises UnsupportedLatticeError.  For t > 0 these
+DualCosets; anything else raises UnsupportedLatticeError, and a field
+whose d is not the lattice's raises ValueError.  For t > 0 these
 are exact rational combinations of logarithms of primes; at t = 0 the zero
 coset contributes the symbolic constant k0(0), kept as a rational multiple
 so that rationality of downstream sums stays decidable.
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, factorize, valuation
 from .lattice import IdealLattice
-from .quadfield import INERT
+from .quadfield import INERT, check_field
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,16 @@ class UnsupportedLatticeError(ValueError):
     """Raised when the lattice is not an integral O_k-ideal with Q = -Nx/Na."""
 
 
-def _check_lattice(lat):
+def _check_lattice(fld, lat):
+    """Refuse lat unless it is an IdealLattice over fld."""
     if not isinstance(lat, IdealLattice):
         raise UnsupportedLatticeError(
             "kappa formulas require an integral-ideal lattice"
         )
+    # compared here, so that the kappa_positive of a matching field makes
+    # no further call
+    if lat.field.d != fld.d:
+        check_field(fld, lat.field.d)
 
 
 def kappa_positive(fld, lat, mu, t):
@@ -90,7 +96,7 @@ def kappa_positive(fld, lat, mu, t):
     The inert sum runs only over primes dividing the numerator of dt; all
     others contribute zero through rho(dt/p).
     """
-    _check_lattice(lat)
+    _check_lattice(fld, lat)
     t = Fraction(t)
     if t <= 0:
         raise ValueError("kappa_positive requires t > 0")
@@ -146,9 +152,7 @@ def kappa_at(fld, lat, mu, m):
     m = Fraction(m)
     if m > 0:
         return kappa_positive(fld, lat, mu, m)
-    if m == 0:
-        _check_lattice(lat)
-        if mu.is_zero:
-            return KappaValue(ZERO_LOG, Fraction(1))
-        return KAPPA_ZERO
+    _check_lattice(fld, lat)
+    if m == 0 and mu.is_zero:
+        return KappaValue(ZERO_LOG, Fraction(1))
     return KAPPA_ZERO

@@ -590,8 +590,9 @@ class SplitLattice:
                 _coset_walk(dual, D, self.gram_L, basis_num)
             )
         ]
-        # field -> {(eta label, num, den): (kappa_eta(m), n0)}, filled by
-        # cmvalue on first request
+        # {(eta label, num, den): (kappa_eta(m), n0)} over the field of L_-,
+        # filled by cmvalue on first request; the lattice fixes the field,
+        # so there is one table per lattice
         self._kappa_eta = {}
         # eta label -> its eta_pairs list, filled on first request
         self._eta_pairs = {}

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, factorize, hilbert_symbol, valuation
+from .quadfield import check_field
 
 
 @dataclass(frozen=True)
@@ -200,7 +201,7 @@ def eisenstein_deriv_coeff(fld, lat, mu, t):
     if t <= 0:
         raise ValueError("eisenstein_deriv_coeff requires t > 0")
     if lat.field.d != fld.d:
-        raise ValueError("lattice/field mismatch")
+        check_field(fld, lat.field.d)
     polys = {}
     for q in fld.ramified_primes:
         w = _ramified_poly(fld, q, mu, t, lat.norm)

@@ -154,6 +154,14 @@ def make_field(d):
     return QuadField(d=d, discriminant=-d, ramified_primes=ramified, h=h)
 
 
+def check_field(fld, d):
+    """Refuse a field fld passed next to a lattice (or a report made on
+    one) over Q(sqrt(-d)) with fld.d != d: its ramified primes, splitting
+    and class number would silently give a wrong answer."""
+    if fld.d != d:
+        raise ValueError(f"field d={fld.d} is not the lattice's field d={d}")
+
+
 # ---------------------------------------------------------------------------
 # High-precision L-function machinery
 # ---------------------------------------------------------------------------

@@ -22,14 +22,16 @@ from borcherds_cm.cmvalue import (
 )
 from borcherds_cm.forms import FourierForm
 from borcherds_cm.gzoracle import gz_product
-from borcherds_cm.kappa import kappa_at
+from borcherds_cm.kappa import kappa_at, kappa_positive
 from borcherds_cm.lattice import (
     PosLattice,
     SplitLattice,
     coset_of_element,
+    enumerate_dual_cosets,
     glue,
     make_ideal_lattice,
 )
+from borcherds_cm.locwhit import eisenstein_deriv_coeff
 from borcherds_cm.quadfield import kappa_zero_constant, make_field
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -271,6 +273,65 @@ def test_inner_sum_kept_per_lattice_and_any_vol_kt():
     # the lattices give different sums, so a value kept for one cannot
     # stand in for the other
     assert inners[0] != inners[1]
+
+
+def _zero_coset(sl):
+    return next(mu for mu in enumerate_dual_cosets(sl.minus) if mu.is_zero)
+
+
+# Each public call that takes a field next to a lattice or a report, and
+# the oracle that kappa_positive is checked against, as
+# call(fld, sl, form, report) on the d = 15 instance below.
+FIELD_CALLS = {
+    "kappa_positive": lambda fld, sl, form, report: kappa_positive(
+        fld, sl.minus, _zero_coset(sl), 1
+    ),
+    "kappa_at": lambda fld, sl, form, report: kappa_at(
+        fld, sl.minus, _zero_coset(sl), 0
+    ),
+    "eisenstein_deriv_coeff": lambda fld, sl, form, report: eisenstein_deriv_coeff(
+        fld, sl.minus, _zero_coset(sl), 1
+    ),
+    "kappa_eta": lambda fld, sl, form, report: kappa_eta(fld, sl, 0, 2),
+    "log_psi_product": lambda fld, sl, form, report: log_psi_product(form, sl, fld),
+    "phi_average": lambda fld, sl, form, report: phi_average(form, sl, fld),
+    "numeric": lambda fld, sl, form, report: report.numeric(fld, 40),
+    "check_prime_support": lambda fld, sl, form, report: check_prime_support(
+        report, fld, form
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_CALLS))
+def test_a_field_other_than_the_lattice_s_is_refused(name):
+    """make_field(7) next to a d = 15 lattice or report raises a ValueError
+    naming both d; the d = 15 field then gives what a fresh instance gives."""
+    coeffs = {(0, Fraction(-2)): Fraction(1), (0, Fraction(0)): Fraction(2)}
+    fld, sl, form = _instance(d=15, gram=((2,),), coeffs=coeffs)
+    report = log_psi_product(form, sl, fld)
+    call = FIELD_CALLS[name]
+    with pytest.raises(ValueError, match=r"field d=7 is not the lattice's field d=15"):
+        call(make_field(7), sl, form, report)
+    cold_fld, cold_sl, cold_form = _instance(d=15, gram=((2,),), coeffs=coeffs)
+    cold_report = log_psi_product(cold_form, cold_sl, cold_fld)
+    assert call(fld, sl, form, report) == call(cold_fld, cold_sl, cold_form, cold_report)
+
+
+def test_kappa_eta_table_is_keyed_by_int_triples():
+    """The lattice fixes the field, so its kappa_eta table has no field
+    level: every key is (eta label, num, den)."""
+    pool = _cm_report_pool()
+    fld, sl = pool[5]
+    sl = SplitLattice(sl.plus, sl.minus, sl.basis)
+    for k in range(4):
+        form = FourierForm(sl, instance_coeffs(pool, 5, k))
+        log_psi_product(form, sl, fld)
+        phi_average(form, sl, fld)
+    assert sl._kappa_eta
+    assert any(den > 1 for _, _, den in sl._kappa_eta)
+    for key in sl._kappa_eta:
+        assert type(key) is tuple and len(key) == 3
+        assert all(type(x) is int for x in key)
 
 
 def test_numeric_log_cache_matches_a_cold_cache():
