@@ -260,9 +260,9 @@ class FactoredLog:
     e_p = n_p / den, in lowest terms: no n_p is zero, den is prime to the
     gcd of the n_p, and den = 1 for the empty sum.  Equal values thus have
     equal numerators and denominators, so equality and hashing read
-    integers.  Addition and rational scaling are integer work with one lcm
-    and one gcd; Fraction exponents are made only when read.  Values are
-    immutable.
+    integers.  Addition is integer work with one lcm and one gcd, and a
+    rational scaling with at most two small gcds; Fraction exponents are
+    made only when read.  Values are immutable.
     """
 
     __slots__ = ("_num", "_den")
@@ -348,9 +348,30 @@ class FactoredLog:
         return self * -1
 
     def __mul__(self, c):
-        a, b = _ratio(c)
-        num = {p: a * n for p, n in self._num.items()}
-        return FactoredLog._of(num, b * self._den)
+        return self._scaled(*_ratio(c))
+
+    def _scaled(self, a, b):
+        """self * a/b for ints a and b > 0 in lowest terms.  As den is prime
+        to the gcd of the n_p, only gcd(a, den) and gcd(b, all n_p) can
+        cancel; each is taken only when its side is not 1."""
+        num = self._num
+        if not a or not num:
+            return ZERO_LOG
+        den = self._den
+        if den != 1:
+            g = math.gcd(a, den)
+            if g != 1:
+                a //= g
+                den //= g
+        if b != 1:
+            g = math.gcd(b, *num.values())
+            if g != 1:
+                b //= g
+                num = {p: n // g for p, n in num.items()}
+        flog = object.__new__(FactoredLog)
+        flog._num = {p: a * n for p, n in num.items()}
+        flog._den = den * b
+        return flog
 
     __rmul__ = __mul__
 
@@ -409,9 +430,7 @@ class FactoredLog:
     def numeric(self, prec=50):
         """The value as an mpmath real, rounded to dps_to_prec(prec + 10)
         bits (prec + 10 digits); see fixed_point_value."""
-        from mpmath.libmp import dps_to_prec
-
-        return self.fixed_point_value(dps_to_prec(prec + 10))
+        return self.fixed_point_value(_mpmath().dps_to_prec(prec + 10))
 
     def fixed_point_value(self, bits, c=0, x=None):
         """self + c * x for a rational c and an mpmath real x (x is read only
@@ -426,23 +445,22 @@ class FactoredLog:
         w = bits + bitlength(S) + _GUARD_BITS.  Rounding N / (b den 2^w) to
         `bits` bits adds at most |value| 2^-bits.  Any error of x itself
         comes in times |c|.  The empty value with c = 0 is exactly 0.
-        """
-        # mpmath is imported on use: imported at the top of arith, the
-        # package's first module, it raises the peak RSS of a process that
-        # imports the package by about 1 MB
-        from mpmath import mp
-        from mpmath.libmp import from_rational, round_nearest, to_fixed
 
+        N / (b den) is rounded and then scaled by 2^-w: mpmath exponents are
+        unbounded, so that is the same value, bit for bit, as rounding
+        N / (b den 2^w), without the w trailing zero bits in the divisor.
+        """
+        mpm = _mpmath()
         a, b = _ratio(c)
         den = self._den
         weight = b * sum(map(abs, self._num.values())) + abs(a) * den
         w = bits + weight.bit_length() + _GUARD_BITS
         total = b * sum(n * _log_fixed(p, w) for p, n in self._num.items())
         if a:
-            total += a * den * int(to_fixed(x._mpf_, w))
-        return mp.make_mpf(
-            from_rational(total, (b * den) << w, bits, round_nearest)
-        )
+            total += a * den * int(mpm.to_fixed(x._mpf_, w))
+        return mpm.make_mpf(mpm.mpf_shift(
+            mpm.from_rational(total, b * den, bits, mpm.round_nearest), -w
+        ))
 
 
 # bits that a fixed-point sum keeps below its output precision, beyond the
@@ -451,15 +469,36 @@ _GUARD_BITS = 8
 
 
 @functools.cache
+def _mpmath():
+    """The mpmath names that FactoredLog's numeric values use, bound once.
+    mpmath is imported on first use: imported at the top of arith, the
+    package's first module, it raises the peak RSS of a process that
+    imports the package by about 1 MB."""
+    from types import SimpleNamespace
+
+    from mpmath import mp
+    from mpmath.libmp import (
+        dps_to_prec, from_int, from_rational, mpf_log, mpf_shift,
+        round_nearest, to_fixed,
+    )
+
+    return SimpleNamespace(
+        make_mpf=mp.make_mpf, dps_to_prec=dps_to_prec, from_int=from_int,
+        from_rational=from_rational, mpf_log=mpf_log, mpf_shift=mpf_shift,
+        round_nearest=round_nearest, to_fixed=to_fixed,
+    )
+
+
+@functools.cache
 def _log_fixed(p, w):
     """round(log(p) 2^w), within 1/2 + 2^-9 of it: log p < bitlength(p) is
     taken to w + 10 + bitlength(bitlength(p)) relative bits, so to within
     2^-(w + 10) absolute, and floored at w + 1 bits.  Computed once per
     (p, w)."""
-    from mpmath.libmp import from_int, mpf_log, to_fixed
-
+    mpm = _mpmath()
     wp = w + 10 + p.bit_length().bit_length()
-    return (int(to_fixed(mpf_log(from_int(p), wp), w + 1)) + 1) >> 1
+    log_p = mpm.mpf_log(mpm.from_int(p), wp)
+    return (int(mpm.to_fixed(log_p, w + 1)) + 1) >> 1
 
 
 ZERO_LOG = FactoredLog()

@@ -9,17 +9,20 @@ k0(0) and is evaluated numerically only on request.
 L_- is an ideal lattice of k = Q(sqrt(-d)), so the lattice fixes the
 field: the exact sums read it from sl.minus.field, and check_field
 refuses a public call's fld whose d is not the lattice's (or report's).
-Each SplitLattice keeps one table of (kappa_eta(m), n0), keyed by the
-integer triple (eta label, num, den) with m = num/den in lowest terms, the
-key of FourierForm.terms too, so the reports of many forms on one lattice
-share the double sum; n0 counts the x with Q(x) = m over the pairs whose
-mu is zero, which the double sum walks anyway.  One pass over a form's
-terms gives the inner sum of c_eta(-m) kappa_eta(m) and c00 = sum
-c_eta(-m) n0; the form keeps that pair per lattice, before the vol_KT
-scaling, for log_psi_product, phi_average and c00_contraction.
-quadfield.kappa_zero_constant keeps k0(0) per field and precision, and
-CMValueReport.numeric adds its multiple to the rational part in one
-fixed-point integer sum (FactoredLog.fixed_point_value), rounded once.
+Each SplitLattice keeps one table of kappa_eta(m), keyed by the integer
+triple (eta label, num, den) with m = num/den in lowest terms, the key of
+FourierForm.terms too, so the reports of many forms on one lattice share
+the double sum.  kappa at 0 is k0(0) [mu = 0] and kappa_positive has no
+k0(0) part, so the k0(0) multiple of kappa_eta(m) is n0, the count of x
+with Q(x) = m over the pairs whose mu is zero.  One pass over a form's
+terms gives the inner sum of c_eta(-m) kappa_eta(m), whose k0(0) multiple
+is thus c00 = sum c_eta(-m) n0; the form keeps it per lattice, before the
+vol_KT scaling, for log_psi_product, phi_average and c00_contraction.
+vol_KT = a/b scales it by integers: -2b/a, 2 and 4b/a, each reduced by one
+small gcd.  quadfield.kappa_zero_constant keeps k0(0) per field and
+precision, and CMValueReport.numeric adds its multiple to the rational
+part in one fixed-point integer sum (FactoredLog.fixed_point_value),
+rounded once.
 SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu,
 eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, built
 on the first request for that eta, so kappa_eta and contraction_coeffs
@@ -32,6 +35,7 @@ multiple.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,14 +50,20 @@ from .quadfield import INERT, check_field, kappa_zero_constant
 
 def _combine(pairs):
     """sum_i c_i * v_i over (c_i, KappaValue v_i), in one pass: one
-    FactoredLog sum and one k0(0) multiple over the nonzero multiples."""
-    pairs = list(pairs)
+    FactoredLog sum, and the nonzero k0(0) multiples summed as integer
+    numerators over one denominator into one Fraction."""
+    logs = []
+    kzero = []
+    for c, v in pairs:
+        logs.append((c, v.log_part))
+        k = v.kzero_multiple
+        if k:
+            a, b = _ratio(c)
+            kzero.append((a * k.numerator, b * k.denominator))
+    den = math.lcm(*(b for _, b in kzero))
     return KappaValue(
-        flog_combine((c, v.log_part) for c, v in pairs),
-        sum(
-            (c * v.kzero_multiple for c, v in pairs if v.kzero_multiple),
-            Fraction(0),
-        ),
+        flog_combine(logs),
+        Fraction(sum(a * (den // b) for a, b in kzero), den),
     )
 
 
@@ -88,9 +98,9 @@ def contraction_coeffs(form, sl, m_values):
 def c00_contraction(form, sl):
     """The zeroth coefficient of <F, theta_+>:
     sum_eta sum_{lambda : eta_- + lambda_- = 0} C_{eta, lambda_+}(0),
-    that is sum_eta sum_{m >= 0} c_eta(-m) n0 with n0 from the kappa_eta
-    entry of (eta, m)."""
-    return _form_sums(form, sl)[1]
+    that is sum_eta sum_{m >= 0} c_eta(-m) n0, the k0(0) multiple of the
+    inner sum: n0 is the k0(0) multiple of the kappa_eta entry of (eta, m)."""
+    return _inner_sum(form, sl).kzero_multiple
 
 
 def kappa_eta(fld, sl, eta_label, m):
@@ -105,14 +115,14 @@ def kappa_eta(fld, sl, eta_label, m):
     num, den = _ratio(m)
     if num < 0:
         return KAPPA_ZERO
-    return _kappa_eta_entry(sl, (eta_label, num, den))[0]
+    return _kappa_eta_entry(sl, (eta_label, num, den))
 
 
 def _kappa_eta_entry(sl, key):
-    """The entry (kappa_eta(m), n0) of key = (eta label, num, den) with
-    m = num/den >= 0 in the lattice's table, with
-    n0 = #{x in eta_+ + lambda_+ + L_+ : Q(x) = m} summed over the lambda
-    with mu = eta_- + lambda_- zero; computed on first request."""
+    """kappa_eta(m) for key = (eta label, num, den) with m = num/den >= 0,
+    from the lattice's table; computed on first request.  Its k0(0)
+    multiple is n0 = #{x in eta_+ + lambda_+ + L_+ : Q(x) = m} summed over
+    the lambda with mu = eta_- + lambda_- zero."""
     entry = sl._kappa_eta.get(key)
     if entry is None:
         label, num, den = key
@@ -123,36 +133,29 @@ def _kappa_eta_entry(sl, key):
 def _kappa_eta_sum(sl, eta_label, m):
     fld = sl.minus.field
     pairs = []
-    n0 = 0
     for _, mu, coset in sl.eta_pairs(eta_label):
         norms = sl.plus.vector_norms_up_to(coset, m)
         pairs.extend(
             (count, kappa_at(fld, sl.minus, mu, m - qx))
             for qx, count in norms.items()
         )
-        if mu.is_zero:
-            n0 += norms.get(m, 0)
-    return _combine(pairs), n0
+    return _combine(pairs)
 
 
-def _form_sums(form, sl):
-    """(inner, c00) over the principal part and constant terms of the
-    form, in one pass: inner = sum_eta sum_{m >= 0} c_eta(-m) kappa_eta(m)
-    and c00 = sum_eta sum_{m >= 0} c_eta(-m) n0, from the same entries.
+def _inner_sum(form, sl):
+    """sum_eta sum_{m >= 0} c_eta(-m) kappa_eta(m) over the principal part
+    and constant terms of the form; its k0(0) multiple is c00.
 
-    The pair is computed once per lattice and kept on the form, unscaled,
+    The sum is computed once per lattice and kept on the form, unscaled,
     so log_psi_product, phi_average and c00_contraction share it at any
     vol_KT."""
-    value = form._sums.get(sl)
+    value = form._inner_sums.get(sl)
     if value is None:
-        pairs = []
-        c00 = 0
-        for (label, num, den), c in form.terms.items():
-            if num <= 0:
-                kappa, n0 = _kappa_eta_entry(sl, (label, -num, den))
-                pairs.append((c, kappa))
-                c00 += c * n0
-        value = form._sums[sl] = (_combine(pairs), Fraction(c00))
+        value = form._inner_sums[sl] = _combine(
+            (c, _kappa_eta_entry(sl, (label, -num, den)))
+            for (label, num, den), c in form.terms.items()
+            if num <= 0
+        )
     return value
 
 
@@ -182,14 +185,22 @@ def _checked_vol_kt(fld, vol_kt):
     return vol_kt
 
 
+def _over_vol_kt(c, vol_kt, value):
+    """(c / vol_kt) * value for an int c, as one integer scaling by
+    c b / a with vol_kt = a/b, reduced by gcd(c, a)."""
+    a = vol_kt.numerator
+    g = math.gcd(c, a)
+    return value._scaled(c // g * vol_kt.denominator, a // g)
+
+
 def phi_average(form, sl, fld, vol_kt=None):
     check_field(fld, sl.minus.field.d)
     vol_kt = _checked_vol_kt(fld, vol_kt)
-    inner = _form_sums(form, sl)[0]
+    inner = _inner_sum(form, sl)
     return PhiAverage(
         inner=inner,
-        value=2 * inner,
-        cycle_sum=4 / vol_kt * inner,
+        value=inner._scaled(2, 1),
+        cycle_sum=_over_vol_kt(4, vol_kt, inner),
         vol_kt=vol_kt,
     )
 
@@ -239,12 +250,12 @@ def log_psi_product(form, sl, fld, vol_kt=None):
     sum_eta sum_{m>=0} c_eta(-m) kappa_eta(m)."""
     check_field(fld, sl.minus.field.d)
     vol_kt = _checked_vol_kt(fld, vol_kt)
-    inner, c00 = _form_sums(form, sl)
-    scaled = -2 / vol_kt * inner
+    inner = _inner_sum(form, sl)
+    scaled = _over_vol_kt(-2, vol_kt, inner)
     return CMValueReport(
         rational_part=scaled.log_part,
         kzero_coeff=scaled.kzero_multiple,
-        c00=c00,
+        c00=inner.kzero_multiple,
         degree=2 * fld.h,
         vol_kt=vol_kt,
         d=fld.d,

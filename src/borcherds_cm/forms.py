@@ -209,8 +209,8 @@ class FourierForm:
                 )
             terms[(label, num, den)] = cn if cd == 1 else Fraction(cn, cd)
         self.terms = terms
-        # SplitLattice -> (inner sum, c00), filled by cmvalue._form_sums
-        self._sums = {}
+        # SplitLattice -> inner sum, filled by cmvalue._inner_sum
+        self._inner_sums = {}
 
     @property
     def coeffs(self):

@@ -12,20 +12,41 @@ so that rationality of downstream sums stays decidable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactoredLog, ZERO_LOG, factorize, valuation
+from .arith import FactoredLog, ZERO_LOG, _ratio, factorize, valuation
 from .lattice import IdealLattice
 from .quadfield import INERT, check_field
 
 
-@dataclass(frozen=True)
 class KappaValue:
-    """An exact value  log_part + kzero_multiple * k0(0)."""
+    """An exact value  log_part + kzero_multiple * k0(0).
 
-    log_part: FactoredLog
-    kzero_multiple: Fraction = Fraction(0)
+    Values are immutable.  Equality, hashing and repr are those of the
+    pair (log_part, kzero_multiple)."""
+
+    __slots__ = ("log_part", "kzero_multiple")
+
+    def __init__(self, log_part, kzero_multiple=Fraction(0)):
+        self.log_part = log_part
+        self.kzero_multiple = kzero_multiple
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.log_part == other.log_part
+            and self.kzero_multiple == other.kzero_multiple
+        )
+
+    def __hash__(self):
+        return hash((self.log_part, self.kzero_multiple))
+
+    def __repr__(self):
+        return (
+            f"KappaValue(log_part={self.log_part!r}, "
+            f"kzero_multiple={self.kzero_multiple!r})"
+        )
 
     def __add__(self, other):
         return KappaValue(
@@ -34,12 +55,16 @@ class KappaValue:
         )
 
     def __mul__(self, c):
-        if not isinstance(c, (int, Fraction)):
-            c = Fraction(c)
-        k = self.kzero_multiple
-        return KappaValue(self.log_part * c, k * c if k else k)
+        return self._scaled(*_ratio(c))
 
     __rmul__ = __mul__
+
+    def _scaled(self, a, b):
+        """self * a/b for ints a and b > 0 in lowest terms."""
+        k = self.kzero_multiple
+        if k:
+            k = Fraction(k.numerator * a, k.denominator * b)
+        return KappaValue(self.log_part._scaled(a, b), k)
 
     def __neg__(self):
         return self * -1

@@ -590,7 +590,7 @@ class SplitLattice:
                 _coset_walk(dual, D, self.gram_L, basis_num)
             )
         ]
-        # {(eta label, num, den): (kappa_eta(m), n0)} over the field of L_-,
+        # {(eta label, num, den): kappa_eta(m)} over the field of L_-,
         # filled by cmvalue on first request; the lattice fixes the field,
         # so there is one table per lattice
         self._kappa_eta = {}

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_fixed
 
+from borcherds_cm import arith
 from borcherds_cm.arith import (
     FactoredLog,
     INFINITE_PLACE,
@@ -427,6 +429,45 @@ def test_fixed_point_numeric_of_the_empty_value_is_zero():
     for prec in (30, 64, 200):
         for value in (ZERO_LOG.numeric(prec), report.numeric(fld, prec)):
             assert isinstance(value, mp.mpf) and value == 0
+
+
+def _divided_by_the_shifted_denominator(flog, bits, c, x):
+    """The mpf tuple of flog + c x by the route fixed_point_value took when
+    it divided the integer sum by (b den) << w in one from_rational."""
+    a, b = c.numerator, c.denominator
+    den = flog._den
+    weight = b * sum(map(abs, flog._num.values())) + abs(a) * den
+    w = bits + weight.bit_length() + arith._GUARD_BITS
+    total = b * sum(n * arith._log_fixed(p, w) for p, n in flog._num.items())
+    if a:
+        total += a * den * int(to_fixed(x._mpf_, w))
+    return from_rational(total, (b * den) << w, bits, round_nearest)
+
+
+@given(
+    flog_terms,
+    st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(
+            lambda c: c.denominator > 1
+        ),
+        st.integers(min_value=-6, max_value=6).map(Fraction),
+    ),
+    st.sampled_from([7, 15, 23]),
+    st.sampled_from([30, 64, 200]),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fixed_point_value_rounds_as_the_shifted_denominator_route(
+    terms, c, d, prec
+):
+    """Rounding N / (b den) and then scaling by 2^-w gives the same mpf
+    tuple, bit for bit, as rounding N / (b den 2^w), for the empty value
+    too, at the bits of FactoredLog.numeric and of CMValueReport.numeric."""
+    x = kappa_zero_constant(make_field(d), prec)
+    for flog in (FactoredLog(terms), ZERO_LOG):
+        for bits in (dps_to_prec(prec + 10), dps_to_prec(prec + 20)):
+            got = flog.fixed_point_value(bits, c, x)._mpf_
+            assert got == _divided_by_the_shifted_denominator(flog, bits, c, x)
 
 
 def test_flog_combine():

@@ -22,7 +22,7 @@ from borcherds_cm.cmvalue import (
 )
 from borcherds_cm.forms import FourierForm
 from borcherds_cm.gzoracle import gz_product
-from borcherds_cm.kappa import kappa_at, kappa_positive
+from borcherds_cm.kappa import KappaValue, kappa_at, kappa_positive
 from borcherds_cm.lattice import (
     PosLattice,
     SplitLattice,
@@ -239,7 +239,7 @@ def test_phi_average_reuses_the_inner_sum(monkeypatch):
     cold_fld, cold_sl, cold_form = _instance(d=15, gram=((2,),), coeffs=coeffs)
     assert phi == phi_average(cold_form, cold_sl, cold_fld)
     assert report == log_psi_product(cold_form, cold_sl, cold_fld)
-    # c00 reads n0 from the kappa_eta entries log_psi_product made
+    # c00 is the k0(0) multiple of the inner sum log_psi_product made
     norm_calls = []
     vector_norms_up_to = PosLattice.vector_norms_up_to
 
@@ -273,6 +273,39 @@ def test_inner_sum_kept_per_lattice_and_any_vol_kt():
     # the lattices give different sums, so a value kept for one cannot
     # stand in for the other
     assert inners[0] != inners[1]
+
+
+def _fraction_scaled(s, value):
+    """s * value for a Fraction s, by the validating constructors."""
+    return KappaValue(
+        FactoredLog({p: s * e for p, e in value.log_part.terms.items()}),
+        s * value.kzero_multiple,
+    )
+
+
+@pytest.mark.parametrize("d", [7, 15, 23])
+def test_scalings_at_other_vol_kt_match_the_fraction_route(d):
+    """At vol_KT values whose numerators share factors with 2 and 4, the
+    integer scalings of log_psi_product and phi_average equal -2/vol_KT,
+    2 and 4/vol_KT times the inner sum, applied as Fraction products."""
+    pool = _cm_report_pool()
+    for li, (fld, sl) in enumerate(pool):
+        if fld.d != d:
+            continue
+        for k in range(2):
+            coeffs = instance_coeffs(pool, li, k)
+            for vol_kt in map(Fraction, ("3/7", "4/5", "6", "2/9", "8")):
+                form = FourierForm(sl, coeffs)
+                report = log_psi_product(form, sl, fld, vol_kt)
+                phi = phi_average(form, sl, fld, vol_kt)
+                inner = phi.inner
+                scaled = _fraction_scaled(-2 / vol_kt, inner)
+                assert report.rational_part == scaled.log_part
+                assert report.kzero_coeff == scaled.kzero_multiple
+                assert report.c00 == inner.kzero_multiple
+                assert report.vol_kt == phi.vol_kt == vol_kt
+                assert phi.value == _fraction_scaled(Fraction(2), inner)
+                assert phi.cycle_sum == _fraction_scaled(4 / vol_kt, inner)
 
 
 def _zero_coset(sl):
@@ -329,9 +362,19 @@ def test_kappa_eta_table_is_keyed_by_int_triples():
         phi_average(form, sl, fld)
     assert sl._kappa_eta
     assert any(den > 1 for _, _, den in sl._kappa_eta)
-    for key in sl._kappa_eta:
+    for key, value in sl._kappa_eta.items():
         assert type(key) is tuple and len(key) == 3
         assert all(type(x) is int for x in key)
+        # the k0(0) multiple of kappa_eta(m) counts the x with Q(x) = m
+        # over the pairs whose mu is zero
+        label, num, den = key
+        m = Fraction(num, den)
+        n0 = sum(
+            sl.plus.count_vectors(coset, m)
+            for _, mu, coset in sl.eta_pairs(label)
+            if mu.is_zero
+        )
+        assert type(value) is KappaValue and value.kzero_multiple == n0
 
 
 def test_numeric_log_cache_matches_a_cold_cache():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,68 @@ def test_kappa_value_algebra():
     assert (-a + a).is_zero()
     assert KAPPA_ZERO.is_zero()
     assert "k0(0)" in s.render()
+
+
+# scalars whose numerators and denominators share factors with the
+# denominators and numerators of the values below
+scalars = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from([2, 3, 5, 7, 11]),
+        st.fractions(min_value=-5, max_value=5, max_denominator=6),
+        max_size=4,
+    ),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    scalars,
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_scaling_matches_a_fraction_reference(terms, kzero, c):
+    """KappaValue and FactoredLog scaled by an int or a Fraction (negative
+    or zero too), by `*` and by `_scaled` on its numerator and denominator,
+    equal the values the validating constructors build from Fraction
+    products: the same canonical integers, ==, hash and repr."""
+    value = KappaValue(FactoredLog(terms), kzero)
+    c = Fraction(c)
+    want = KappaValue(
+        FactoredLog({p: c * e for p, e in terms.items()}), c * kzero
+    )
+    got = [c * value, value * c, value._scaled(c.numerator, c.denominator)]
+    if c.denominator == 1:
+        got.append(int(c) * value)
+    for v in got:
+        flog = v.log_part
+        assert type(flog._den) is int and flog._den >= 1
+        assert all(type(n) is int and n != 0 for n in flog._num.values())
+        assert math.gcd(flog._den, *flog._num.values()) == 1
+        if not flog._num:
+            assert flog._den == 1
+        for x, y in ((v, want), (flog, want.log_part)):
+            assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+        assert v.kzero_multiple == want.kzero_multiple
+        assert type(v.kzero_multiple) is Fraction
+    flog = FactoredLog(terms)
+    assert flog._scaled(c.numerator, c.denominator) == want.log_part
+    assert (-value).log_part == FactoredLog({p: -e for p, e in terms.items()})
+
+
+def test_kappa_value_repr_eq_and_hash():
+    a = KappaValue(FactoredLog({7: 1}), Fraction(1, 2))
+    assert repr(a) == (
+        "KappaValue(log_part=FactoredLog({7: Fraction(1, 1)}), "
+        "kzero_multiple=Fraction(1, 2))"
+    )
+    assert repr(KAPPA_ZERO) == (
+        "KappaValue(log_part=FactoredLog({}), kzero_multiple=Fraction(0, 1))"
+    )
+    assert KappaValue(ZERO_LOG) == KAPPA_ZERO
+    assert hash(a) == hash((a.log_part, a.kzero_multiple))
+    assert a != (a.log_part, a.kzero_multiple)
+    assert {a: 1}[KappaValue(FactoredLog({7: 1}), Fraction(1, 2))] == 1
 
 
 def test_kappa_d7_reference_values():
