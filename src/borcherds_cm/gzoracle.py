@@ -15,9 +15,16 @@ complex numbers held as pairs of Python integers scaled by 2^W, and each
 product is one integer product pair and a shift.  |q| and x carry a
 separate power of two, so they keep W relative bits however small they
 are.  q comes from mpmath's fixed-point kernels for pi, ln 2, exp and
-cos/sin, and only j becomes an mpmath number, exactly (see `j_value` for
-W and the error budget).  The forms (a, b, c) and (a, -b, c) have
-conjugate j values, so each class evaluates j once per such pair.
+cos/sin (the rotation is exactly -1 when |b| = a), and j becomes an
+mpmath number, exactly (see `j_value` for W and the error budget).  The
+forms (a, b, c) and (a, -b, c) have conjugate j values, so each class
+evaluates j once per such pair.
+
+`gz_product` reads each j back exactly as integers, and the product of
+differences, its rounding to the nearest integer and the rounding margin
+are integer work at one scale 2^W as well (Enge, Math. Comp. 78 (2009)
+fixes the precision a priori in the same way); only the margin becomes
+a float, for the report.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp
+from mpmath.libmp import dps_to_prec, from_man_exp, to_float
 from mpmath.libmp.libelefun import (
     cos_sin_fixed,
     exp_basecase,
@@ -116,7 +123,9 @@ def j_value(form, d, prec=64):
     """j((-b + sqrt(-d)) / (2a)) as the eta quotient (1 + 256 x)^3 / x,
     x = q R, R = (E(q^2) / E(q))^24, with E summed by `_euler`.
 
-    This is safe for every reduced form: a <= sqrt(d/3), so
+    This is safe for every form with 0 < a and |b| <= a <= c, so for
+    every reduced form and its mirror (a, -b, c); other forms raise a
+    ValueError.  For these d = 4ac - b^2 >= 3a^2, so
     |q| = e^{-pi sqrt(d) / a} <= e^{-pi sqrt 3} < 0.0044.  Then E(q) lies
     within 1 % of 1, so fixed point is relative precision for E and R, and
     no step cancels.  Since |j(tau)| is about e^{pi sqrt(d)/a}, that is
@@ -132,7 +141,8 @@ def j_value(form, d, prec=64):
       off by one unit of 2^-V each and ln 2 by one unit times k < 5 sqrt(d),
       so r is within (6 sqrt(d) + 6) 2^-V < 2^-W.  exp_basecase and
       cos_sin_fixed add a few units of 2^-V, and M's two truncating
-      products one unit each: M is within 3 units.
+      products one unit each: M is within 3 units.  When |b| = a the
+      rotation e^{-i pi b / a} is exactly -1 and skips cos_sin_fixed.
     - q = 2^-k M and q^2 are truncated once each: one unit in each E.
     - `_euler` makes 4 truncating products per index k, one unit each,
       and multiplies every earlier error only by factors of modulus
@@ -161,13 +171,21 @@ def j_value(form, d, prec=64):
     a, b, c = form
     if b * b - 4 * a * c != -d:
         raise ValueError("form discriminant does not match -d")
+    if not (0 < a and abs(b) <= a <= c):
+        raise ValueError(
+            f"form {form} is outside j_value's error budget: "
+            "it needs 0 < a and |b| <= a <= c"
+        )
     size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
     w = dps_to_prec(prec + 15 + size_digits) + _GUARD_BITS
     v = w + d.bit_length() + 4
     pi = int(pi_fixed(v))
     k, r = divmod((pi * math.isqrt(d << 2 * v) >> v) // a, int(ln2_fixed(v)))
     m = int(exp_basecase(-r, v))
-    cos, sin = cos_sin_fixed(pi * b // a, v, pi >> 1)
+    if abs(b) == a:
+        cos, sin = -(1 << v), 0
+    else:
+        cos, sin = cos_sin_fixed(pi * b // a, v, pi >> 1)
     shift = 2 * v - w
     qm = (m * int(cos)) >> shift, -(m * int(sin)) >> shift
     q = qm[0] >> k, qm[1] >> k
@@ -181,17 +199,43 @@ def j_value(form, d, prec=64):
     return mp.make_mpc((from_man_exp(jr, -w), from_man_exp(ji, -w)))
 
 
+def _parts(z):
+    """The real and imaginary parts of the mpmath complex z, each exactly
+    as (signed mantissa, exponent).  mpf.man_exp would drop the sign."""
+    return tuple((-man if sign else man, exp) for sign, man, exp, _ in z._mpc_)
+
+
+def _at_scale(z, w):
+    """`_parts` z as a fixed-point pair for `_mul`, exactly: w is at least
+    minus either exponent, so both shifts are left shifts."""
+    (re, re_exp), (im, im_exp) = z
+    return re << (re_exp + w), im << (im_exp + w)
+
+
 def _class_j_values(forms, d, digits):
-    """j_value at each form, in order, with one evaluation per pair
-    (a, +-b, c): the form with b < 0 takes the conjugate of its mirror."""
+    """j_value at each form, in order, as `_parts`, with one evaluation
+    per pair (a, +-b, c): the form with b < 0 takes the conjugate of its
+    mirror."""
     values = {}
     for a, b, c in sorted(forms, key=lambda f: f[1] < 0):
         mirror = values.get((a, -b, c))
         if mirror is None:
-            values[(a, b, c)] = j_value((a, b, c), d, digits)
+            values[(a, b, c)] = _parts(j_value((a, b, c), d, digits))
         else:
-            values[(a, b, c)] = mp.conj(mirror)
+            re, (im, exp) = mirror
+            values[(a, b, c)] = re, (-im, exp)
     return [values[f] for f in forms]
+
+
+def _whole(name, value):
+    """value as an int; a ValueError naming it if it is not a whole number."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return n
 
 
 _MAX_DOUBLINGS = 4
@@ -206,15 +250,30 @@ def gz_product(d1, d2, prec=None):
     h1 h2 (pi sqrt(d_max) + 30) and doubled on rounding failure; a
     positive prec raises the starting digits to at least prec.  Digits
     above MAX_PREC are refused, whether prec asks for them or the size
-    bound does, and the doublings stop there.
+    bound does, and the doublings stop there.  d1, d2 and prec must be
+    whole numbers.
+
+    At each rung j_value runs inside mp.workdps(digits + 20), and every
+    part of every j is read back exactly and aligned, by left shifts
+    only, to one scale 2^W, W = max(dps_to_prec(digits + 20), -exponent
+    of every part).  The product is `_mul` at that scale, nearest =
+    round(P_re) and margin = max(|P_re - nearest|, |P_im|), all integers;
+    the rung succeeds when margin < 10^-20.  Each truncating product adds
+    at most one unit 2^-W per part, which the later factors multiply by
+    their moduli.  Each factor has modulus at most e^{pi sqrt(d_max) + 30},
+    so the moduli multiply to at most e^size_bound < 10^(digits - 39),
+    and truncation costs at most h1 h2 2^(1-W) 10^(digits - 39) < 10^-55
+    (h1 h2 < 800 below MAX_PREC digits, 2^-W < 10^-(digits + 20)).
     """
-    if prec is not None and prec <= 0:
-        raise ValueError(f"prec={prec} must be a positive number of digits")
-    if prec is not None and prec > MAX_PREC:
-        raise PrecisionError(
-            f"prec={prec} beyond supported range (at most {MAX_PREC} digits)"
-        )
-    d1, d2 = int(d1), int(d2)
+    d1, d2 = _whole("d1", d1), _whole("d2", d2)
+    if prec is not None:
+        prec = _whole("prec", prec)
+        if prec <= 0:
+            raise ValueError(f"prec={prec} must be a positive number of digits")
+        if prec > MAX_PREC:
+            raise PrecisionError(
+                f"prec={prec} beyond supported range (at most {MAX_PREC} digits)"
+            )
     if math.gcd(d1, d2) != 1:
         raise ValueError(f"d1={d1}, d2={d2} are not coprime")
     forms1 = reduced_forms(d1)
@@ -223,7 +282,7 @@ def gz_product(d1, d2, prec=None):
     size_bound = h1 * h2 * (math.pi * math.sqrt(max(d1, d2)) + 30)
     digits = int(size_bound / math.log(10)) + 40
     if prec is not None:
-        digits = max(digits, int(prec))
+        digits = max(digits, prec)
     if digits > MAX_PREC:
         raise PrecisionError(
             f"d1={d1}, d2={d2} need {digits} digits, beyond supported range "
@@ -236,23 +295,25 @@ def gz_product(d1, d2, prec=None):
         with mp.workdps(digits + 20):
             j1 = _class_j_values(forms1, d1, digits)
             j2 = _class_j_values(forms2, d2, digits)
-            product = mp.mpc(1)
-            for x in j1:
-                for y in j2:
-                    product *= x - y
-            nearest = int(mp.nint(product.real))
-            margin = max(abs(product.real - nearest), abs(product.imag))
-            threshold = mp.mpf(10) ** -20
-            if margin < threshold:
-                return GZResult(
-                    d1=d1,
-                    d2=d2,
-                    product=nearest,
-                    factorization=tuple(factorize(abs(nearest))),
-                    precision_used=digits,
-                    margin=float(margin),
-                    doublings=attempt,
-                )
+        w = max(dps_to_prec(digits + 20), *(-exp for z in j1 + j2 for _, exp in z))
+        j1 = [_at_scale(z, w) for z in j1]
+        j2 = [_at_scale(z, w) for z in j2]
+        product = 1 << w, 0
+        for xr, xi in j1:
+            for yr, yi in j2:
+                product = _mul(product, (xr - yr, xi - yi), w)
+        nearest = (product[0] + (1 << (w - 1))) >> w
+        margin = max(abs(product[0] - (nearest << w)), abs(product[1]))
+        if margin * 10**20 < 1 << w:
+            return GZResult(
+                d1=d1,
+                d2=d2,
+                product=nearest,
+                factorization=tuple(factorize(abs(nearest))),
+                precision_used=digits,
+                margin=to_float(from_man_exp(margin, -w)),
+                doublings=attempt,
+            )
     raise RoundingFailure(
         f"gz_product({d1},{d2}) failed to round at {digits} digits"
     )

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,35 @@ def test_j_value_domain():
         j_value((1, 1, 2), 7, 10)  # prec too small
 
 
+@pytest.mark.parametrize("form", [(-1, 1, -2), (-2, 1, -1), (2, 3, 2), (2, -3, 2)])
+def test_j_value_refuses_forms_outside_its_error_budget(form):
+    # each has discriminant -7, but |q| <= e^{-pi sqrt 3} needs
+    # 0 < a and |b| <= a <= c
+    with pytest.raises(ValueError, match=re.escape(f"form {form} is outside")):
+        j_value(form, 7, 40)
+
+
+# d = 39, 51, 95 and 195 have forms (a, a, c) with a > 1 as well.
+@pytest.mark.parametrize("prec", [30, 250])
+@pytest.mark.parametrize("d", [3, 7, 39, 51, 95, 195])
+def test_j_value_rotates_ambiguous_forms_by_exactly_minus_one(monkeypatch, d, prec):
+    # at |b| = a, e^{-i pi b / a} = -1 needs no cos/sin kernel, and the
+    # mirror (a, -a, c) is tau + 1, the same j bit for bit
+    def no_kernel(*args):
+        raise AssertionError("cos_sin_fixed called at |b| = a")
+
+    monkeypatch.setattr(gzoracle, "cos_sin_fixed", no_kernel)
+    ambiguous = [(a, b, c) for a, b, c in reduced_forms(d) if b == a]
+    assert ambiguous
+    for a, b, c in ambiguous:
+        size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
+        with mp.workdps(prec + 40 + size_digits):
+            value = j_value((a, b, c), d, prec)
+            assert j_value((a, -b, c), d, prec) == value
+            reference = 1728 * mp.kleinj((-b + mp.sqrt(-d)) / (2 * a))
+            assert abs(value - reference) < mp.mpf(10) ** -(prec - 5), (a, b, c)
+
+
 def test_gz_3_7():
     r = gz_product(3, 7)
     assert r.product == 3375
@@ -190,6 +220,18 @@ def test_gz_pinned_products(pair):
     assert r.margin < 1e-20
 
 
+def _odd_fundamental(bound):
+    """d <= bound with -d an odd fundamental discriminant."""
+    ds = []
+    for d in range(3, bound + 1, 4):
+        try:
+            reduced_forms(d)
+        except UnsupportedDiscriminantError:
+            continue
+        ds.append(d)
+    return ds
+
+
 # SHA-256 of one repr((d1, d2, product, factorization, precision_used,
 # doublings)) line per pair of the sweep below, in sweep order.
 SWEEP_1000_DIGEST = "defa4cabab8b1e9d3537567487939f10e4d37f817079086280ac6791d541d493"
@@ -198,13 +240,7 @@ SWEEP_1000_DIGEST = "defa4cabab8b1e9d3537567487939f10e4d37f817079086280ac6791d54
 def test_gz_sweep_pinned():
     # every coprime pair of odd fundamental discriminants with d1 < d2 and
     # d1 * d2 <= 1000, as criterion 9 enumerates them
-    ds = []
-    for d in range(3, 1000 // 3 + 1, 4):
-        try:
-            reduced_forms(d)
-        except UnsupportedDiscriminantError:
-            continue
-        ds.append(d)
+    ds = _odd_fundamental(1000 // 3)
     pairs = [
         (d1, d2)
         for i, d1 in enumerate(ds)
@@ -283,6 +319,73 @@ def test_gz_evaluates_j_once_per_conjugate_pair(monkeypatch):
     # d = 95 has 8 forms: 3 pairs (a, +-b, c) and 2 ambiguous forms
     assert len(reduced_forms(95)) == 8
     assert calls == [3] + [95] * 5
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((7.5, 3), "d1=7.5"),
+        ((7, 3.5), "d2=3.5"),
+        ((7, 3, 60.5), "prec=60.5"),
+        (("7", 3), "d1='7'"),
+    ],
+)
+def test_gz_refuses_non_integral_arguments(args, name):
+    with pytest.raises(ValueError, match=re.escape(f"{name} is not an integer")):
+        gz_product(*args)
+
+
+def _mpc_class_j_values(forms, d, digits):
+    values = {}
+    for a, b, c in sorted(forms, key=lambda f: f[1] < 0):
+        mirror = values.get((a, -b, c))
+        if mirror is None:
+            values[(a, b, c)] = gzoracle.j_value((a, b, c), d, digits)
+        else:
+            values[(a, b, c)] = mp.conj(mirror)
+    return [values[f] for f in forms]
+
+
+def _mpc_gz_product(d1, d2):
+    """gz_product's ladder with the product, rounding and margin in
+    mpmath complex arithmetic at workdps(digits + 20): (product,
+    factorization, precision_used, doublings, margin)."""
+    forms1, forms2 = reduced_forms(d1), reduced_forms(d2)
+    size_bound = len(forms1) * len(forms2) * (math.pi * math.sqrt(max(d1, d2)) + 30)
+    digits = int(size_bound / math.log(10)) + 40
+    for attempt in range(5):
+        with mp.workdps((digits << attempt) + 20):
+            j1 = _mpc_class_j_values(forms1, d1, digits << attempt)
+            j2 = _mpc_class_j_values(forms2, d2, digits << attempt)
+            product = mp.mpc(1)
+            for x in j1:
+                for y in j2:
+                    product *= x - y
+            nearest = int(mp.nint(product.real))
+            margin = max(abs(product.real - nearest), abs(product.imag))
+            if margin < mp.mpf(10) ** -20:
+                factorization = tuple(factorize(abs(nearest)))
+                return nearest, factorization, digits << attempt, attempt, float(margin)
+    raise RoundingFailure
+
+
+_DS_5000 = _odd_fundamental(5000 // 3)
+ORDERED_PAIRS_5000 = [
+    (d1, d2)
+    for d1 in _DS_5000
+    for d2 in _DS_5000
+    if d1 != d2 and d1 * d2 <= 5000 and math.gcd(d1, d2) == 1
+]
+
+
+@given(pair=st.sampled_from(ORDERED_PAIRS_5000))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_gz_integer_product_matches_mpc_reference(pair):
+    r = gz_product(*pair)
+    product, factorization, precision_used, doublings, margin = _mpc_gz_product(*pair)
+    assert (r.product, r.factorization) == (product, factorization)
+    assert (r.precision_used, r.doublings) == (precision_used, doublings)
+    assert r.margin < 1e-20 and margin < 1e-20
 
 
 def test_gz_rejects_non_coprime():
