@@ -3,7 +3,9 @@
 All exact values are printed as machine-parseable key=value lines with
 rationals rendered a/b and factored logarithms in their canonical
 serialization.  Usage errors exit 2 (argparse); computation errors exit 1
-with a diagnostic naming the violated precondition.
+with a diagnostic naming the violated precondition.  A reader that closes
+stdout early (bcm qexp j -N 500 | head -c 20) ends the command with exit 1
+and no diagnostic.
 """
 
 from __future__ import annotations
@@ -258,7 +260,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: stop quietly, and point stdout at
+        # devnull so that the flush at exit does not fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

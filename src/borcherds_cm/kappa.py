@@ -3,20 +3,27 @@ imaginary quadratic field.
 
 The lattice must be an IdealLattice (a, -Nx/Na) and mu one of its
 DualCosets; anything else raises UnsupportedLatticeError, and a field
-whose d is not the lattice's raises ValueError.  For t > 0 these
-are exact rational combinations of logarithms of primes; at t = 0 the zero
-coset contributes the symbolic constant k0(0), kept as a rational multiple
-so that rationality of downstream sums stays decidable.
+whose d is not the lattice's raises ValueError.  At t = 0 the zero coset
+contributes the symbolic constant k0(0), kept as a rational multiple so
+that rationality of downstream sums stays decidable.
+
+For t > 0, kappa is nonzero only when exactly one prime l obstructs t (a
+ramified q with mu_q = 0 and chi_q(-t*Na) = -1, or an inert p with
+ord_p(dt) odd), and it then lives on l alone, as in Gross-Zagier's
+singular moduli:
+
+    kappa = -(2^r/h_k) * (ord_l(t)+1) * prod_{split p | dt} (ord_p(dt)+1) * log l,
+
+with r the number of ramified q with mu_q = 0 (see kappa_positive).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, _ratio, factorize, valuation
 from .lattice import IdealLattice
-from .quadfield import INERT, check_field
+from .quadfield import INERT, SPLIT, check_field
 
 
 class KappaValue:
@@ -105,69 +112,63 @@ def _check_lattice(fld, lat):
 def kappa_positive(fld, lat, mu, t):
     """kappa(t, mu, a) for t > 0, as an exact FactoredLog-valued KappaValue.
 
+    The sum over local Whittaker terms reads
+
     kappa = -(1/h_k) * prod_q char(Q(mu_q) + Z_q)(t) * [
-        rho(dt) * sum_{q | d, mu_q = 0} eta_q (ord_q(t)+1) log q
+        rho(dt) * sum_{q in Z} eta_q (ord_q(t)+1) log q
         + eta_0 * sum_{p inert} (ord_p(t)+1) rho(dt/p) log p ],
 
-    where, with chi_q = chi_q(-t*Na) over the ramified q with mu_q = 0,
-    eta_0 is the product of the (1 + chi_q) (1 when there are none) and
-    eta_q has the factor at q replaced by (1 - chi_q).
+    where, with chi_q = chi_q(-t*Na) over the set Z of ramified q with
+    mu_q = 0 and r = |Z|, eta_0 is the product of the (1 + chi_q) and eta_q
+    has the factor at q replaced by (1 - chi_q).  Call the q in Z with
+    chi_q = -1 and the inert p with ord_p(dt) odd the obstructions to t.
+    Then eta_0 is 2^r when no chi_q is -1 and 0 otherwise; eta_q is 2^r
+    exactly when q is the only q with chi_q = -1, and 0 otherwise; rho(dt)
+    is nonzero exactly when no inert p has ord_p(dt) odd, and rho(dt/p)
+    for an inert p exactly when p is the only such prime.  In each of
+    those cases rho is the product of the ord_p(dt) + 1 over the split
+    p | dt.  So at most one term survives: when exactly one obstruction l
+    exists,
+
+    kappa = -(2^r/h_k) * (ord_l(t)+1) * prod_{split p | dt} (ord_p(dt)+1) * log l,
+
+    and kappa = 0 otherwise.
 
     The twist by Na (trivial for the unit ideal, and for every ideal in a
     genus whose norms are local norms at each ramified prime) carries the
     unit scaling of the local form -Nx/Na; chi_q(d) = 1 absorbs any
     ramified part of Na.
-
-    The inert sum runs only over primes dividing the numerator of dt; all
-    others contribute zero through rho(dt/p).
     """
     _check_lattice(fld, lat)
     t = Fraction(t)
     if t <= 0:
         raise ValueError("kappa_positive requires t > 0")
-    d = fld.d
     # char conditions at ramified primes (Q(mu_q) = 0 mod Z_q when mu_q = 0)
     zero_at = {q: mu.local_zero(q) for q in fld.ramified_primes}
     for q, zero in zero_at.items():
         diff = t if zero else t - mu.q_value
         if diff and valuation(diff, q) < 0:
             return KAPPA_ZERO
-    dt = d * t
+    dt = fld.d * t
     if dt.denominator != 1:
-        # a negative valuation survives at an unramified prime: both the
-        # q-sum (through rho(dt)) and every inert term vanish
+        # a negative valuation survives at an unramified prime: no integral
+        # ideal has norm dt, nor dt/p
         return KAPPA_ZERO
-    dt_factors = factorize(dt.numerator)
-    rho_dt = 1
-    for p, a in dt_factors:
-        rho_dt *= fld.rho_local(p, a)
-        if rho_dt == 0:
-            break
     tn = -t * lat.norm
-    chi = {q: fld.chi(tn, q) for q, zero in zero_at.items() if zero}
-    terms = {}
-    if rho_dt:
-        for q, c in chi.items():
-            e = (1 - c) * math.prod(1 + c2 for q2, c2 in chi.items() if q2 != q)
-            if e:
-                terms[q] = e * (valuation(t, q) + 1) * rho_dt
-    e0 = math.prod(1 + c for c in chi.values())
-    if e0:
-        for p, a in dt_factors:
-            if d % p == 0 or fld.splitting(p) != INERT:
-                continue
-            # rho(dt/p): the factor at p becomes rho_local(p, a-1); others as in dt
-            rho_rest = 1
-            for p2, a2 in dt_factors:
-                rho_rest *= fld.rho_local(p2, a2 - 1 if p2 == p else a2)
-                if rho_rest == 0:
-                    break
-            if rho_rest:
-                terms[p] = terms.get(p, 0) + e0 * (a + 1) * rho_rest
-    if not terms:
+    zeros = [q for q, zero in zero_at.items() if zero]
+    obstructions = [q for q in zeros if fld.chi(tn, q) == -1]
+    n = 1 << len(zeros)
+    for p, a in factorize(dt.numerator):
+        s = fld.splitting(p)
+        if s == SPLIT:
+            n *= a + 1
+        elif s == INERT and a % 2:
+            obstructions.append(p)
+    if len(obstructions) != 1:
         return KAPPA_ZERO
-    # the keys are primes of factorize(dt) or ramified primes
-    num = {p: -c for p, c in terms.items()}
+    (ell,) = obstructions
+    # ell is a prime of factorize(dt) or a ramified prime
+    num = {ell: -n * (valuation(t, ell) + 1)}
     return KappaValue(FactoredLog._of(num, fld.h))
 
 

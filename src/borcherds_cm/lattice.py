@@ -330,34 +330,30 @@ class DualCoset:
 
 
 def make_ideal_lattice(field, spec="unit"):
-    """Build an IdealLattice from a spec: "unit", "prime:p", ("prime", p),
-    "basis:a,b;c,d" (rows as in lattice files) or an explicit 2x2 basis
-    matrix, in {1, omega} coordinates."""
+    """Build an IdealLattice from a spec: None or "unit", "prime:p", or
+    "basis:a,b;c,d" (rows as in lattice files, in {1, omega} coordinates).
+    An explicit basis matrix goes to IdealLattice(field, basis)."""
     if spec is None or spec == "unit":
         return IdealLattice(field, ((1, 0), (0, 1)))
-    if isinstance(spec, str) and spec.startswith("prime:"):
-        value = spec.split(":", 1)[1]
-        try:
-            spec = ("prime", int(value))
-        except ValueError:
-            raise NotAnIdealError(f"ideal {spec!r}: {value!r} is not an integer") from None
-    if isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "prime":
-        p = int(spec[1])
-        if not is_prime(p):
-            raise NotAnIdealError(f"ideal prime:{p}: {p} is not a positive prime")
-        if field.splitting(p) == INERT:
-            raise NotAnIdealError(f"{p} is inert; no prime ideal of norm {p}")
-        # prime ideal (p, omega - r) with r^2 - r + (1+d)/4 = 0 mod p, that is
-        # (2r - 1)^2 = -d; r = 0 for p = 2, else the smaller of r and 1 - r
-        r = 0 if p == 2 else (p + 1) // 2 * (1 + sqrt_mod(-field.d, p)) % p
-        return IdealLattice(field, ((p, 0), (-min(r, (1 - r) % p), 1)))
-    if isinstance(spec, str):
-        if not spec.startswith("basis:"):
-            raise NotAnIdealError(
-                f"ideal {spec!r} is not one of unit, prime:p or basis:a,b;c,d"
-            )
-        spec = _parse_rows("ideal basis", spec.split(":", 1)[1])
-    return IdealLattice(field, spec)
+    if not isinstance(spec, str) or not spec.startswith(("prime:", "basis:")):
+        raise NotAnIdealError(
+            f"ideal {spec!r} is not one of unit, prime:p or basis:a,b;c,d"
+        )
+    kind, value = spec.split(":", 1)
+    if kind == "basis":
+        return IdealLattice(field, _parse_rows("ideal basis", value))
+    try:
+        p = int(value)
+    except ValueError:
+        raise NotAnIdealError(f"ideal {spec!r}: {value!r} is not an integer") from None
+    if not is_prime(p):
+        raise NotAnIdealError(f"ideal prime:{p}: {p} is not a positive prime")
+    if field.splitting(p) == INERT:
+        raise NotAnIdealError(f"{p} is inert; no prime ideal of norm {p}")
+    # prime ideal (p, omega - r) with r^2 - r + (1+d)/4 = 0 mod p, that is
+    # (2r - 1)^2 = -d; r = 0 for p = 2, else the smaller of r and 1 - r
+    r = 0 if p == 2 else (p + 1) // 2 * (1 + sqrt_mod(-field.d, p)) % p
+    return IdealLattice(field, ((p, 0), (-min(r, (1 - r) % p), 1)))
 
 
 def enumerate_dual_cosets(lat):

@@ -35,12 +35,18 @@ class PrecisionError(ValueError):
 MAX_D = 10**7
 
 
-def _check_d_cap(d):
-    """Refuse d above MAX_D before any work that grows with d."""
+def _fundamental_factors(d):
+    """factorize(d) when -d is an odd fundamental discriminant (d > 0,
+    d = 3 mod 4, squarefree), else None.  A d above MAX_D is refused
+    before any work that grows with d."""
     if d > MAX_D:
         raise UnsupportedDiscriminantError(
             f"d={d} is above the cap of {MAX_D}"
         )
+    if d <= 0 or d % 4 != 3:
+        return None
+    factors = factorize(d)
+    return factors if all(e == 1 for _, e in factors) else None
 
 
 def reduced_forms(d):
@@ -51,8 +57,7 @@ def reduced_forms(d):
     or a = c.  Returned in canonical (a, b) order; the list length is the
     class number.
     """
-    _check_d_cap(d)
-    if d <= 0 or d % 4 != 3 or not _squarefree(d):
+    if _fundamental_factors(d) is None:
         raise UnsupportedDiscriminantError(
             f"d={d}: -d is not an odd fundamental discriminant"
         )
@@ -72,13 +77,6 @@ def reduced_forms(d):
             forms.append((a, b, c))
     forms.sort()
     return forms
-
-
-def _squarefree(n):
-    for p, e in factorize(n):
-        if e > 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -112,21 +110,10 @@ class QuadField:
         self._split_cache[p] = s
         return s
 
-    def rho_local(self, p, a):
-        """Number of O_k-ideals of norm p^a (0 for a < 0)."""
-        if a == 0:
-            return 1
-        if a < 0:
-            return 0
-        s = self.splitting(p)
-        if s == SPLIT:
-            return a + 1
-        if s == INERT:
-            return 1 if a % 2 == 0 else 0
-        return 1
-
     def rho(self, t):
-        """Number of integral O_k-ideals of norm t, for positive rational t."""
+        """Number of integral O_k-ideals of norm t, for positive rational t:
+        the product over p^a || t of a + 1 for split p, 1 for ramified p,
+        and 1 or 0 for inert p as a is even or odd."""
         t = Fraction(t)
         if t <= 0:
             raise ValueError("rho requires t > 0")
@@ -134,8 +121,10 @@ class QuadField:
             return 0  # no integral ideal has non-integer norm
         result = 1
         for p, a in factorize(t.numerator):
-            result *= self.rho_local(p, a)
-            if result == 0:
+            s = self.splitting(p)
+            if s == SPLIT:
+                result *= a + 1
+            elif s == INERT and a % 2:
                 return 0
         return result
 
@@ -143,13 +132,13 @@ class QuadField:
 def make_field(d):
     """Construct QuadField data for d squarefree, d = 3 mod 4, 3 < d <= MAX_D."""
     d = int(d)
-    _check_d_cap(d)
-    if d <= 3 or d % 4 != 3 or not _squarefree(d):
+    factors = _fundamental_factors(d)
+    if d <= 3 or factors is None:
         raise UnsupportedDiscriminantError(
             f"d={d}: need d > 3, d = 3 (mod 4), squarefree (2-ramified fields "
             "are out of scope)"
         )
-    ramified = tuple(p for p, _ in factorize(d))
+    ramified = tuple(p for p, _ in factors)
     h = len(reduced_forms(d))
     return QuadField(d=d, discriminant=-d, ramified_primes=ramified, h=h)
 

@@ -1,7 +1,11 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
+import borcherds_cm
 from borcherds_cm.cli import main
 
 
@@ -255,6 +259,32 @@ def test_missing_file_exits_1(capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (("kappa", "-d", "7", "-t", "1"), False),
+    (("kappa", "-d", "7", "-t", "1"), True),
+    (("qexp", "j", "-N", "500"), False),
+])
+def test_closed_pipe_exits_quietly(argv, unbuffered):
+    # the read end is closed before the command runs, so its first write
+    # fails: in the command when stdout is unbuffered, at the flush when not
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(borcherds_cm.__file__))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "borcherds_cm.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_zero_denominator_names_option(capsys):

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from borcherds_cm.acceptance import D_SET
 from borcherds_cm.arith import FactoredLog, ZERO_LOG, is_prime
@@ -199,26 +199,54 @@ def _odd_fundamental(d):
 RANDOM_D = [d for d in range(7, 1001, 4) if d not in D_SET and _odd_fundamental(d)]
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_kappa_matches_the_oracle_on_random_fields(data):
-    # each example checks several (mu, t) on one lattice
-    d = data.draw(st.sampled_from(RANDOM_D), label="d")
+@st.composite
+def lattice_cases(draw):
+    """(d, ideal, ((mu label, t), ...)): five (mu, t) on one ideal lattice
+    of a field that criterion 1 leaves out."""
+    d = draw(st.sampled_from(RANDOM_D), label="d")
     fld = make_field(d)
     split = [p for p in range(2, 60) if is_prime(p) and fld.splitting(p) == SPLIT]
-    ideal = data.draw(st.sampled_from(["unit"] + [f"prime:{p}" for p in split]), label="ideal")
-    lat = make_ideal_lattice(fld, ideal)
+    ideal = draw(st.sampled_from(["unit"] + [f"prime:{p}" for p in split]), label="ideal")
+    cosets = enumerate_dual_cosets(make_ideal_lattice(fld, ideal))
+    # t drawn from the support Q(mu) + Z, where kappa can be nonzero, as a/d,
+    # or as a/b with b = 1, d*q (q^2 in the denominator at a ramified q) or
+    # any b <= 4d (a negative valuation at an unramified prime)
+    denominators = st.one_of(
+        st.just(1),
+        st.sampled_from([d * q for q in fld.ramified_primes]),
+        st.integers(min_value=1, max_value=4 * d),
+    )
+    cases = []
     for _ in range(5):
-        mu = data.draw(st.sampled_from(enumerate_dual_cosets(lat)), label="mu")
-        # t = a/d, drawn half the time from the support Q(mu) + Z, where
-        # kappa can be nonzero, and half the time from anywhere
-        if data.draw(st.booleans(), label="on support"):
-            t = mu.q_value + data.draw(st.integers(min_value=1, max_value=200), label="n")
+        mu = draw(st.sampled_from(cosets), label="mu")
+        kind = draw(st.sampled_from(["support", "a/d", "a/b"]), label="kind")
+        if kind == "support":
+            t = mu.q_value + draw(st.integers(min_value=1, max_value=200), label="n")
         else:
-            t = Fraction(data.draw(st.integers(min_value=1, max_value=200 * d), label="a"), d)
+            b = d if kind == "a/d" else draw(denominators, label="b")
+            t = Fraction(draw(st.integers(min_value=1, max_value=200 * d), label="a"), b)
+        cases.append((mu.label, t))
+    return d, ideal, tuple(cases)
+
+
+# three ramified primes, all with mu_q = 0 on the zero coset (r = 3): the
+# only obstruction is ramified (t = 2) or inert (t = 17 and 33), or there
+# are three, two ramified and one inert (t = 23 at d = 231, 11 at d = 399);
+# at t = 1/2 no integral ideal has norm dt
+@example((231, "unit", ((0, Fraction(2)), (0, Fraction(17)), (0, Fraction(23)),
+                        (0, Fraction(1, 2)))))
+@example((399, "unit", ((0, Fraction(2)), (0, Fraction(33)), (0, Fraction(11)))))
+@given(lattice_cases())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_kappa_matches_the_oracle_on_random_fields(case):
+    d, ideal, cases = case
+    fld = make_field(d)
+    lat = make_ideal_lattice(fld, ideal)
+    for label, t in cases:
+        mu = _mu(lat, label)
         oracle = eisenstein_deriv_coeff(fld, lat, mu, t)
-        assert oracle.flag is None, (d, ideal, mu.label, t)
-        assert kappa_positive(fld, lat, mu, t).log_part == oracle.value, (d, ideal, mu.label, t)
+        assert oracle.flag is None, (d, ideal, label, t)
+        assert kappa_positive(fld, lat, mu, t).log_part == oracle.value, (d, ideal, label, t)
 
 
 def test_kappa_requires_positive_t():

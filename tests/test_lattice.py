@@ -160,7 +160,7 @@ def test_prime_ideal_norms():
     assert make_ideal_lattice(fld, "prime:2").norm == 2
     fld15 = make_field(15)
     assert make_ideal_lattice(fld15, "prime:2").norm == 2
-    assert make_ideal_lattice(fld15, ("prime", 3)).norm == 3
+    assert make_ideal_lattice(fld15, "prime:3").norm == 3
     with pytest.raises(NotAnIdealError):
         make_ideal_lattice(fld15, "prime:7")  # 7 inert in Q(sqrt(-15))
 
@@ -203,6 +203,15 @@ def test_basis_spec_parsing():
     fld = make_field(7)
     lat = make_ideal_lattice(fld, "basis:2,0;0,2")
     assert lat.norm == 4
+
+
+def test_non_string_ideal_spec_names_the_forms():
+    fld = make_field(15)
+    for spec in (("prime", 3), ((2, 0), (0, 2)), 3):
+        with pytest.raises(
+            NotAnIdealError, match="is not one of unit, prime:p or basis:a,b;c,d"
+        ):
+            make_ideal_lattice(fld, spec)
 
 
 def test_not_an_ideal_errors():

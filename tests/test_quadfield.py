@@ -91,13 +91,14 @@ def test_rho_values_d7():
 
 
 def test_rho_local():
+    # rho(p^a), the local ideal counts that rho multiplies together
     fld = make_field(15)
-    assert fld.rho_local(2, -1) == 0
-    assert fld.rho_local(2, 0) == 1
-    assert fld.rho_local(2, 3) == 4   # 2 splits in Q(sqrt(-15))
-    assert fld.rho_local(7, 1) == 0   # 7 inert
-    assert fld.rho_local(7, 2) == 1
-    assert fld.rho_local(3, 5) == 1   # ramified
+    assert fld.rho(Fraction(1, 2)) == 0   # 2^-1
+    assert fld.rho(1) == 1      # 2^0
+    assert fld.rho(2**3) == 4   # 2 splits in Q(sqrt(-15))
+    assert fld.rho(7) == 0      # 7 inert
+    assert fld.rho(7**2) == 1
+    assert fld.rho(3**5) == 1   # ramified
 
 
 def test_L_at_zero_class_number():
