@@ -215,17 +215,17 @@ def _glue_candidates(split):
     n = split.plus.rank
     den = split.etas[0].den
     etas = sorted(
-        (tuple(x % den for x in eta.num), eta.label)
+        tuple(x % den for x in eta.num)
         for eta in split.etas
         if eta.q_mod_one == 0
     )
     found = []
     for p in sorted(set(split.minus.field.ramified_primes) | {2}):
-        for num, label in etas:
+        for num in etas:
             # a nonzero first coordinate keeps the corpus of the earlier
             # search, which glued on basis row 0, exactly
             if num[0] and any(num[n:]) and all(p * x % den == 0 for x in num):
-                found.append(glue(split, label))
+                found.append(glue(split.plus, split.minus, num, den))
                 break  # one glue per prime keeps the corpus varied but small
     return found
 

@@ -18,6 +18,12 @@ import functools
 import math
 from fractions import Fraction
 
+from mpmath import mp
+from mpmath.libmp import (
+    dps_to_prec, from_int, from_rational, mpf_log, mpf_shift, round_nearest,
+    to_fixed,
+)
+
 INFINITE_PLACE = math.inf
 
 
@@ -430,7 +436,7 @@ class FactoredLog:
     def numeric(self, prec=50):
         """The value as an mpmath real, rounded to dps_to_prec(prec + 10)
         bits (prec + 10 digits); see fixed_point_value."""
-        return self.fixed_point_value(_mpmath().dps_to_prec(prec + 10))
+        return self.fixed_point_value(dps_to_prec(prec + 10))
 
     def fixed_point_value(self, bits, c=0, x=None):
         """self + c * x for a rational c and an mpmath real x (x is read only
@@ -450,16 +456,15 @@ class FactoredLog:
         unbounded, so that is the same value, bit for bit, as rounding
         N / (b den 2^w), without the w trailing zero bits in the divisor.
         """
-        mpm = _mpmath()
         a, b = _ratio(c)
         den = self._den
         weight = b * sum(map(abs, self._num.values())) + abs(a) * den
         w = bits + weight.bit_length() + _GUARD_BITS
         total = b * sum(n * _log_fixed(p, w) for p, n in self._num.items())
         if a:
-            total += a * den * int(mpm.to_fixed(x._mpf_, w))
-        return mpm.make_mpf(mpm.mpf_shift(
-            mpm.from_rational(total, b * den, bits, mpm.round_nearest), -w
+            total += a * den * int(to_fixed(x._mpf_, w))
+        return mp.make_mpf(mpf_shift(
+            from_rational(total, b * den, bits, round_nearest), -w
         ))
 
 
@@ -469,36 +474,14 @@ _GUARD_BITS = 8
 
 
 @functools.cache
-def _mpmath():
-    """The mpmath names that FactoredLog's numeric values use, bound once.
-    mpmath is imported on first use: imported at the top of arith, the
-    package's first module, it raises the peak RSS of a process that
-    imports the package by about 1 MB."""
-    from types import SimpleNamespace
-
-    from mpmath import mp
-    from mpmath.libmp import (
-        dps_to_prec, from_int, from_rational, mpf_log, mpf_shift,
-        round_nearest, to_fixed,
-    )
-
-    return SimpleNamespace(
-        make_mpf=mp.make_mpf, dps_to_prec=dps_to_prec, from_int=from_int,
-        from_rational=from_rational, mpf_log=mpf_log, mpf_shift=mpf_shift,
-        round_nearest=round_nearest, to_fixed=to_fixed,
-    )
-
-
-@functools.cache
 def _log_fixed(p, w):
     """round(log(p) 2^w), within 1/2 + 2^-9 of it: log p < bitlength(p) is
     taken to w + 10 + bitlength(bitlength(p)) relative bits, so to within
     2^-(w + 10) absolute, and floored at w + 1 bits.  Computed once per
     (p, w)."""
-    mpm = _mpmath()
     wp = w + 10 + p.bit_length().bit_length()
-    log_p = mpm.mpf_log(mpm.from_int(p), wp)
-    return (int(mpm.to_fixed(log_p, w + 1)) + 1) >> 1
+    log_p = mpf_log(from_int(p), wp)
+    return (int(to_fixed(log_p, w + 1)) + 1) >> 1
 
 
 ZERO_LOG = FactoredLog()

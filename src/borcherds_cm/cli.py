@@ -4,8 +4,8 @@ All exact values are printed as machine-parseable key=value lines with
 rationals rendered a/b and factored logarithms in their canonical
 serialization.  Usage errors exit 2 (argparse); computation errors exit 1
 with a diagnostic naming the violated precondition.  A reader that closes
-stdout early (bcm qexp j -N 500 | head -c 20) ends the command with exit 1
-and no diagnostic.
+stdout early (bcm qexp j -N 500 | head -c 20, or bcm --help | true) ends
+the command with exit 1 and no diagnostic.
 """
 
 from __future__ import annotations
@@ -258,11 +258,13 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
-        sys.stdout.flush()
-        return code
+        try:
+            args = parser.parse_args(argv)
+            return args.fn(args)
+        finally:
+            # also after --help: a closed stdout fails inside this handler
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: stop quietly, and point stdout at
         # devnull so that the flush at exit does not fail again

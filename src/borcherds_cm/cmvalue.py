@@ -74,6 +74,7 @@ def contraction_coeffs(form, sl, m_values):
     Returns a dict (eta_label, lambda_index, m) -> rational.  The m1 sum
     runs over the finite support of c_eta; d counts vectors of norm m2 >= 0.
     """
+    form.check_lattice(sl)
     coeffs = form.coeffs
     table = {}
     for eta in sl.etas:
@@ -148,9 +149,11 @@ def _inner_sum(form, sl):
 
     The sum is computed once per lattice and kept on the form, unscaled,
     so log_psi_product, phi_average and c00_contraction share it at any
-    vol_KT."""
+    vol_KT; a lattice other than the form's own is checked first."""
     value = form._inner_sums.get(sl)
     if value is None:
+        if sl is not form._lattice:
+            form.check_lattice(sl)
         value = form._inner_sums[sl] = _combine(
             (c, _kappa_eta_entry(sl, (label, -num, den)))
             for (label, num, den), c in form.terms.items()

@@ -176,8 +176,8 @@ class FourierForm:
     The table is kept as integer terms {(label, num, den): c}, with m =
     num/den in lowest terms and c an int when it is integral (a Fraction
     otherwise); entries absent from it are zero.  The key does not depend
-    on the lattice, so one form serves every lattice it is valid on.  The
-    SplitLattice's etas provide the labels and Q(eta) mod 1: m and
+    on the lattice, so one form serves every lattice check_lattice passes.
+    The SplitLattice's etas provide the labels and Q(eta) mod 1: m and
     q = Q(eta) mod 1 are both in lowest terms, so m + q is an integer
     exactly when den == q.denominator and num + q.numerator is divisible
     by den, an integer test.  `coeffs` and `principal_support` are the
@@ -185,7 +185,6 @@ class FourierForm:
     """
 
     def __init__(self, lattice, coeffs):
-        etas = lattice.etas
         terms = {}
         for (label, m), c in coeffs.items():
             label = int(label)
@@ -193,13 +192,26 @@ class FourierForm:
             cn, cd = _ratio(c)
             if not cn:
                 continue
-            if not 0 <= label < len(etas):
-                raise ValueError(f"eta label {label} out of range")
             if num <= 0 and cd != 1:
                 raise IntegralityViolation(
                     f"c_{label}({Fraction(num, den)}) = {Fraction(cn, cd)} "
                     "must be an integer for m <= 0"
                 )
+            terms[(label, num, den)] = cn if cd == 1 else Fraction(cn, cd)
+        self.terms = terms
+        self.check_lattice(lattice)
+        self._lattice = lattice
+        # SplitLattice -> inner sum, filled by cmvalue._inner_sum
+        self._inner_sums = {}
+
+    def check_lattice(self, lattice):
+        """Refuse a lattice on which a term is not valid: its eta label is
+        out of range, or m + Q(eta) is not an integer.  The constructor
+        checks its own lattice, cmvalue any other on first meeting it."""
+        etas = lattice.etas
+        for label, num, den in self.terms:
+            if not 0 <= label < len(etas):
+                raise ValueError(f"eta label {label} out of range")
             q = etas[label].q_mod_one
             if den != q.denominator or (num + q.numerator) % den:
                 m = Fraction(num, den)
@@ -207,10 +219,6 @@ class FourierForm:
                     f"c_{label}({m}) nonzero but {m} + Q(eta) = "
                     f"{m + q} is not an integer"
                 )
-            terms[(label, num, den)] = cn if cd == 1 else Fraction(cn, cd)
-        self.terms = terms
-        # SplitLattice -> inner sum, filled by cmvalue._inner_sum
-        self._inner_sums = {}
 
     @property
     def coeffs(self):

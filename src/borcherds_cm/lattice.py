@@ -23,9 +23,10 @@ computed when it is built, tests definiteness (Sylvester's criterion) and
 seeds its enumeration.  A SplitLattice keeps its etas and glue vectors as
 integer ambient numerators over one denominator, with integer gram_L and
 eta_pairs; their Fraction plus/minus views are made only when read.  One
-routine, glue, writes a glue row into a basis: it scales an isotropic eta
-of L_+ + L_- so that one coordinate is 1/m and puts it in place of that
-basis row.
+routine, glue, builds L_+ + L_- + Z v from a glue vector v given as integer
+ambient numerators over one denominator: it scales v so that one
+coordinate is 1/m and puts it in place of that basis row, so the unglued
+L_+ + L_- and its discriminant group are never listed.
 
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
@@ -615,39 +616,33 @@ class SplitLattice:
         return pairs
 
 
-def glue(split, label):
-    """The overlattice L_+ + L_- + Z eta of a split lattice L = L_+ + L_-
-    (identity basis) along its eta of the given label, which must have
-    q_mod_one 0 so that the result is even (Nikulin's gluing).
+def glue(plus, minus, num, den):
+    """The overlattice L_+ + L_- + Z v of L_+ + L_- = Z^N along the vector
+    v = num / den, given by integer ambient numerators over one denominator
+    as EtaCoset.num and .den (Nikulin's gluing).
 
-    With m the order of eta, its first coordinate i of denominator exactly
-    m is a/m with a prime to m, so c eta mod 1, c = a^{-1} mod m, has 1/m
-    there.  That vector and the unit rows e_j, j != i, span Z^N + Z eta;
-    it replaces basis row i, and SplitLattice checks the result."""
-    eta = split.etas[label]
-    N = len(eta.num)
-    basis = [tuple(int(i == j) for j in range(N)) for i in range(N)]
-    if split.basis != tuple(basis):
-        raise InconsistentEmbeddingError(
-            f"glue at eta {label}: the lattice basis is not the identity"
-        )
-    if eta.q_mod_one:
-        raise InconsistentEmbeddingError(
-            f"glue at eta {label}: q = {eta.q_mod_one} is not 0"
-        )
-    m = eta.den // math.gcd(eta.den, *eta.num)
+    With m the order of v mod Z^N, its first coordinate i of denominator
+    exactly m is a/m with a prime to m, so c v mod 1, c = a^{-1} mod m, has
+    1/m there.  That vector and the unit rows e_j, j != i, span Z^N + Z v;
+    it replaces basis row i, and SplitLattice checks the result, which
+    refuses a v with Q(v) not an integer as not integral or not even."""
+    m = abs(den) // math.gcd(den, *num)
     if m == 1:
-        raise InconsistentEmbeddingError(f"glue at eta {label}: the eta is zero")
-    a = [x * m // eta.den for x in eta.num]
+        raise InconsistentEmbeddingError(
+            f"glue along {num}/{den}: the vector lies in L_+ + L_-"
+        )
+    a = [x * m // den for x in num]
     i = next((i for i, x in enumerate(a) if math.gcd(x, m) == 1), None)
     if i is None:
         raise InconsistentEmbeddingError(
-            f"glue at eta {label}: no coordinate has the denominator {m} "
+            f"glue along {num}/{den}: no coordinate has the denominator {m} "
             "of its order"
         )
     c = pow(a[i], -1, m)
+    N = len(a)
+    basis = [tuple(int(i == j) for j in range(N)) for i in range(N)]
     basis[i] = tuple(Fraction(c * x % m, m) for x in a)
-    return SplitLattice(split.plus, split.minus, tuple(basis))
+    return SplitLattice(plus, minus, tuple(basis))
 
 
 def _transpose(A):

@@ -81,14 +81,20 @@ def reduced_forms(d):
 
 @dataclass(frozen=True)
 class QuadField:
-    """Immutable data for k = Q(sqrt(-d)), discriminant -d odd fundamental."""
+    """Immutable data for k = Q(sqrt(-d)), discriminant -d odd fundamental.
+
+    d alone fixes the field, so equality and hashing read d only; the
+    ramified primes and the class number h are kept, not compared."""
 
     d: int
-    discriminant: int
-    ramified_primes: tuple
-    h: int
-    w: int = 2
+    ramified_primes: tuple = field(compare=False)
+    h: int = field(compare=False)
     _split_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    w = 2  # roots of unity in O_k, 2 for every d > 3
+
+    @property
+    def discriminant(self):
+        return -self.d
 
     def chi(self, t, p):
         """Local character chi_p(t) = (t, -d)_p; p a prime or INFINITE_PLACE."""
@@ -140,7 +146,7 @@ def make_field(d):
         )
     ramified = tuple(p for p, _ in factors)
     h = len(reduced_forms(d))
-    return QuadField(d=d, discriminant=-d, ramified_primes=ramified, h=h)
+    return QuadField(d=d, ramified_primes=ramified, h=h)
 
 
 def check_field(fld, d):

@@ -265,6 +265,8 @@ def test_missing_file_exits_1(capsys):
     (("kappa", "-d", "7", "-t", "1"), False),
     (("kappa", "-d", "7", "-t", "1"), True),
     (("qexp", "j", "-N", "500"), False),
+    (("--help",), False),
+    (("kappa", "--help"), False),
 ])
 def test_closed_pipe_exits_quietly(argv, unbuffered):
     # the read end is closed before the command runs, so its first write

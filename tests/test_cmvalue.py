@@ -20,7 +20,7 @@ from borcherds_cm.cmvalue import (
     phi_average,
     transcendental_base,
 )
-from borcherds_cm.forms import FourierForm
+from borcherds_cm.forms import FourierForm, SupportCongruenceViolation
 from borcherds_cm.gzoracle import gz_product
 from borcherds_cm.kappa import KappaValue, kappa_at, kappa_positive
 from borcherds_cm.lattice import (
@@ -96,15 +96,30 @@ def test_x1_lattice_gives_gross_zagier_at_composite_d1():
     # the X(1) lattice; {(gamma_1, -7/4): 1}, gamma_1 the coset with q = 3/4,
     # lifts to prod (j(z) - j(tau_7)), whose CM value is 4 log|gz(15, 7)|
     fld = make_field(15)
-    sl = SplitLattice(PosLattice(((30,),)), make_ideal_lattice(fld, "unit"))
-    v = (Fraction(1, 15), Fraction(1, 15), Fraction(13, 15))
-    x1 = glue(sl, next(
-        e.label for e in sl.etas if tuple(x % 1 for x in e.plus + e.minus) == v
-    ))
+    x1 = glue(PosLattice(((30,),)), make_ideal_lattice(fld, "unit"), (1, 1, 13), 15)
     report = log_psi_product(FourierForm(x1, {(1, Fraction(-7, 4)): 1}), x1, fld)
     gz = gz_product(15, 7)
     assert abs(gz.product) == 754606125
     assert report.rational_part == 4 * FactoredLog(dict(gz.factorization))
+    assert report.kzero_coeff == 0
+
+
+@pytest.mark.parametrize("d1, d2, factor", [
+    (227, 3, Fraction(4, 3)),
+    (443, 3, Fraction(4, 3)),
+    (227, 7, 4),
+    (163, 11, 4),
+])
+def test_x1_lattice_gives_gross_zagier_beyond_the_unglued_cap(d1, d2, factor):
+    # from d1 = 227 on, the unglued Z(2 d1) + O_k has |L^v/L| = 2 d1^2 above
+    # MAX_DUAL_ORDER, but glue builds the X(1) lattice from its vector
+    # alone; at d2 = 3, j(rho) = 0 and rho has 6 units, hence 4/3 for 4
+    fld = make_field(d1)
+    x1 = glue(PosLattice(((2 * d1,),)), make_ideal_lattice(fld, "unit"), (1, 1, -2), d1)
+    form = FourierForm(x1, {(1, Fraction(-d2, 4)): 1})
+    report = log_psi_product(form, x1, fld)
+    gz = gz_product(d1, d2)
+    assert report.rational_part == factor * FactoredLog(dict(gz.factorization))
     assert report.kzero_coeff == 0
 
 
@@ -115,16 +130,17 @@ def _same_disc(d, spec):
     fld = make_field(d)
     c = make_ideal_lattice(fld, spec)
     plus = PosLattice(tuple(tuple(-x for x in row) for row in c.gram))
-    sl = SplitLattice(plus, make_ideal_lattice(fld, "unit"))
+    unit = make_ideal_lattice(fld, "unit")
+    sl = SplitLattice(plus, unit)
 
     def order(num, den):
         return den // math.gcd(den, *num)
 
-    label = next(
-        e.label for e in sl.etas
+    eta = next(
+        e for e in sl.etas
         if e.q_mod_one == 0 and order(e.num[:2], e.den) == order(e.num[2:], e.den) == d
     )
-    return fld, glue(sl, label)
+    return fld, glue(plus, unit, eta.num, eta.den)
 
 
 def test_same_discriminant_singular_moduli_d23():
@@ -273,6 +289,33 @@ def test_inner_sum_kept_per_lattice_and_any_vol_kt():
     # the lattices give different sums, so a value kept for one cannot
     # stand in for the other
     assert inners[0] != inners[1]
+
+
+def test_form_on_a_lattice_it_is_not_valid_on_is_refused():
+    """A form meets another lattice as a form built there would: a term
+    that breaks the support congruence or names a missing eta is refused
+    with the constructor's message, and nothing is kept."""
+    fld = make_field(7)
+    unit = make_ideal_lattice(fld, "unit")
+    a, b = (SplitLattice(PosLattice(gram), unit) for gram in (((2,),), ((4,),)))
+    cases = [
+        (a, b, {(1, Fraction(-19, 28) - 1): 1}, SupportCongruenceViolation),
+        (b, a, {(20, -b.etas[20].q_mod_one - 1): 1}, ValueError),
+    ]
+    for home, other, coeffs, error in cases:
+        form = FourierForm(home, coeffs)
+        with pytest.raises(error) as built:
+            FourierForm(other, coeffs)
+        for call in (log_psi_product, phi_average):
+            with pytest.raises(error) as used:
+                call(form, other, fld)
+            assert str(used.value) == str(built.value)
+        with pytest.raises(error):
+            c00_contraction(form, other)
+        with pytest.raises(error):
+            contraction_coeffs(form, other, [Fraction(0)])
+        assert other not in form._inner_sums
+        log_psi_product(form, home, fld)
 
 
 def _fraction_scaled(s, value):

@@ -554,58 +554,54 @@ def test_glued_lattice_index_seven():
         assert sl.q_ambient(g.plus + g.minus).denominator == 1
 
 
-def _x1_split(d1):
-    """L_+ + L_- for the X(1) lattice: L_+ = Z with Q(x) = d1 x^2, L_- the
+def _x1_parts(d1):
+    """L_+ and L_- of the X(1) lattice: L_+ = Z with Q(x) = d1 x^2, L_- the
     unit ideal of Q(sqrt(-d1))."""
-    fld = make_field(d1)
-    return SplitLattice(PosLattice(((2 * d1,),)), make_ideal_lattice(fld, "unit"))
+    return PosLattice(((2 * d1,),)), make_ideal_lattice(make_field(d1), "unit")
 
 
-def _eta_at(sl, coords):
-    """The label of the eta congruent to coords mod L."""
-    return next(
-        e.label for e in sl.etas
-        if all((x - y).denominator == 1 for x, y in zip(e.plus + e.minus, coords))
-    )
-
-
-@pytest.mark.parametrize("d1", [7, 11, 15, 35, 39, 163])
+@pytest.mark.parametrize("d1", [7, 11, 15, 35, 39, 163, 227, 443])
 def test_glue_gives_the_x1_lattice(d1):
     # the isotropic v = (1/d1; 1/d1, -2/d1) of order d1 glues L_+ + L_- to
     # the lattice of trace-zero integer 2x2 matrices, L^v/L = Z/2 with
-    # q = 3/4, for prime and composite d1 alike
-    sl = _x1_split(d1)
-    v = (Fraction(1, d1), Fraction(1, d1), Fraction(-2, d1))
-    glued = glue(sl, _eta_at(sl, v))
+    # q = 3/4, for prime and composite d1 alike, and beyond d1 = 223, where
+    # the unglued L^v/L of order 2 d1^2 is above MAX_DUAL_ORDER
+    plus, unit = _x1_parts(d1)
+    glued = glue(plus, unit, (1, 1, -2), d1)
     assert glued.basis == (
         (Fraction(1, d1), Fraction(1, d1), Fraction(d1 - 2, d1)),
         (0, 1, 0),
         (0, 0, 1),
     )
     assert [e.q_mod_one for e in glued.etas] == [0, Fraction(3, 4)]
-    # any unit multiple of v names the same lattice
-    assert glue(sl, _eta_at(sl, tuple(2 * x for x in v))).basis == glued.basis
+    # any unit multiple of v, over any denominator, names the same lattice
+    assert glue(plus, unit, (2, 2, -4), d1).basis == glued.basis
+    assert glue(plus, unit, (3, 3, -6), 3 * d1).basis == glued.basis
+    assert glue(plus, unit, (-1, -1, 2), -d1).basis == glued.basis
 
 
 def test_glue_errors():
-    sl = _x1_split(7)
-    v = _eta_at(sl, (Fraction(1, 7), Fraction(1, 7), Fraction(-2, 7)))
-    nonzero_q = next(e.label for e in sl.etas if e.q_mod_one)
-    with pytest.raises(InconsistentEmbeddingError, match=f"eta {nonzero_q}: q = "):
-        glue(sl, nonzero_q)
-    glued = glue(sl, v)
-    with pytest.raises(InconsistentEmbeddingError, match="eta 0: .*not the identity"):
-        glue(glued, 0)
-    with pytest.raises(InconsistentEmbeddingError, match="eta 0: the eta is zero"):
-        glue(sl, 0)
+    plus, unit = _x1_parts(7)
+    # glue has no q check of its own: every eta of L_+ + L_- with q != 0
+    # that has a coordinate of its order gives a lattice that SplitLattice
+    # refuses as not even or not integral
+    split = SplitLattice(plus, unit)
+    refused = [e for e in split.etas if e.q_mod_one]
+    assert len(refused) == 85
+    for eta in refused:
+        with pytest.raises(
+            InconsistentEmbeddingError,
+            match="not an integral lattice|not even|no coordinate",
+        ):
+            glue(plus, unit, eta.num, eta.den)
+    with pytest.raises(InconsistentEmbeddingError, match="lies in L_\\+ \\+ L_-"):
+        glue(plus, unit, (7, 7, -14), 7)
     # Q(1/2, 2/3) = 4/4 + 9 (4/9) = 5: order 6, with coordinate
     # denominators 2 and 3 only
-    unit = make_ideal_lattice(make_field(7), "unit")
-    split = SplitLattice(PosLattice(((8, 0), (0, 18))), unit)
-    label = _eta_at(split, (Fraction(1, 2), Fraction(2, 3), 0, 0))
-    assert split.etas[label].q_mod_one == 0
-    with pytest.raises(InconsistentEmbeddingError, match=f"eta {label}: no coordinate"):
-        glue(split, label)
+    plus = PosLattice(((8, 0), (0, 18)))
+    assert plus.q_of((Fraction(1, 2), Fraction(2, 3))) == 5
+    with pytest.raises(InconsistentEmbeddingError, match="no coordinate"):
+        glue(plus, unit, (3, 4, 0, 0), 6)
 
 
 _GLUE_FIELDS = (7, 15, 23, 35, 39, 55)
