@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import FactoredLog, INFINITE_PLACE, hilbert_symbol
+from .arith import FactoredLog, INFINITE_PLACE, factorize, hilbert_symbol
 from .cmvalue import (
     c00_contraction,
     check_prime_support,
@@ -33,20 +33,30 @@ from .lattice import (
 from .locwhit import eisenstein_deriv_coeff
 from .quadfield import (
     L_at_one,
+    UnsupportedDiscriminantError,
     chowla_selberg_log_deriv,
     kappa_zero_constant,
     kappa_zero_direct,
     l_log_deriv_at_zero_direct,
     make_field,
+    reduced_forms,
 )
 
 D_SET = (7, 11, 15, 23)
+# The sweep sizes, seed, digits and tolerance the criteria run at.
+KAPPA_T_MULTIPLIER = 200  # criterion 1: t = a/d, 1 <= a <= 200 d
+RHO_BOUND = 10**4
+HILBERT_TRIALS = 10**4
+HILBERT_SEED = 20240817
+ORACLE_PREC = 64  # criteria 4 and 5
+ORACLE_TOL = "1e-40"
+GZ_SWEEP_LIMIT = 2000  # criterion 9: pairs with d1 * d2 <= 2000
 
 
-def criterion_kappa_oracle(t_multiplier=200):
+def criterion_kappa_oracle():
     """kappa_positive == Eisenstein-derivative oracle over the full sweep:
     d in D_SET, the unit ideal plus a non-principal ideal when h > 1, every
-    dual coset, every t = a/d with 1 <= a <= t_multiplier * d."""
+    dual coset, every t = a/d with 1 <= a <= KAPPA_T_MULTIPLIER * d."""
     checked = 0
     for d in D_SET:
         fld = make_field(d)
@@ -55,7 +65,7 @@ def criterion_kappa_oracle(t_multiplier=200):
             lattices.append(make_ideal_lattice(fld, "prime:2"))
         for lat in lattices:
             cosets = enumerate_dual_cosets(lat)
-            for a in range(1, t_multiplier * d + 1):
+            for a in range(1, KAPPA_T_MULTIPLIER * d + 1):
                 t = Fraction(a, d)
                 for mu in cosets:
                     formula = kappa_positive(fld, lat, mu, t)
@@ -90,31 +100,29 @@ def _divisors(n, spf):
     return divs
 
 
-def criterion_rho_divisor_sum(bound=10**4):
-    """rho(t) = sum_{n | t} chi_d(n) for 1 <= t <= bound, all d in D_SET."""
-    spf = list(range(bound + 1))
-    for p in range(2, int(math.isqrt(bound)) + 1):
+def criterion_rho_divisor_sum():
+    """rho(t) = sum_{n | t} chi_d(n) for 1 <= t <= RHO_BOUND, all d in D_SET."""
+    spf = list(range(RHO_BOUND + 1))
+    for p in range(2, int(math.isqrt(RHO_BOUND)) + 1):
         if spf[p] == p:
-            for q in range(p * p, bound + 1, p):
+            for q in range(p * p, RHO_BOUND + 1, p):
                 if spf[q] == q:
                     spf[q] = p
     fields = [make_field(d) for d in D_SET]
-    for t in range(1, bound + 1):
+    for t in range(1, RHO_BOUND + 1):
         divs = _divisors(t, spf)
         for fld in fields:
             expected = sum(fld.chi_of_prime(n) for n in divs)
             if fld.rho(t) != expected:
                 return False, f"rho({t}) mismatch for d={fld.d}"
-    return True, f"rho identity holds for t <= {bound}, d in {D_SET}"
+    return True, f"rho identity holds for t <= {RHO_BOUND}, d in {D_SET}"
 
 
-def criterion_hilbert_reciprocity(trials=10**4, seed=20240817):
+def criterion_hilbert_reciprocity():
     """Product formula prod_v (a, b)_v = 1 over all places for random
     nonzero rationals."""
-    rng = random.Random(seed)
-    from .arith import factorize
-
-    for i in range(trials):
+    rng = random.Random(HILBERT_SEED)
+    for i in range(HILBERT_TRIALS):
         def rand_rat():
             num = rng.randint(-10**6, 10**6) or 1
             den = rng.randint(1, 1000) if rng.random() < 0.3 else 1
@@ -131,37 +139,37 @@ def criterion_hilbert_reciprocity(trials=10**4, seed=20240817):
             prod *= hilbert_symbol(a, b, v)
         if prod != 1:
             return False, f"reciprocity fails for a={a}, b={b}"
-    return True, f"{trials} random pairs satisfy the product formula"
+    return True, f"{HILBERT_TRIALS} random pairs satisfy the product formula"
 
 
-def criterion_kzero_two_routes(prec=64, tol="1e-40"):
+def criterion_kzero_two_routes():
     """log d + 2 Lambda'(1)/Lambda(1) agrees with log(4 d pi) - 2 L'(0)/L(0)
     (Chowla-Selberg normalization), and the Chowla-Selberg sum agrees with
-    the finite-difference route, both to tol."""
-    with mp.workdps(prec + 20):
-        tol = mp.mpf(tol)
+    the finite-difference route, both to ORACLE_TOL."""
+    with mp.workdps(ORACLE_PREC + 20):
+        tol = mp.mpf(ORACLE_TOL)
         for d in D_SET:
             fld = make_field(d)
-            route1 = kappa_zero_direct(fld, prec)
-            route2 = kappa_zero_constant(fld, prec)
+            route1 = kappa_zero_direct(fld, ORACLE_PREC)
+            route2 = kappa_zero_constant(fld, ORACLE_PREC)
             if abs(route1 - route2) >= tol:
                 return False, (
                     f"d={d}: |route1 - route2| = {mp.nstr(abs(route1 - route2))}"
                 )
-            cs = chowla_selberg_log_deriv(fld, prec)
-            fd = l_log_deriv_at_zero_direct(fld, prec)
+            cs = chowla_selberg_log_deriv(fld, ORACLE_PREC)
+            fd = l_log_deriv_at_zero_direct(fld, ORACLE_PREC)
             if abs(cs - fd) >= tol:
                 return False, f"d={d}: Chowla-Selberg vs direct = {mp.nstr(abs(cs - fd))}"
     return True, f"both k0(0) routes agree to {mp.nstr(tol)} for d in {D_SET}"
 
 
-def criterion_class_number_formula(prec=64, tol="1e-40"):
-    """Digamma-series L(1, chi_d) matches 2 pi h / (w sqrt(d)) to tol."""
-    with mp.workdps(prec + 20):
-        tol = mp.mpf(tol)
+def criterion_class_number_formula():
+    """Digamma-series L(1, chi_d) matches 2 pi h / (w sqrt(d)) to ORACLE_TOL."""
+    with mp.workdps(ORACLE_PREC + 20):
+        tol = mp.mpf(ORACLE_TOL)
         for d in D_SET:
             fld = make_field(d)
-            series = L_at_one(fld, prec)
+            series = L_at_one(fld, ORACLE_PREC)
             closed = 2 * mp.pi * fld.h / (fld.w * mp.sqrt(d))
             if abs(series - closed) >= tol:
                 return False, f"d={d}: |diff| = {mp.nstr(abs(series - closed))}"
@@ -322,9 +330,9 @@ def criterion_contraction_consistency():
     return True, f"contraction consistency on {len(corpus)} corpus instances"
 
 
-def criterion_gz(sweep_limit=2000):
+def criterion_gz():
     """gz_product at the two reference pairs, plus the support sweep over
-    coprime odd-fundamental pairs with d1*d2 <= sweep_limit."""
+    coprime odd-fundamental pairs with d1*d2 <= GZ_SWEEP_LIMIT."""
     r37 = gz_product(3, 7)
     if r37.product != 3375 or r37.factorization != ((3, 3), (5, 3)):
         return False, f"gz(3,7) = {r37.product} ({r37.factored_string()})"
@@ -340,10 +348,8 @@ def criterion_gz(sweep_limit=2000):
         return False, f"gz(7,43) factorization {r743.factorization}"
     if r743.margin >= 1e-20:
         return False, f"gz(7,43) margin {r743.margin}"
-    from .quadfield import reduced_forms, UnsupportedDiscriminantError
-
     ds = []
-    for d in range(3, sweep_limit // 3 + 1, 4):
+    for d in range(3, GZ_SWEEP_LIMIT // 3 + 1, 4):
         try:
             reduced_forms(d)
         except UnsupportedDiscriminantError:
@@ -352,7 +358,7 @@ def criterion_gz(sweep_limit=2000):
     pairs = 0
     for i, d1 in enumerate(ds):
         for d2 in ds[i + 1 :]:
-            if d1 * d2 > sweep_limit or math.gcd(d1, d2) != 1:
+            if d1 * d2 > GZ_SWEEP_LIMIT or math.gcd(d1, d2) != 1:
                 continue
             result = gz_product(d1, d2)
             ok, violations = gz_support_check(result)

@@ -31,6 +31,17 @@ class UndefinedValuationError(ValueError):
     """Raised when the valuation of zero is requested."""
 
 
+def _whole(name, value):
+    """value as an int; a ValueError naming it if it is not a whole number."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name}={value!r} is not an integer")
+    return n
+
+
 # Miller-Rabin to the twelve prime bases up to 37 is a proof of primality
 # below this bound (Sorenson and Webster, 2015).
 PRIME_PROOF_BOUND = 3317044064679887385961981

@@ -45,7 +45,9 @@ from mpmath.libmp import dps_to_prec
 from .arith import FactoredLog, _ratio, flog_combine
 from .forms import _m_max_ratio
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
-from .quadfield import INERT, check_field, kappa_zero_constant
+from .quadfield import (
+    INERT, check_field, chowla_selberg_log_deriv, kappa_zero_constant,
+)
 
 
 def _combine(pairs):
@@ -269,8 +271,6 @@ def transcendental_base(fld, prec=64):
     """The base (4 d pi)^{-1} e^{2 L'(0)/L(0)} of the transcendental factor,
     in both forms: the exponential form and the Gamma-product
     [(4 d pi)^{-h} prod_a Gamma(a/d)^{w chi(a)}]^{1/h}."""
-    from .quadfield import chowla_selberg_log_deriv
-
     with mp.workdps(prec + 20):
         cs = chowla_selberg_log_deriv(fld, prec)
         form1 = mp.exp(2 * cs) / (4 * fld.d * mp.pi)

@@ -41,7 +41,7 @@ from mpmath.libmp.libelefun import (
     pi_fixed,
 )
 
-from .arith import factorize, kronecker
+from .arith import _whole, factorize, kronecker
 from .quadfield import MAX_PREC, PrecisionError, reduced_forms
 
 
@@ -225,17 +225,6 @@ def _class_j_values(forms, d, digits):
             re, (im, exp) = mirror
             values[(a, b, c)] = re, (-im, exp)
     return [values[f] for f in forms]
-
-
-def _whole(name, value):
-    """value as an int; a ValueError naming it if it is not a whole number."""
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        n = None
-    if n is None or n != value:
-        raise ValueError(f"{name}={value!r} is not an integer")
-    return n
 
 
 _MAX_DOUBLINGS = 4

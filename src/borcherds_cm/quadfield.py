@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import INFINITE_PLACE, factorize, hilbert_symbol, kronecker
+from .arith import INFINITE_PLACE, _whole, factorize, hilbert_symbol, kronecker
 
 SPLIT = "split"
 INERT = "inert"
@@ -35,20 +35,6 @@ class PrecisionError(ValueError):
 MAX_D = 10**7
 
 
-def _fundamental_factors(d):
-    """factorize(d) when -d is an odd fundamental discriminant (d > 0,
-    d = 3 mod 4, squarefree), else None.  A d above MAX_D is refused
-    before any work that grows with d."""
-    if d > MAX_D:
-        raise UnsupportedDiscriminantError(
-            f"d={d} is above the cap of {MAX_D}"
-        )
-    if d <= 0 or d % 4 != 3:
-        return None
-    factors = factorize(d)
-    return factors if all(e == 1 for _, e in factors) else None
-
-
 def reduced_forms(d):
     """All reduced primitive binary quadratic forms (a, b, c) of discriminant -d.
 
@@ -56,14 +42,23 @@ def reduced_forms(d):
     squarefree) with d <= MAX_D.  Boundary convention: b >= 0 when |b| = a
     or a = c.  Returned in canonical (a, b) order; the list length is the
     class number.
+
+    The walk is the squarefree test; d is not factored.  A form of
+    content g > 1 has g^2 | b^2 - 4ac = -d.  If p^2 | d, then p is odd,
+    d/p^2 = 3 mod 4 gives d >= 3p^2, and (p, p, (p^2 + d)/4p) is a reduced
+    form of content p (Cohen, GTM 138, section 5.3).  So d is refused at
+    the first imprimitive form.  A d above MAX_D is refused first.
     """
-    if _fundamental_factors(d) is None:
+    d = _whole("d", d)
+    if d > MAX_D:
         raise UnsupportedDiscriminantError(
-            f"d={d}: -d is not an odd fundamental discriminant"
+            f"d={d} is above the cap of {MAX_D}"
         )
+    not_fundamental = f"d={d}: -d is not an odd fundamental discriminant"
+    if d <= 0 or d % 4 != 3:
+        raise UnsupportedDiscriminantError(not_fundamental)
     forms = []
-    a_max = math.isqrt(d // 3)
-    for a in range(1, a_max + 1):
+    for a in range(1, math.isqrt(d // 3) + 1):
         for b in range(-a, a + 1):
             if (b * b + d) % (4 * a):
                 continue
@@ -73,7 +68,7 @@ def reduced_forms(d):
             if b < 0 and (a == -b or a == c):
                 continue
             if math.gcd(math.gcd(a, abs(b)), c) != 1:
-                continue
+                raise UnsupportedDiscriminantError(not_fundamental)
             forms.append((a, b, c))
     forms.sort()
     return forms
@@ -136,16 +131,21 @@ class QuadField:
 
 
 def make_field(d):
-    """Construct QuadField data for d squarefree, d = 3 mod 4, 3 < d <= MAX_D."""
-    d = int(d)
-    factors = _fundamental_factors(d)
-    if d <= 3 or factors is None:
+    """Construct QuadField data for d squarefree, d = 3 mod 4, 3 < d <= MAX_D:
+    h from `reduced_forms`, the ramified primes from one factorize(d)."""
+    d = _whole("d", d)
+    try:
+        h = len(reduced_forms(d))
+    except UnsupportedDiscriminantError:
+        if d > MAX_D:
+            raise
+        h = None
+    if d <= 3 or h is None:
         raise UnsupportedDiscriminantError(
             f"d={d}: need d > 3, d = 3 (mod 4), squarefree (2-ramified fields "
             "are out of scope)"
         )
-    ramified = tuple(p for p, _ in factors)
-    h = len(reduced_forms(d))
+    ramified = tuple(p for p, _ in factorize(d))
     return QuadField(d=d, ramified_primes=ramified, h=h)
 
 
@@ -245,32 +245,6 @@ def l_log_deriv_at_zero_direct(fld, prec=64):
         return +val
 
 
-def l_log_deriv_at_one_direct(fld, prec=64):
-    """L'(1)/L(1) by central difference of log L across the (cancelling)
-    Hurwitz-zeta poles at s = 1."""
-    _check_prec(prec)
-    with mp.workdps(2 * prec + 60):
-        h = mp.mpf(10) ** (-prec // 2 - 5)
-        lp = mp.log(_L_hurwitz(fld, 1 + h)) - mp.log(_L_hurwitz(fld, 1 - h))
-        val = lp / (2 * h)
-    with mp.workdps(prec + 20):
-        return +val
-
-
-def lambda_log_deriv_at_one(fld, prec=64):
-    """Lambda'(1, chi_d)/Lambda(1, chi_d) for the completed L-function,
-    in the normalization  -log(pi)/2 + Gamma'(1) + L'(1)/L(1)  that pairs
-    with the Chowla-Selberg form of the s = 0 data (the two conventions
-    shift by gamma/2 + log d in lockstep, leaving k0(0) well defined)."""
-    _check_prec(prec)
-    with mp.workdps(prec + 20):
-        return +(
-            -mp.log(mp.pi) / 2
-            + mp.digamma(1)
-            + l_log_deriv_at_one_direct(fld, prec)
-        )
-
-
 @functools.cache
 def kappa_zero_constant(fld, prec=64):
     """The constant k0(0) = log(d) + 2 Lambda'(1)/Lambda(1).
@@ -289,7 +263,21 @@ def kappa_zero_constant(fld, prec=64):
 
 def kappa_zero_direct(fld, prec=64):
     """Oracle route for k0(0): log(d) + 2 Lambda'(1)/Lambda(1) evaluated
-    at s = 1 directly."""
+    at s = 1 directly.
+
+    L'(1)/L(1) is a central difference of log L across the (cancelling)
+    Hurwitz-zeta poles at s = 1.  Lambda'(1, chi_d)/Lambda(1, chi_d) is
+    for the completed L-function, in the normalization
+    -log(pi)/2 + Gamma'(1) + L'(1)/L(1) that pairs with the Chowla-Selberg
+    form of the s = 0 data (the two conventions shift by gamma/2 + log d
+    in lockstep, leaving k0(0) well defined).
+    """
     _check_prec(prec)
+    with mp.workdps(2 * prec + 60):
+        h = mp.mpf(10) ** (-prec // 2 - 5)
+        lp = mp.log(_L_hurwitz(fld, 1 + h)) - mp.log(_L_hurwitz(fld, 1 - h))
+        l_log_deriv = lp / (2 * h)
     with mp.workdps(prec + 20):
-        return +(mp.log(fld.d) + 2 * lambda_log_deriv_at_one(fld, prec))
+        l_log_deriv = +l_log_deriv
+        lambda_log_deriv = -mp.log(mp.pi) / 2 + mp.digamma(1) + l_log_deriv
+        return +(mp.log(fld.d) + 2 * lambda_log_deriv)

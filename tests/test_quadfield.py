@@ -1,8 +1,12 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from borcherds_cm import quadfield
+from borcherds_cm.arith import factorize
 from borcherds_cm.quadfield import (
     INERT,
     MAX_D,
@@ -39,9 +43,53 @@ def test_discriminant_cap():
 
 
 def test_reduced_forms_rejects_bad_discriminants():
-    for d in (5, 8, 21, 63):  # 21 = 1 mod 4; 63 = 9*7 not squarefree
+    # 21 = 1 mod 4; 63 = 9*7, 75 = 25*3, 171 = 9*19, 275 = 25*11 not squarefree
+    for d in (5, 8, 21, 63, 75, 171, 275):
         with pytest.raises(UnsupportedDiscriminantError):
             reduced_forms(d)
+
+
+def _has_square_factor(d):
+    return any(d % (p * p) == 0 for p in range(2, math.isqrt(d) + 1))
+
+
+def test_reduced_forms_refuses_exactly_the_non_squarefree():
+    # the walk's first imprimitive form is the squarefree test
+    for d in range(3, 4000, 4):
+        try:
+            reduced_forms(d)
+            refused = False
+        except UnsupportedDiscriminantError as exc:
+            assert str(exc) == f"d={d}: -d is not an odd fundamental discriminant"
+            refused = True
+        assert refused == _has_square_factor(d), d
+
+
+def test_factorize_calls(monkeypatch):
+    # reduced_forms factors nothing; make_field factors d once
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(quadfield, "factorize", counting)
+    assert reduced_forms(7) == [(1, 1, 2)]
+    assert len(reduced_forms(2000003)) == 357
+    for d in (63, 75, 9999999):
+        with pytest.raises(UnsupportedDiscriminantError):
+            reduced_forms(d)
+    assert calls == []
+    assert make_field(991).ramified_primes == (991,)
+    assert calls == [991]
+
+
+@pytest.mark.parametrize("fn", [reduced_forms, make_field])
+def test_non_whole_d_refused(fn):
+    for d in (7.5, math.inf):
+        with pytest.raises(ValueError, match=re.escape(f"d={d} is not an integer")):
+            fn(d)
+    assert fn(15.0) == fn(15)
 
 
 def test_class_numbers():
