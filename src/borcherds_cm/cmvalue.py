@@ -46,7 +46,7 @@ from .arith import FactoredLog, _ratio, flog_combine
 from .forms import _m_max_ratio
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
 from .quadfield import (
-    INERT, check_field, chowla_selberg_log_deriv, kappa_zero_constant,
+    INERT, _check_prec, check_field, chowla_selberg_log_deriv, kappa_zero_constant,
 )
 
 
@@ -241,8 +241,9 @@ class CMValueReport:
         """sum_z log ||Psi(z)||^2 at prec digits: rational_part plus
         kzero_coeff times k0(0) at prec digits, summed in fixed-point
         integers and rounded once to dps_to_prec(prec + 20) bits (see
-        FactoredLog.fixed_point_value for the error budget).  fld must be
-        the field of the report."""
+        FactoredLog.fixed_point_value for the error budget).  Every report
+        checks prec, and fld must be the field of the report."""
+        _check_prec(prec)
         check_field(fld, self.d)
         k0 = kappa_zero_constant(fld, prec) if self.kzero_coeff else None
         return self.rational_part.fixed_point_value(

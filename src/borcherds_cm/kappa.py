@@ -1,16 +1,18 @@
 """The closed-form constants kappa(t, mu, a) for an ideal lattice in an
 imaginary quadratic field.
 
-The lattice must be an IdealLattice (a, -Nx/Na) and mu one of its
-DualCosets; anything else raises UnsupportedLatticeError, and a field
-whose d is not the lattice's raises ValueError.  At t = 0 the zero coset
-contributes the symbolic constant k0(0), kept as a rational multiple so
-that rationality of downstream sums stays decidable.
+The lattice must be an IdealLattice (a, -Nx/Na) and mu one of its cosets,
+which kappa reads only through Q(mu) mod 1; another lattice raises
+UnsupportedLatticeError, and a field whose d is not the lattice's, or a
+coset the lattice does not list, raises ValueError.  At t = 0 the zero
+coset (Q(mu) = 0 mod 1) contributes the symbolic constant k0(0), kept as
+a rational multiple so that rationality of downstream sums stays
+decidable.
 
-For t > 0, kappa is nonzero only when exactly one prime l obstructs t (a
-ramified q with mu_q = 0 and chi_q(-t*Na) = -1, or an inert p with
-ord_p(dt) odd), and it then lives on l alone, as in Gross-Zagier's
-singular moduli:
+For t > 0, kappa is nonzero only when t is in Q(mu) + Z and exactly one
+prime l obstructs t (a ramified q with mu_q = 0 and chi_q(-t*Na) = -1, or an
+inert p with ord_p(dt) odd), and it then lives on l alone, as in
+Gross-Zagier's singular moduli:
 
     kappa = -(2^r/h_k) * (ord_l(t)+1) * prod_{split p | dt} (ord_p(dt)+1) * log l,
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, _ratio, factorize, valuation
-from .lattice import IdealLattice
+from .lattice import IdealLattice, check_coset
 from .quadfield import INERT, SPLIT, check_field
 
 
@@ -97,8 +99,9 @@ class UnsupportedLatticeError(ValueError):
     """Raised when the lattice is not an integral O_k-ideal with Q = -Nx/Na."""
 
 
-def _check_lattice(fld, lat):
-    """Refuse lat unless it is an IdealLattice over fld."""
+def _check_lattice(fld, lat, mu):
+    """Refuse lat unless it is an IdealLattice over fld, then mu unless it
+    is one of lat's cosets."""
     if not isinstance(lat, IdealLattice):
         raise UnsupportedLatticeError(
             "kappa formulas require an integral-ideal lattice"
@@ -107,6 +110,7 @@ def _check_lattice(fld, lat):
     # no further call
     if lat.field.d != fld.d:
         check_field(fld, lat.field.d)
+    check_coset(lat, mu)
 
 
 def kappa_positive(fld, lat, mu, t):
@@ -134,31 +138,31 @@ def kappa_positive(fld, lat, mu, t):
 
     and kappa = 0 otherwise.
 
+    The support is one congruence.  Q mod 1 is nondegenerate on the cyclic
+    L^v/L of squarefree order d (Nikulin, Math. USSR Izv. 14 (1980)), so
+    mu_q = 0 exactly when q does not divide den Q(mu), and mu = 0 exactly
+    when Q(mu) is in Z.  The char conditions at the ramified q and the
+    integral dt that an ideal of norm dt or dt/p needs together say that t
+    is in Q(mu) + Z, and the set Z above is the q prime to den Q(mu).
+
     The twist by Na (trivial for the unit ideal, and for every ideal in a
     genus whose norms are local norms at each ramified prime) carries the
     unit scaling of the local form -Nx/Na; chi_q(d) = 1 absorbs any
     ramified part of Na.
     """
-    _check_lattice(fld, lat)
+    _check_lattice(fld, lat, mu)
     t = Fraction(t)
     if t <= 0:
         raise ValueError("kappa_positive requires t > 0")
-    # char conditions at ramified primes (Q(mu_q) = 0 mod Z_q when mu_q = 0)
-    zero_at = {q: mu.local_zero(q) for q in fld.ramified_primes}
-    for q, zero in zero_at.items():
-        diff = t if zero else t - mu.q_value
-        if diff and valuation(diff, q) < 0:
-            return KAPPA_ZERO
-    dt = fld.d * t
-    if dt.denominator != 1:
-        # a negative valuation survives at an unramified prime: no integral
-        # ideal has norm dt, nor dt/p
+    q_mu = mu.q_mod_one
+    if (t - q_mu).denominator != 1:
         return KAPPA_ZERO
+    zeros = [q for q in fld.ramified_primes if q_mu.denominator % q]
     tn = -t * lat.norm
-    zeros = [q for q, zero in zero_at.items() if zero]
     obstructions = [q for q in zeros if fld.chi(tn, q) == -1]
     n = 1 << len(zeros)
-    for p, a in factorize(dt.numerator):
+    # dt is an integer, as t - Q(mu) and d Q(mu) are
+    for p, a in factorize(fld.d * t.numerator // t.denominator):
         s = fld.splitting(p)
         if s == SPLIT:
             n *= a + 1
@@ -174,11 +178,12 @@ def kappa_positive(fld, lat, mu, t):
 
 def kappa_at(fld, lat, mu, m):
     """kappa(m, mu, a) for any rational m: kappa_positive for m > 0, the
-    symbolic k0(0) multiple [mu = 0] at m = 0, and zero for m < 0."""
+    symbolic k0(0) multiple [mu = 0] at m = 0, read as [Q(mu) = 0 mod 1],
+    and zero for m < 0."""
     m = Fraction(m)
     if m > 0:
         return kappa_positive(fld, lat, mu, m)
-    _check_lattice(fld, lat)
-    if m == 0 and mu.is_zero:
+    _check_lattice(fld, lat, mu)
+    if m == 0 and mu.q_mod_one == 0:
         return KappaValue(ZERO_LOG, Fraction(1))
     return KAPPA_ZERO

@@ -30,8 +30,8 @@ L_+ + L_- and its discriminant group are never listed.
 
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
-in k, and lists its dual cosets once, when it is built; a coset tests
-whether it vanishes at a ramified prime only when asked.
+in k, and lists its dual cosets once, when it is built, as Cosets: one
+frozen integer type holds every coset and glue vector of every lattice.
 """
 
 from __future__ import annotations
@@ -166,6 +166,29 @@ class IntegerQuotient:
         return label
 
 
+@dataclass(frozen=True)
+class Coset:
+    """A coset of L^v/L with q_mod_one = Q mod 1, or a glue vector of
+    L/(L_+ + L_-) with q_mod_one 0 since L is even: the integer numerators
+    num of its coordinates over the one denominator den, ambient ones for a
+    SplitLattice and a-basis ones over den = d for an IdealLattice.  The
+    Fraction views plus (all but the last two coordinates, so () for an
+    ideal) and minus (the last two) are made when read."""
+
+    label: int
+    num: tuple
+    den: int
+    q_mod_one: Fraction = Fraction(0)
+
+    @property
+    def plus(self):
+        return tuple(Fraction(x, self.den) for x in self.num[:-2])
+
+    @property
+    def minus(self):
+        return tuple(Fraction(x, self.den) for x in self.num[-2:])
+
+
 # Largest discriminant group |L^v/L| a lattice lists: every coset is made
 # up front, about 7.5 us and 0.4 kB apiece for a SplitLattice (0.8 s and
 # 60 MB at the cap on an Intel Xeon).
@@ -286,7 +309,7 @@ class IdealLattice:
         d = self._quotient.order
         _check_dual_order(d)
         self._cosets = tuple(
-            DualCoset(self, z, label, Fraction(q % (2 * d * d), 2 * d * d))
+            Coset(label, z, d, Fraction(q % (2 * d * d), 2 * d * d))
             for label, (z, q) in enumerate(_coset_walk(self._quotient, d, self.gram))
         )
 
@@ -297,37 +320,6 @@ class IdealLattice:
     def q_of(self, coords):
         """Q at an element given in a-basis coordinates."""
         return _q(coords, self.gram)
-
-
-class DualCoset:
-    """A coset mu of D^{-1}a / a, with its local data at ramified primes.
-
-    It is given by the integer numerators z of its a-basis coordinates
-    z/d and its q_value = Q(z/d) mod 1; since d is squarefree, mu_q = 0
-    exactly when q divides every z_i, which local_zero tests when called."""
-
-    def __init__(self, lattice, numerators, label, q_value):
-        self.lattice = lattice
-        self._z = tuple(numerators)
-        self.label = label
-        d = lattice._quotient.order
-        self.is_zero = all(x % d == 0 for x in self._z)
-        self.q_value = q_value
-
-    @property
-    def coords(self):
-        """The a-basis coordinates z/d of the representative."""
-        d = self.lattice._quotient.order
-        return tuple(Fraction(x, d) for x in self._z)
-
-    def local_zero(self, q):
-        """Whether the image mu_q in D^{-1}a_q / a_q is zero, tested on the
-        numerators when asked."""
-        a, b = self._z
-        return a % q == 0 and b % q == 0
-
-    def __repr__(self):
-        return f"DualCoset(label={self.label}, coords={self.coords})"
 
 
 def make_ideal_lattice(field, spec="unit"):
@@ -363,8 +355,20 @@ def enumerate_dual_cosets(lat):
     return lat._cosets
 
 
+def check_coset(lat, mu):
+    """Refuse a coset mu that the ideal lattice lat does not list: one of
+    another lattice would silently be read as lat's coset of its label."""
+    cosets = lat._cosets
+    label = mu.label
+    own = cosets[label] if 0 <= label < len(cosets) else None
+    if own is not mu and own != mu:
+        raise ValueError(
+            f"coset label {label} is not a dual coset of the lattice of norm {lat.norm}"
+        )
+
+
 def coset_of_element(lat, num, den):
-    """The canonical DualCoset (the one enumerate_dual_cosets lists) of the
+    """The canonical Coset (the one enumerate_dual_cosets lists) of the
     coset containing an element of D^{-1}a, given by the integer numerators
     num of its a-basis coordinates num / den."""
     y = mat_vec(num, lat.gram)
@@ -487,27 +491,6 @@ class PosLattice:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaCoset:
-    """A coset of L^v/L, or a glue vector of L/(L_+ + L_-) with q_mod_one 0
-    since L is even: the integer numerators num of its ambient coordinates
-    over the one denominator den.  The Fraction views plus (the first n
-    coordinates) and minus (the last two) are made when read."""
-
-    label: int
-    num: tuple
-    den: int
-    q_mod_one: Fraction = Fraction(0)
-
-    @property
-    def plus(self):
-        return tuple(Fraction(x, self.den) for x in self.num[:-2])
-
-    @property
-    def minus(self):
-        return tuple(Fraction(x, self.den) for x in self.num[-2:])
-
-
 class SplitLattice:
     """A lattice L with L_+ + L_- <= L <= L^v in V = V_+ (+) U.
 
@@ -580,9 +563,9 @@ class SplitLattice:
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")
             if plus_int and not minus_int:
                 raise InconsistentEmbeddingError("U cap L exceeds L_-")
-            self.glue.append(EtaCoset(label, num, den))
+            self.glue.append(Coset(label, num, den))
         self.etas = [
-            EtaCoset(label, num, den, Fraction(q % (2 * D * D), 2 * D * D))
+            Coset(label, num, den, Fraction(q % (2 * D * D), 2 * D * D))
             for label, (num, q) in enumerate(
                 _coset_walk(dual, D, self.gram_L, basis_num)
             )
@@ -619,7 +602,7 @@ class SplitLattice:
 def glue(plus, minus, num, den):
     """The overlattice L_+ + L_- + Z v of L_+ + L_- = Z^N along the vector
     v = num / den, given by integer ambient numerators over one denominator
-    as EtaCoset.num and .den (Nikulin's gluing).
+    as Coset.num and .den (Nikulin's gluing).
 
     With m the order of v mod Z^N, its first coordinate i of denominator
     exactly m is a/m with a prime to m, so c v mod 1, c = a^{-1} mod m, has
@@ -687,6 +670,8 @@ def load_lattice(path):
     fld = make_field(_int_key(keys, "d"))
     minus = make_ideal_lattice(fld, keys.get("ideal", "unit"))
     rank = _int_key(keys, "rank", "0")
+    if rank < 0:
+        raise ValueError(f"rank={rank} is negative")
     if rank:
         if "gram" not in keys:
             raise ValueError(f"lattice file has rank={rank} but no gram=")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, factorize, hilbert_symbol, valuation
+from .lattice import check_coset
 from .quadfield import check_field
 
 
@@ -155,9 +156,11 @@ class EisensteinDerivative:
 
 
 def _ramified_poly(fld, q, mu, t, norm):
-    """The local factor at a ramified q."""
-    if not mu.local_zero(q):
-        return whit_ramified_nonzero(fld, q, t, mu.q_value)
+    """The local factor at a ramified q; mu_q = 0 exactly when q divides
+    both a-basis numerators of mu, tested on them, not on Q(mu) as in kappa."""
+    a, b = mu.num
+    if a % q or b % q:
+        return whit_ramified_nonzero(fld, q, t, mu.q_mod_one)
     if valuation(t, q) < 0:
         return WhitPoly(q, ())
     return whit_ramified_zero(fld, q, t, norm)
@@ -195,13 +198,14 @@ def eisenstein_deriv_coeff(fld, lat, mu, t):
     The ramified factors come first, and the assembly stops at the first
     zero polynomial.  An unramified prime of t's denominator gives the zero
     polynomial too, so only t's numerator is factored, and only when no
-    local factor is zero.
+    local factor is zero.  mu must be one of lat's cosets, as for kappa.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("eisenstein_deriv_coeff requires t > 0")
     if lat.field.d != fld.d:
         check_field(fld, lat.field.d)
+    check_coset(lat, mu)
     polys = {}
     for q in fld.ramified_primes:
         w = _ramified_poly(fld, q, mu, t, lat.norm)

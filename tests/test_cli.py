@@ -334,6 +334,20 @@ def test_malformed_lattice_file(capsys, tmp_path, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("gram", ["", "gram=2\n"])
+def test_cmsum_refuses_negative_rank(capsys, tmp_path, gram):
+    # the message names the rank, not the gram
+    lat = tmp_path / "lat.txt"
+    lat.write_text("d=7\nrank=-1\n" + gram)
+    form = tmp_path / "form.txt"
+    form.write_text("0 -1/1 1/1\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(form),
+                          "--lattice", str(lat))
+    assert code == 1 and out == ""
+    assert "rank=-1 is negative" in err and "gram" not in err
+    assert "Traceback" not in err
+
+
 def test_large_inert_prime_ideal_rejected(capsys):
     code, out, err = _run(
         capsys, "kappa", "-d", "7", "--ideal", "prime:1000000000039", "-t", "1"

@@ -11,6 +11,7 @@ import borcherds_cm
 from borcherds_cm import arith, cmvalue
 from borcherds_cm.arith import FactoredLog
 from borcherds_cm.cmvalue import (
+    CMValueReport,
     c00_contraction,
     check_prime_support,
     contraction_coeffs,
@@ -32,7 +33,7 @@ from borcherds_cm.lattice import (
     make_ideal_lattice,
 )
 from borcherds_cm.locwhit import eisenstein_deriv_coeff
-from borcherds_cm.quadfield import kappa_zero_constant, make_field
+from borcherds_cm.quadfield import PrecisionError, kappa_zero_constant, make_field
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -172,6 +173,15 @@ def test_numeric_consistency():
         k0 = kappa_zero_constant(fld, 40)
         expect = report.rational_part.numeric(40) + float(report.kzero_coeff) * k0
         assert abs(report.numeric(fld, 40) - expect) < mp.mpf("1e-35")
+
+
+@pytest.mark.parametrize("kzero", [Fraction(0), Fraction(-4)])
+def test_numeric_checks_prec_on_every_report(kzero):
+    # a report that never reads k0(0) checks prec all the same
+    fld = make_field(7)
+    report = CMValueReport(FactoredLog({7: 2}), kzero, -kzero / 2, 2, Fraction(2), 7)
+    with pytest.raises(PrecisionError, match="prec must be >= 10, got 5"):
+        report.numeric(fld, 5)
 
 
 def test_vol_kt_scaling():
@@ -351,8 +361,13 @@ def test_scalings_at_other_vol_kt_match_the_fraction_route(d):
                 assert phi.cycle_sum == _fraction_scaled(4 / vol_kt, inner)
 
 
+def _is_zero(mu):
+    """mu = 0: d divides both a-basis numerators of the coset."""
+    return all(x % mu.den == 0 for x in mu.num)
+
+
 def _zero_coset(sl):
-    return next(mu for mu in enumerate_dual_cosets(sl.minus) if mu.is_zero)
+    return next(mu for mu in enumerate_dual_cosets(sl.minus) if _is_zero(mu))
 
 
 # Each public call that takes a field next to a lattice or a report, and
@@ -415,7 +430,7 @@ def test_kappa_eta_table_is_keyed_by_int_triples():
         n0 = sum(
             sl.plus.count_vectors(coset, m)
             for _, mu, coset in sl.eta_pairs(label)
-            if mu.is_zero
+            if _is_zero(mu)
         )
         assert type(value) is KappaValue and value.kzero_multiple == n0
 
@@ -499,9 +514,9 @@ def test_eta_pair_table_on_glued_lattices(d, gram, row0):
         for (_, mu, plus), lam in zip(pairs, sl.glue):
             minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
             assert mu is _fraction_coset(sl.minus, minus)
-            assert mu.is_zero == all(x.denominator == 1 for x in minus)
+            assert _is_zero(mu) == all(x.denominator == 1 for x in minus)
             assert plus == tuple(a + b for a, b in zip(eta.plus, lam.plus))
-            zero_seen.add(mu.is_zero)
+            zero_seen.add(_is_zero(mu))
         assert sl.eta_pairs(eta.label) is pairs
     assert zero_seen == {True, False}
     for k in range(16):

@@ -14,7 +14,7 @@ from borcherds_cm.kappa import (
     kappa_at,
     kappa_positive,
 )
-from borcherds_cm.lattice import enumerate_dual_cosets, make_ideal_lattice
+from borcherds_cm.lattice import Coset, enumerate_dual_cosets, make_ideal_lattice
 from borcherds_cm.locwhit import eisenstein_deriv_coeff
 from borcherds_cm.quadfield import SPLIT, UnsupportedDiscriminantError, make_field
 
@@ -221,7 +221,7 @@ def lattice_cases(draw):
         mu = draw(st.sampled_from(cosets), label="mu")
         kind = draw(st.sampled_from(["support", "a/d", "a/b"]), label="kind")
         if kind == "support":
-            t = mu.q_value + draw(st.integers(min_value=1, max_value=200), label="n")
+            t = mu.q_mod_one + draw(st.integers(min_value=1, max_value=200), label="n")
         else:
             b = d if kind == "a/d" else draw(denominators, label="b")
             t = Fraction(draw(st.integers(min_value=1, max_value=200 * d), label="a"), b)
@@ -269,3 +269,32 @@ def test_kappa_rejects_non_ideal_lattice():
     for bad in (NotAnIdeal(), None):
         with pytest.raises(UnsupportedLatticeError):
             kappa_positive(fld, bad, mu0, 1)
+
+
+def test_kappa_refuses_a_coset_of_another_lattice():
+    # the prime:2 cosets of d = 15 carry the unit ideal's labels, and read
+    # as the unit ideal's cosets they would give that lattice's values, with
+    # which the oracle would agree
+    fld = make_field(15)
+    unit = make_ideal_lattice(fld, "unit")
+    prime2 = make_ideal_lattice(fld, "prime:2")
+    foreign = [
+        mu for mu in enumerate_dual_cosets(prime2) if mu != _mu(unit, mu.label)
+    ]
+    assert len(foreign) == 14
+    for mu in foreign:
+        match = f"coset label {mu.label} is not a dual coset"
+        for call in (kappa_positive, kappa_at, eisenstein_deriv_coeff):
+            with pytest.raises(ValueError, match=match):
+                call(fld, unit, mu, mu.q_mod_one + 1)
+        with pytest.raises(ValueError, match=match):
+            kappa_at(fld, unit, mu, 0)
+    # the lattice's own cosets, and one equal to them, are its cosets
+    mu = _mu(unit, 6)
+    twin = Coset(mu.label, mu.num, mu.den, mu.q_mod_one)
+    assert kappa_at(fld, unit, twin, 6) == kappa_at(fld, unit, mu, 6)
+    with pytest.raises(ValueError, match="coset label 15 "):
+        kappa_at(fld, unit, Coset(15, (0, 0), 15, Fraction(0)), 0)
+    # the lattice and field checks come first
+    with pytest.raises(ValueError, match="field d=7"):
+        kappa_positive(make_field(7), unit, foreign[0], 1)

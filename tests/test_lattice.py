@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from borcherds_cm.lattice import (
-    DualCoset,
+    Coset,
     IdealLattice,
     InconsistentEmbeddingError,
     IntegerQuotient,
@@ -141,6 +141,12 @@ def test_coset_walk_matches_the_definition(G):
 # ---------------------------------------------------------------------------
 
 
+def _zero_at(mu, n):
+    """Whether n divides both a-basis numerators of an ideal-lattice coset:
+    mu_q = 0 for a ramified prime n = q, and mu = 0 for n = d."""
+    return all(x % n == 0 for x in mu.num)
+
+
 def test_unit_ideal_d7():
     fld = make_field(7)
     lat = make_ideal_lattice(fld, "unit")
@@ -149,10 +155,10 @@ def test_unit_ideal_d7():
     assert lat.dual_index() == 7
     cosets = enumerate_dual_cosets(lat)
     assert len(cosets) == 7
-    assert cosets[0].label == 0 and cosets[0].is_zero
+    assert cosets[0].label == 0 and _zero_at(cosets[0], 7)
     for c in cosets:
-        assert 0 <= c.q_value < 1
-        assert c.q_value.denominator in (1, 7)
+        assert 0 <= c.q_mod_one < 1
+        assert c.q_mod_one.denominator in (1, 7)
 
 
 def test_prime_ideal_norms():
@@ -230,14 +236,14 @@ def test_coset_round_trip():
         lat = make_ideal_lattice(fld, ideal)
         cosets = enumerate_dual_cosets(lat)
         for mu in cosets:
-            num = tuple(int(c * fld.d) for c in mu.coords)
+            num = tuple(int(c * fld.d) for c in mu.minus)
             again = coset_of_element(lat, num, fld.d)
             assert again.label == mu.label
             # any denominator of the element gives the same coset
             assert coset_of_element(lat, tuple(3 * x for x in num), 3 * fld.d) is again
             # shifting by a lattice vector keeps the label, and every field
             # callers read is the same when computed from the shifted element
-            shifted = tuple(c + k for c, k in zip(mu.coords, (1, -2)))
+            shifted = tuple(c + k for c, k in zip(mu.minus, (1, -2)))
             shifted_num = tuple(int(c * fld.d) for c in shifted)
             canonical = coset_of_element(lat, shifted_num, fld.d)
             assert canonical.label == mu.label
@@ -247,14 +253,14 @@ def test_coset_round_trip():
                 shifted_num[i] * G[i][j] * shifted_num[j]
                 for i in range(2) for j in range(2)
             )
-            fresh = DualCoset(
-                lat, shifted_num, mu.label,
+            fresh = Coset(
+                mu.label, shifted_num, d,
                 Fraction(shifted_q % (2 * d * d), 2 * d * d),
             )
-            assert fresh.q_value == canonical.q_value
-            assert fresh.is_zero == canonical.is_zero
+            assert fresh.q_mod_one == canonical.q_mod_one
+            assert _zero_at(fresh, d) == _zero_at(canonical, d)
             for q in fld.ramified_primes:
-                assert fresh.local_zero(q) == canonical.local_zero(q)
+                assert _zero_at(fresh, q) == _zero_at(canonical, q)
     with pytest.raises(ValueError, match="not in the dual lattice"):
         coset_of_element(lat, (1, 0), 2)
 
@@ -284,9 +290,35 @@ def test_dual_coset_q_is_minus_norm_over_na(data):
     cosets = enumerate_dual_cosets(lat)
     assert len(cosets) == d
     for mu in cosets:
-        # the element of k with a-basis coordinates mu.coords
-        x = tuple(sum(c * row[j] for c, row in zip(mu.coords, lat.basis)) for j in range(2))
-        assert mu.q_value == (-_norm(x, d) / lat.norm) % 1
+        # the element of k with a-basis coordinates mu.minus
+        x = tuple(sum(c * row[j] for c, row in zip(mu.minus, lat.basis)) for j in range(2))
+        assert mu.q_mod_one == (-_norm(x, d) / lat.norm) % 1
+
+
+def test_q_mod_one_detects_the_local_and_global_zero():
+    # q is nondegenerate on the cyclic L^v/L of squarefree order d, so
+    # mu_q = 0 exactly when q does not divide den q(mu), and mu = 0 exactly
+    # when q(mu) = 0; checked against the numerators on every coset of the
+    # unit ideal and of each prime ideal of norm p < 40, for d < 400
+    lattices = cosets = 0
+    for d in range(3, 400, 4):
+        if not _odd_fundamental(d):
+            continue
+        fld = make_field(d)
+        specs = ["unit"] + [
+            f"prime:{p}" for p in range(2, 40)
+            if is_prime(p) and fld.splitting(p) != INERT
+        ]
+        for spec in specs:
+            lat = make_ideal_lattice(fld, spec)
+            lattices += 1
+            for mu in enumerate_dual_cosets(lat):
+                cosets += 1
+                den = mu.q_mod_one.denominator
+                for q in fld.ramified_primes:
+                    assert (den % q != 0) == _zero_at(mu, q), (d, spec, mu)
+                assert (mu.q_mod_one == 0) == (mu.label == 0) == _zero_at(mu, d)
+    assert (lattices, cosets) == (613, 123519)
 
 
 def test_local_zero_crt_pattern_d15():
@@ -295,9 +327,9 @@ def test_local_zero_crt_pattern_d15():
     fld = make_field(15)
     lat = make_ideal_lattice(fld, "unit")
     cosets = enumerate_dual_cosets(lat)
-    at3 = sum(1 for c in cosets if c.local_zero(3))
-    at5 = sum(1 for c in cosets if c.local_zero(5))
-    both = sum(1 for c in cosets if c.local_zero(3) and c.local_zero(5))
+    at3 = sum(1 for c in cosets if _zero_at(c, 3))
+    at5 = sum(1 for c in cosets if _zero_at(c, 5))
+    both = sum(1 for c in cosets if _zero_at(c, 3) and _zero_at(c, 5))
     assert (at3, at5, both) == (5, 3, 1)
 
 
@@ -541,9 +573,9 @@ def test_glued_lattice_index_seven():
     minus = make_ideal_lattice(fld, "unit")
     plus = PosLattice(((14,),))
     mu = next(
-        c for c in enumerate_dual_cosets(minus) if c.q_value == Fraction(6, 7)
+        c for c in enumerate_dual_cosets(minus) if c.q_mod_one == Fraction(6, 7)
     )
-    basis = ((Fraction(1, 7),) + mu.coords, (0, 1, 0), (0, 0, 1))
+    basis = ((Fraction(1, 7),) + mu.minus, (0, 1, 0), (0, 0, 1))
     sl = SplitLattice(plus, minus, basis)
     assert len(sl.glue) == 7
     assert len(sl.etas) * 7**2 == 14 * 7  # |L^v/L| = |L0^v/L0| / [L:L0]^2
@@ -620,7 +652,7 @@ def glued_lattices(draw):
     minus = make_ideal_lattice(fld, draw(st.sampled_from(specs)))
     torsion = [
         mu for mu in enumerate_dual_cosets(minus)
-        if not mu.is_zero and all((p * c).denominator == 1 for c in mu.coords)
+        if not _zero_at(mu, d) and all((p * c).denominator == 1 for c in mu.minus)
     ]
     n = draw(st.integers(min_value=1, max_value=2))
     if n == 1:
@@ -635,7 +667,7 @@ def glued_lattices(draw):
             x_plus = (Fraction(1, p),) + tuple(Fraction(a, p) for a in rest)
             target = -plus.q_of(x_plus) % 1
             candidates += [
-                (plus, x_plus + mu.coords) for mu in torsion if mu.q_value == target
+                (plus, x_plus + mu.minus) for mu in torsion if mu.q_mod_one == target
             ]
     assume(candidates)
     plus, v = draw(st.sampled_from(candidates))
