@@ -31,6 +31,23 @@ class UndefinedValuationError(ValueError):
     """Raised when the valuation of zero is requested."""
 
 
+class PrecisionError(ValueError):
+    """Raised when a numeric routine cannot meet the requested precision."""
+
+
+# Most digits any precision option accepts.
+MAX_PREC = 10000
+
+
+def _check_prec(prec, name="prec"):
+    """Reject digit counts outside [10, MAX_PREC]; name is the option that
+    the message blames."""
+    if prec < 10:
+        raise PrecisionError(f"{name} must be >= 10, got {prec}")
+    if prec > MAX_PREC:
+        raise PrecisionError(f"{name}={prec} beyond supported range")
+
+
 def _whole(name, value):
     """value as an int; a ValueError naming it if it is not a whole number."""
     try:
@@ -446,7 +463,9 @@ class FactoredLog:
 
     def numeric(self, prec=50):
         """The value as an mpmath real, rounded to dps_to_prec(prec + 10)
-        bits (prec + 10 digits); see fixed_point_value."""
+        bits (prec + 10 digits); see fixed_point_value.  prec is checked
+        first."""
+        _check_prec(prec)
         return self.fixed_point_value(dps_to_prec(prec + 10))
 
     def fixed_point_value(self, bits, c=0, x=None):

@@ -17,13 +17,13 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import factorize
+from .arith import _check_prec, factorize
 from .cmvalue import check_prime_support, log_psi_product, phi_average
 from .forms import classical_qexp, load_form, m_max
 from .kappa import kappa_at
 from .lattice import enumerate_dual_cosets, load_lattice, make_ideal_lattice
 from .locwhit import _local_polys
-from .quadfield import _check_prec, kappa_zero_constant, make_field
+from .quadfield import kappa_zero_constant, make_field
 
 
 def _cmsum_prec(prec):

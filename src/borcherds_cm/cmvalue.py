@@ -23,10 +23,18 @@ small gcd.  quadfield.kappa_zero_constant keeps k0(0) per field and
 precision, and CMValueReport.numeric adds its multiple to the rational
 part in one fixed-point integer sum (FactoredLog.fixed_point_value),
 rounded once.
-SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu,
-eta_+ + lambda_+) with mu the canonical coset of eta_- + lambda_-, built
-on the first request for that eta, so kappa_eta and contraction_coeffs
-find each coset once.
+SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu, x_+) with
+mu the canonical coset of eta_- + lambda_- and x_+ the integer numerators
+of eta_+ + lambda_+ over eta.den, built on the first request for that eta,
+so kappa_eta and contraction_coeffs find each coset once.  A table entry
+is filled in integers: PosLattice.norm_counts gives the norms N = 2 g den^2
+Q(x) of each x_+ + L_+ up to m, so m - Q(x) is a ratio of ints, and kappa
+of it is read from a dict on the IdealLattice L_- keyed by (mu label,
+t num, t den) in lowest terms, made by kappa_at on a miss.  Only this fill
+reads or writes that dict, so each (mu, t) is checked and computed once
+per ideal lattice while kappa_at and kappa_positive keep no memo.
+contraction_coeffs runs one norm_counts per (eta, lambda), up to the
+largest m - m1 it needs, and reads every count from it.
 Every exact sum (kappa_eta(m) and the inner sum) is added up in one pass
 into one prime -> numerator dict over one denominator and one k0(0)
 multiple.
@@ -42,11 +50,11 @@ from fractions import Fraction
 from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
-from .arith import FactoredLog, _ratio, flog_combine
+from .arith import FactoredLog, _check_prec, _ratio, flog_combine
 from .forms import _m_max_ratio
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
 from .quadfield import (
-    INERT, _check_prec, check_field, chowla_selberg_log_deriv, kappa_zero_constant,
+    INERT, check_field, chowla_selberg_log_deriv, kappa_zero_constant,
 )
 
 
@@ -74,25 +82,37 @@ def contraction_coeffs(form, sl, m_values):
     lambda_+}(m2), for m in m_values.
 
     Returns a dict (eta_label, lambda_index, m) -> rational.  The m1 sum
-    runs over the finite support of c_eta; d counts vectors of norm m2 >= 0.
+    runs over the finite support of c_eta; d counts vectors of norm m2 >= 0,
+    read from one norm_counts enumeration per (eta, lambda) up to the
+    largest m2 the table needs.
     """
     form.check_lattice(sl)
-    coeffs = form.coeffs
+    plus = sl.plus
+    m_values = [Fraction(m) for m in m_values]
     table = {}
     for eta in sl.etas:
         support = [
-            (m1, c) for (label, m1), c in coeffs.items() if label == eta.label
+            (m1, c) for (label, m1), c in form.coeffs.items() if label == eta.label
         ]
         if not support:
             continue
-        for li, _, coset in sl.eta_pairs(eta.label):
-            for m in m_values:
-                m = Fraction(m)
-                total = Fraction(0)
-                for m1, c in support:
-                    m2 = m - m1
-                    if m2 >= 0:
-                        total += c * sl.plus.count_vectors(coset, m2)
+        # Q(x) = m2 is N = m2 * scale in norm_counts; a non-integral N
+        # counts no vector
+        scale = 2 * plus.g * eta.den * eta.den
+        needs = [
+            (m, [(c, (m - m1) * scale) for m1, c in support]) for m in m_values
+        ]
+        top = max(
+            (math.floor(N) for _, terms in needs for _, N in terms), default=-1
+        )
+        for li, _, x in sl.eta_pairs(eta.label):
+            counts = plus.norm_counts(x, eta.den, top)
+            for m, terms in needs:
+                total = sum(
+                    (c * counts.get(N.numerator, 0)
+                     for c, N in terms if N.denominator == 1),
+                    Fraction(0),
+                )
                 if total:
                     table[(eta.label, li, m)] = total
     return table
@@ -128,20 +148,35 @@ def _kappa_eta_entry(sl, key):
     the lambda with mu = eta_- + lambda_- zero."""
     entry = sl._kappa_eta.get(key)
     if entry is None:
-        label, num, den = key
-        entry = sl._kappa_eta[key] = _kappa_eta_sum(sl, label, Fraction(num, den))
+        entry = sl._kappa_eta[key] = _kappa_eta_sum(sl, *key)
     return entry
 
 
-def _kappa_eta_sum(sl, eta_label, m):
-    fld = sl.minus.field
+def _kappa_eta_sum(sl, eta_label, num, den):
+    """The sum over the pairs (lambda, mu, x_+) of sl.eta_pairs and the
+    vectors x of x_+ + L_+ with Q(x) <= m = num/den of kappa(m - Q(x), mu),
+    in integers: norm_counts gives Q(x) = N / scale, so m - Q(x) is
+    (num scale - N den) / (den scale), and each kappa value is read from
+    the dict of L_- under (mu label, t num, t den) in lowest terms, made
+    by kappa_at on a miss."""
+    minus = sl.minus
+    fld = minus.field
+    kappas = minus._kappa
+    plus = sl.plus
+    E = sl.etas[eta_label].den
+    scale = 2 * plus.g * E * E
+    top = num * scale // den
+    td = den * scale
     pairs = []
-    for _, mu, coset in sl.eta_pairs(eta_label):
-        norms = sl.plus.vector_norms_up_to(coset, m)
-        pairs.extend(
-            (count, kappa_at(fld, sl.minus, mu, m - qx))
-            for qx, count in norms.items()
-        )
+    for _, mu, x in sl.eta_pairs(eta_label):
+        for N, count in plus.norm_counts(x, E, top).items():
+            tn = num * scale - N * den
+            g = math.gcd(tn, td)
+            key = (mu.label, tn // g, td // g)
+            value = kappas.get(key)
+            if value is None:
+                value = kappas[key] = kappa_at(fld, minus, mu, Fraction(tn, td))
+            pairs.append((count, value))
     return _combine(pairs)
 
 

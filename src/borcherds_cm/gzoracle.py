@@ -41,8 +41,8 @@ from mpmath.libmp.libelefun import (
     pi_fixed,
 )
 
-from .arith import _whole, factorize, kronecker
-from .quadfield import MAX_PREC, PrecisionError, reduced_forms
+from .arith import MAX_PREC, PrecisionError, _whole, factorize, kronecker
+from .quadfield import reduced_forms
 
 
 class RoundingFailure(ArithmeticError):

@@ -2,8 +2,11 @@
 
 Ideal lattices in an imaginary quadratic field carry the negative-definite
 side (Q(x) = -Nx/Na); PosLattice carries a positive-definite Gram matrix
-with exact vector enumeration in integers; SplitLattice glues both along a
-possibly non-split integral lattice L with L_+ + L_- <= L <= L^v.
+with exact vector enumeration in integers, one Fincke-Pohst core,
+norm_counts, that takes integer numerators over a denominator and an
+integer bound on N = z (gG) z^T and returns {N: count}, under the Fraction
+wrappers vector_norms_up_to and count_vectors; SplitLattice glues both
+along a possibly non-split integral lattice L with L_+ + L_- <= L <= L^v.
 
 Every finite group the CM-value sums run over -- the discriminant groups
 L^v/L of the ideal, positive and glued lattices, and the glue group
@@ -21,17 +24,20 @@ coset list, the test that a SplitLattice basis is nonsingular and contains
 L_+ + L_-, and that basis's inverse; the one exact LDL^T of a PosLattice,
 computed when it is built, tests definiteness (Sylvester's criterion) and
 seeds its enumeration.  A SplitLattice keeps its etas and glue vectors as
-integer ambient numerators over one denominator, with integer gram_L and
-eta_pairs; their Fraction plus/minus views are made only when read.  One
-routine, glue, builds L_+ + L_- + Z v from a glue vector v given as integer
-ambient numerators over one denominator: it scales v so that one
-coordinate is 1/m and puts it in place of that basis row, so the unglued
-L_+ + L_- and its discriminant group are never listed.
+integer ambient numerators over one denominator, with integer gram_L, and
+its eta_pairs give the plus numerators of eta + lambda over eta.den as
+norm_counts reads them; the Fraction plus/minus views of a Coset are made
+only when read.  One routine, glue, builds L_+ + L_- + Z v from a glue
+vector v given as integer ambient numerators over one denominator: it
+scales v so that one coordinate is 1/m and puts it in place of that basis
+row, so the unglued L_+ + L_- and its discriminant group are never listed.
 
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
 in k, and lists its dual cosets once, when it is built, as Cosets: one
 frozen integer type holds every coset and glue vector of every lattice.
+It also holds the dict of kappa values that cmvalue's kappa_eta fill reads
+and fills; nothing else touches it.
 """
 
 from __future__ import annotations
@@ -312,6 +318,10 @@ class IdealLattice:
             Coset(label, z, d, Fraction(q % (2 * d * d), 2 * d * d))
             for label, (z, q) in enumerate(_coset_walk(self._quotient, d, self.gram))
         )
+        # {(mu label, num, den): kappa(num/den, mu)}, read and filled only by
+        # the kappa_eta fill of cmvalue: kappa_at and kappa_positive keep
+        # no memo
+        self._kappa = {}
 
     def dual_index(self):
         """|L^v / L| = N(D) = d."""
@@ -411,9 +421,9 @@ class PosLattice:
                     q[k][l] -= q[k][i] * q[i][l]
         self.rank = n
         self.gram = gram
-        # g * gram is integral; vector_norms_up_to decides Q in its integers
-        self._g = math.lcm(*(x.denominator for row in gram for x in row))
-        self._gram_int = tuple(tuple(int(x * self._g) for x in row) for row in gram)
+        # g * gram is integral; norm_counts decides Q in its integers
+        self.g = math.lcm(*(x.denominator for row in gram for x in row))
+        self._gram_int = tuple(tuple(int(x * self.g) for x in row) for row in gram)
         # kept as floats: they only choose candidates
         self._ldl = [[float(x) for x in row] for row in q]
 
@@ -421,30 +431,24 @@ class PosLattice:
         """Q(x) = (x, x)/2 for a vector x of length rank."""
         return _q(x, self.gram)
 
-    def vector_norms_up_to(self, coset, bound):
-        """Multiset {Q(x) : x in coset + Z^n, Q(x) <= bound} as a dict
-        Q-value -> count.  Exact; coset is a rational offset vector.
+    def norm_counts(self, num, den, top):
+        """{N: count} over z in num + (den Z)^n with N = z (g G) z^T <= top,
+        for the integer numerators num of a coset num / den and an int top.
+        Q(z / den) = N / (2 g den^2), so this is the multiset of Q over the
+        coset up to (top / (2 g den^2)), in integers.
 
-        Fincke-Pohst enumeration of z = D x, with D the common denominator
-        of the coset, so z runs over D * coset + (D Z)^n.  Floats from the
-        LDL decomposition choose the candidates of each coordinate; the
-        integer test z^T (g G) z <= floor(2 g D^2 bound) decides each
-        vector, and only the returned keys are made Fractions."""
+        Fincke-Pohst enumeration: floats from the LDL decomposition choose
+        the candidates of each coordinate, and the integer test N <= top
+        decides each vector."""
         n = self.rank
-        if len(coset) != n:
+        if len(num) != n:
             raise ValueError(
-                f"coset has length {len(coset)} but the lattice has rank {n}"
+                f"coset has length {len(num)} but the lattice has rank {n}"
             )
-        bound = Fraction(bound)
-        if bound < 0:
+        if top < 0:
             return {}
         if n == 0:
-            return {Fraction(0): 1}
-        coset = tuple(map(Fraction, coset))
-        D = math.lcm(*(c.denominator for c in coset))
-        den = 2 * self._g * D * D
-        top = math.floor(bound * den)
-        residues = [c.numerator * (D // c.denominator) % D for c in coset]
+            return {0: 1}
         q = self._ldl
         G = self._gram_int
         zs = [0] * n
@@ -454,31 +458,49 @@ class PosLattice:
             # zs[j] for j > i are fixed; rem bounds the float Q left for
             # coordinates <= i, acc is the integer form on coordinates > i
             qi, Gi = q[i], G[i]
-            center = -sum(qi[j] * zs[j] for j in range(i + 1, n))
-            lin = 2 * sum(Gi[j] * zs[j] for j in range(i + 1, n))
+            center = 0.0
+            lin = 0
+            for j in range(i + 1, n):
+                center -= qi[j] * zs[j]
+                lin += 2 * Gi[j] * zs[j]
             gii, qii = Gi[i], qi[i]
             radius = math.sqrt(rem / qii)
-            # one step of D beyond the float range on each side
-            lo = math.floor(center - radius) - D
-            lo += (residues[i] - lo) % D
-            hi = math.ceil(center + radius) + D
+            # one step of den beyond the float range on each side
+            lo = math.floor(center - radius) - den
+            lo += (num[i] - lo) % den
+            hi = math.ceil(center + radius) + den
             if i == 0:
-                for z in range(lo, hi + 1, D):
+                for z in range(lo, hi + 1, den):
                     N = acc + z * (gii * z + lin)
                     if N <= top:
                         counts[N] = counts.get(N, 0) + 1
                 return
-            for z in range(lo, hi + 1, D):
+            for z in range(lo, hi + 1, den):
                 t = z - center
                 left = rem - qii * t * t
                 if left >= 0:
                     zs[i] = z
                     rec(i - 1, left, acc + z * (gii * z + lin))
 
-        # the raised bound keeps every vector with Q <= bound a candidate:
+        # the raised bound keeps every vector with N <= top a candidate:
         # float rounding in the partial sums stays far below 1e-9 of it
-        rec(n - 1, float(bound * D * D) * (1 + 1e-9) + 1e-9, 0)
-        return {Fraction(N, den): c for N, c in counts.items()}
+        rec(n - 1, top / (2 * self.g) * (1 + 1e-9) + 1e-9, 0)
+        return counts
+
+    def vector_norms_up_to(self, coset, bound):
+        """Multiset {Q(x) : x in coset + Z^n, Q(x) <= bound} as a dict
+        Q-value -> count.  Exact; coset is a rational offset vector, read
+        as numerators over their least common denominator D by
+        norm_counts."""
+        coset = tuple(map(Fraction, coset))
+        D = math.lcm(*(c.denominator for c in coset))
+        scale = 2 * self.g * D * D
+        counts = self.norm_counts(
+            [c.numerator * (D // c.denominator) for c in coset],
+            D,
+            math.floor(Fraction(bound) * scale),
+        )
+        return {Fraction(N, scale): c for N, c in counts.items()}
 
     def count_vectors(self, coset, m):
         """#{x in coset + Z^n : Q(x) = m}; zero for m < 0."""
@@ -527,8 +549,8 @@ class SplitLattice:
         )
         self.basis = basis
         # ambient bilinear Gram G = block diag of plus and ideal grams, as the
-        # integer g G (g = plus._g): gram_L = basis_num (g G) basis_num^T / g e^2
-        g = plus._g
+        # integer g G (g = plus.g): gram_L = basis_num (g G) basis_num^T / g e^2
+        g = plus.g
         gG = tuple(row + (0, 0) for row in plus._gram_int) + tuple(
             (0,) * n + tuple(g * x for x in row) for row in minus.gram
         )
@@ -582,19 +604,19 @@ class SplitLattice:
         return _q(x, self.gram_ambient)
 
     def eta_pairs(self, label):
-        """[(lambda index, mu, eta_+ + lambda_+)] over the glue vectors
-        lambda, where mu is the canonical coset of eta_- + lambda_- in the
-        ideal lattice.  Computed once per eta, on first request, from the
-        integer numerators; only the plus offsets are made Fractions."""
+        """[(lambda index, mu, plus)] over the glue vectors lambda, where
+        mu is the canonical coset of eta_- + lambda_- in the ideal lattice
+        and plus the integer numerators of eta_+ + lambda_+ over eta.den,
+        as PosLattice.norm_counts reads them.  Computed once per eta, on
+        first request."""
         pairs = self._eta_pairs.get(label)
         if pairs is None:
             eta = self.etas[label]
             pairs = []
             for lam in self.glue:
-                x = [a + b for a, b in zip(eta.num, lam.num)]
+                x = tuple(a + b for a, b in zip(eta.num, lam.num))
                 mu = coset_of_element(self.minus, x[-2:], eta.den)
-                plus = tuple(Fraction(a, eta.den) for a in x[:-2])
-                pairs.append((lam.label, mu, plus))
+                pairs.append((lam.label, mu, x[:-2]))
             self._eta_pairs[label] = pairs
         return pairs
 

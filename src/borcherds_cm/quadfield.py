@@ -15,7 +15,11 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import INFINITE_PLACE, _whole, factorize, hilbert_symbol, kronecker
+# PrecisionError is also read as quadfield.PrecisionError by callers
+from .arith import (
+    INFINITE_PLACE, PrecisionError, _check_prec, _whole, factorize, hilbert_symbol,
+    kronecker,
+)
 
 SPLIT = "split"
 INERT = "inert"
@@ -24,10 +28,6 @@ RAMIFIED = "ramified"
 
 class UnsupportedDiscriminantError(ValueError):
     """Raised for d outside the supported family (d > 3, d = 3 mod 4, squarefree)."""
-
-
-class PrecisionError(ValueError):
-    """Raised when a numeric routine cannot meet the requested precision."""
 
 
 # Largest d accepted: reduced_forms walks about d/3 pairs (a, b), which
@@ -160,19 +160,6 @@ def check_field(fld, d):
 # ---------------------------------------------------------------------------
 # High-precision L-function machinery
 # ---------------------------------------------------------------------------
-
-
-# Most digits any precision option accepts.
-MAX_PREC = 10000
-
-
-def _check_prec(prec, name="prec"):
-    """Reject digit counts outside [10, MAX_PREC]; name is the option that
-    the message blames."""
-    if prec < 10:
-        raise PrecisionError(f"{name} must be >= 10, got {prec}")
-    if prec > MAX_PREC:
-        raise PrecisionError(f"{name}={prec} beyond supported range")
 
 
 def L_at_one(fld, prec=64):

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_fixed
 
-from borcherds_cm import arith
+from borcherds_cm import arith, quadfield
 from borcherds_cm.arith import (
     FactoredLog,
     INFINITE_PLACE,
+    MAX_PREC,
     PRIME_PROOF_BOUND,
+    PrecisionError,
     UndefinedValuationError,
     ZERO_LOG,
     factorize,
@@ -370,6 +372,21 @@ def test_numeric_matches_math_log():
     f = FactoredLog({2: 1, 7: Fraction(-1, 2)})
     expect = math.log(2) - math.log(7) / 2
     assert abs(float(f.numeric(30)) - expect) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "prec, message",
+    [
+        (-100, "prec must be >= 10, got -100"),
+        (0, "prec must be >= 10, got 0"),
+        (9, "prec must be >= 10, got 9"),
+        (MAX_PREC + 1, f"prec={MAX_PREC + 1} beyond supported range"),
+    ],
+)
+def test_numeric_checks_prec(prec, message):
+    assert quadfield.PrecisionError is PrecisionError
+    with pytest.raises(PrecisionError, match=message):
+        FactoredLog({7: 2}).numeric(prec)
 
 
 def _log_reference(terms, prec):

@@ -23,8 +23,9 @@ from borcherds_cm.cmvalue import (
 )
 from borcherds_cm.forms import FourierForm, SupportCongruenceViolation
 from borcherds_cm.gzoracle import gz_product
-from borcherds_cm.kappa import KappaValue, kappa_at, kappa_positive
+from borcherds_cm.kappa import KAPPA_ZERO, KappaValue, kappa_at, kappa_positive
 from borcherds_cm.lattice import (
+    IdealLattice,
     PosLattice,
     SplitLattice,
     coset_of_element,
@@ -427,9 +428,10 @@ def test_kappa_eta_table_is_keyed_by_int_triples():
         # over the pairs whose mu is zero
         label, num, den = key
         m = Fraction(num, den)
+        den_eta = sl.etas[label].den
         n0 = sum(
-            sl.plus.count_vectors(coset, m)
-            for _, mu, coset in sl.eta_pairs(label)
+            sl.plus.count_vectors(tuple(Fraction(x, den_eta) for x in plus), m)
+            for _, mu, plus in sl.eta_pairs(label)
             if _is_zero(mu)
         )
         assert type(value) is KappaValue and value.kzero_multiple == n0
@@ -515,7 +517,9 @@ def test_eta_pair_table_on_glued_lattices(d, gram, row0):
             minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
             assert mu is _fraction_coset(sl.minus, minus)
             assert _is_zero(mu) == all(x.denominator == 1 for x in minus)
-            assert plus == tuple(a + b for a, b in zip(eta.plus, lam.plus))
+            assert tuple(Fraction(x, eta.den) for x in plus) == tuple(
+                a + b for a, b in zip(eta.plus, lam.plus)
+            )
             zero_seen.add(_is_zero(mu))
         assert sl.eta_pairs(eta.label) is pairs
     assert zero_seen == {True, False}
@@ -562,3 +566,101 @@ def test_c00_from_the_table_matches_a_fresh_lattice_and_the_count(li):
         report = log_psi_product(form, warm_sl, fld)
         assert warm_sl._kappa_eta
         assert cold == report.c00 == c00_contraction(form, warm_sl) == brute
+
+
+def _fresh_pool():
+    """The cm-report pool on fresh objects, one fresh ideal lattice per
+    ideal of the pool, so every kappa dict starts empty."""
+    minus = {}
+    pool = []
+    for fld, sl in _cm_report_pool():
+        lat = minus.get(id(sl.minus))
+        if lat is None:
+            lat = minus[id(sl.minus)] = IdealLattice(fld, sl.minus.basis)
+        pool.append((fld, SplitLattice(sl.plus, lat, sl.basis)))
+    return pool
+
+
+def _old_route_kappa_eta(fld, sl, eta, m):
+    """kappa_eta(m) by the Fraction route: for each glue vector lambda,
+    vector_norms_up_to on eta_+ + lambda_+ and kappa_at for each norm."""
+    total = KAPPA_ZERO
+    for lam in sl.glue:
+        mu = _fraction_coset(
+            sl.minus, tuple(a + b for a, b in zip(eta.minus, lam.minus))
+        )
+        plus = tuple(a + b for a, b in zip(eta.plus, lam.plus))
+        for qx, count in sl.plus.vector_norms_up_to(plus, m).items():
+            total = total + count * kappa_at(fld, sl.minus, mu, m - qx)
+    return total
+
+
+def test_kappa_eta_fill_matches_the_fraction_route(monkeypatch):
+    """On every pool lattice (d in {7, 15, 23}, unit and prime:2, rank 0-2,
+    glued), each table entry the integer fill makes equals the Fraction
+    route, and the fill calls kappa_at once per (mu label, t) per ideal
+    lattice."""
+    pool = _fresh_pool()
+    calls = []
+
+    def counting_kappa_at(fld, lat, mu, t):
+        calls.append((id(lat), mu.label, Fraction(t)))
+        return kappa_at(fld, lat, mu, t)
+
+    monkeypatch.setattr(cmvalue, "kappa_at", counting_kappa_at)
+    entries = 0
+    for fld, sl in pool:
+        step = max(1, len(sl.etas) // 6)
+        for eta in sl.etas[::step]:
+            for m in (eta.q_mod_one + k for k in range(3)):
+                kappa_eta(fld, sl, eta.label, m)
+        for (label, num, den), value in sl._kappa_eta.items():
+            m = Fraction(num, den)
+            assert value == _old_route_kappa_eta(fld, sl, sl.etas[label], m)
+            entries += 1
+    assert entries > 1000
+    assert len(calls) == len(set(calls))
+    lattices = {id(sl.minus): sl.minus for _, sl in pool}
+    assert {(i, label, Fraction(num, den))
+            for i, lat in lattices.items()
+            for label, num, den in lat._kappa} == set(calls)
+
+
+def test_kappa_positive_leaves_no_memo_on_the_lattice():
+    """kappa_positive and kappa_at keep nothing: the kappa dict of L_- is
+    the kappa_eta fill's alone."""
+    fld = make_field(15)
+    lat = make_ideal_lattice(fld, "prime:2")
+    before = dict(vars(lat))
+    cosets = enumerate_dual_cosets(lat)
+    for a in range(2000):
+        mu = cosets[a % len(cosets)]
+        t = mu.q_mod_one + a // len(cosets) + 1
+        kappa_positive(fld, lat, mu, t)
+        kappa_at(fld, lat, mu, t - 1)
+    assert vars(lat) == before and lat._kappa == {}
+
+
+@pytest.mark.parametrize("li", [5, 13, 29, 37, 56])
+def test_contraction_coeffs_match_count_vectors(li):
+    """Each C_{eta, lambda}(m), read from one enumeration per (eta, lambda),
+    equals the sum of c_eta(m1) count_vectors(eta_+ + lambda_+, m - m1)."""
+    pool = _cm_report_pool()
+    fld, sl = pool[li]
+    ms = [Fraction(-1), Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(1), 2]
+    for k in range(4):
+        form = FourierForm(sl, instance_coeffs(pool, li, k))
+        table = contraction_coeffs(form, sl, ms)
+        expect = {}
+        for eta in sl.etas:
+            for li_, lam in enumerate(sl.glue):
+                plus = tuple(a + b for a, b in zip(eta.plus, lam.plus))
+                for m in map(Fraction, ms):
+                    total = sum(
+                        c * sl.plus.count_vectors(plus, m - m1)
+                        for (label, m1), c in form.coeffs.items()
+                        if label == eta.label
+                    )
+                    if total:
+                        expect[(eta.label, li_, m)] = total
+        assert table == expect

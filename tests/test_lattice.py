@@ -449,6 +449,43 @@ def test_vector_counts_are_symmetric_under_negation(case):
     assert pl.count_vectors(coset, bound) == pl.count_vectors(neg, bound)
 
 
+@st.composite
+def gram_numerators_top(draw):
+    """A pos_grams Gram or rank 0, integer numerators over den that may be
+    negative or at least den, and an integer bound top on N = 2 g den^2 Q
+    from -3 up to Q = 6."""
+    gram = draw(st.one_of(st.just(()), pos_grams()))
+    g = math.lcm(*(Fraction(x).denominator for row in gram for x in row))
+    den = draw(st.integers(min_value=1, max_value=30))
+    num = tuple(
+        draw(st.integers(min_value=-3 * den, max_value=3 * den)) for _ in gram
+    )
+    top = draw(st.integers(min_value=-3, max_value=12 * g * den * den))
+    return gram, num, den, top
+
+
+@given(gram_numerators_top())
+@example(((), (), 1, 0))
+@example(((), (), 7, -1))
+@example((((2, 1), (1, 2)), (-50, 47), 3, -1))
+@example((((2, 1), (1, 2)), (-50, 47), 3, 300))
+@example((((Fraction(1, 2),),), (-10,), 3, 0))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_norm_counts_match_a_box_enumeration(case):
+    gram, num, den, top = case
+    pl = PosLattice(gram)
+    scale = 2 * pl.g * den * den
+    counts = pl.norm_counts(num, den, top)
+    brute = _brute_norms(
+        pl.gram, tuple(Fraction(x, den) for x in num), Fraction(top, scale)
+    )
+    assert counts == {int(q * scale): c for q, c in brute.items()}
+    if top < 0:
+        assert counts == {}
+    elif not gram:
+        assert counts == {0: 1}
+
+
 def test_coset_length_must_match_the_rank():
     pl = PosLattice(((2, 1), (1, 2)))
     for coset in ((Fraction(1, 3), Fraction(1, 3), 5), (Fraction(1, 3),)):
@@ -717,7 +754,9 @@ def test_random_glued_lattices_in_fractions(sl):
             lam = sl.glue[li]
             minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
             assert mu is _fraction_coset(sl.minus, minus)
-            assert plus == tuple(a + b for a, b in zip(eta.plus, lam.plus))
+            assert tuple(Fraction(x, eta.den) for x in plus) == tuple(
+                a + b for a, b in zip(eta.plus, lam.plus)
+            )
 
 
 def test_inconsistent_embedding_errors():
