@@ -21,7 +21,7 @@ from .arith import _check_prec, factorize
 from .cmvalue import check_prime_support, log_psi_product, phi_average
 from .forms import classical_qexp, load_form, m_max
 from .kappa import kappa_at
-from .lattice import enumerate_dual_cosets, load_lattice, make_ideal_lattice
+from .lattice import load_lattice, make_ideal_lattice
 from .locwhit import _local_polys
 from .quadfield import kappa_zero_constant, make_field
 
@@ -49,13 +49,6 @@ def _rational(flag, text):
         raise ValueError(f"{flag} {text!r} is not a rational a/b with b != 0") from None
 
 
-def _get_mu(lat, label):
-    cosets = enumerate_dual_cosets(lat)
-    if not 0 <= label < len(cosets):
-        raise ValueError(f"no dual coset with label {label}")
-    return cosets[label]
-
-
 def cmd_field(args):
     if args.prec:
         _check_prec(args.prec, "--prec")
@@ -74,7 +67,7 @@ def cmd_field(args):
 def cmd_kappa(args):
     fld = make_field(args.d)
     lat = make_ideal_lattice(fld, args.ideal)
-    mu = _get_mu(lat, args.mu)
+    mu = lat.coset(args.mu)
     val = kappa_at(fld, lat, mu, _rational("-t", args.t))
     print(f"kappa = {val.render()}")
     print(f"serialized={val.log_part.serialize()}")
@@ -85,7 +78,7 @@ def cmd_kappa(args):
 def cmd_whittaker(args):
     fld = make_field(args.d)
     lat = make_ideal_lattice(fld, args.ideal)
-    mu = _get_mu(lat, args.mu)
+    mu = lat.coset(args.mu)
     t = _rational("-t", args.t)
     if t <= 0:
         raise ValueError("whittaker requires t > 0")

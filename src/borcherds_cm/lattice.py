@@ -10,17 +10,17 @@ along a possibly non-split integral lattice L with L_+ + L_- <= L <= L^v.
 
 Every finite group the CM-value sums run over -- the discriminant groups
 L^v/L of the ideal, positive and glued lattices, and the glue group
-L/(L_+ + L_-) -- is a quotient Z^k / Z^k M listed by one routine,
-_coset_walk, in canonical label order through the Smith normal form of M.
-Each coset is the integer numerator z of y M^{-1} = z/D over the single
-denominator D = |det M|, and z = w rows is linear in the Smith digits w,
-so the walk steps from each coset to the next by adding one precomputed
-row; the finite quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant
-group (Nikulin, Math. USSR Izv. 14 (1980)) steps with it, in integers,
-from the Gram matrix of the generators.  One routine, _q, computes Q(x).
+L/(L_+ + L_-) -- is a quotient Z^k / Z^k M labelled in canonical order
+through the Smith normal form of M.  Each coset is the integer numerator z
+of y M^{-1} = z/D over the single denominator D = |det M|, and z = w rows
+is linear in the Smith digits w, so one routine, _coset_walk, lists the
+groups of a SplitLattice by adding one precomputed row per step; the
+finite quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group
+(Nikulin, Math. USSR Izv. 14 (1980)) steps with it, in integers, from the
+Gram matrix of the generators.  One routine, _q, computes Q(x).
 
 No Fraction elimination is left: the integer Smith normal form gives every
-coset list, the test that a SplitLattice basis is nonsingular and contains
+coset, the test that a SplitLattice basis is nonsingular and contains
 L_+ + L_-, and that basis's inverse; the one exact LDL^T of a PosLattice,
 computed when it is built, tests definiteness (Sylvester's criterion) and
 seeds its enumeration.  A SplitLattice keeps its etas and glue vectors as
@@ -34,10 +34,12 @@ row, so the unglued L_+ + L_- and its discriminant group are never listed.
 
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
-in k, and lists its dual cosets once, when it is built, as Cosets: one
-frozen integer type holds every coset and glue vector of every lattice.
-It also holds the dict of kappa values that cmvalue's kappa_eta fill reads
-and fills; nothing else touches it.
+in k.  Its L^v/L is cyclic of squarefree order d: coset k is k g for the
+Smith generator g, with q = k^2 q(g), made from its label when asked, and
+an element's label is one integer linear form mod d.  One frozen integer
+type, Coset, holds every coset and glue vector of every lattice.  An
+IdealLattice also holds the dict of kappa values that cmvalue's kappa_eta
+fill reads and fills; nothing else touches it.
 """
 
 from __future__ import annotations
@@ -152,26 +154,6 @@ def smith_normal_form(M):
     return diag, tuple(map(tuple, U)), tuple(map(tuple, V))
 
 
-class IntegerQuotient:
-    """The finite abelian group Z^k / (Z^k * M) for a nonsingular integer
-    matrix M (row convention), with canonical mixed-radix labels.
-
-    With U M V = diag(d_1..d_k) its Smith normal form, y -> (y V)_i mod d_i
-    identifies the group with prod Z/d_i."""
-
-    def __init__(self, M):
-        self.diag, self.U, self.V = smith_normal_form(M)
-        self.order = math.prod(self.diag)
-
-    def label_of(self, y):
-        """Canonical label of an integer coordinate vector y: the mixed-radix
-        number whose digits are (y V)_i mod d_i."""
-        label = 0
-        for wi, di in zip(mat_vec(tuple(int(x) for x in y), self.V), self.diag):
-            label = label * di + wi % di
-        return label
-
-
 @dataclass(frozen=True)
 class Coset:
     """A coset of L^v/L with q_mod_one = Q mod 1, or a glue vector of
@@ -195,9 +177,9 @@ class Coset:
         return tuple(Fraction(x, self.den) for x in self.num[-2:])
 
 
-# Largest discriminant group |L^v/L| a lattice lists: every coset is made
-# up front, about 7.5 us and 0.4 kB apiece for a SplitLattice (0.8 s and
-# 60 MB at the cap on an Intel Xeon).
+# Largest discriminant group |L^v/L| a lattice accepts: a SplitLattice makes
+# every coset up front, about 7.5 us and 0.4 kB apiece (0.8 s and 60 MB at
+# the cap on an Intel Xeon), an IdealLattice one per label asked for.
 MAX_DUAL_ORDER = 10**5
 
 
@@ -209,8 +191,10 @@ def _check_dual_order(order):
         )
 
 
-def _coset_walk(quotient, den, gram=None, basis=None):
-    """Yield (num, q) for every coset of Z^k / Z^k M, in label order.
+def _coset_walk(diag, U, den, gram=None, basis=None):
+    """Yield (num, q) for every coset of Z^k / Z^k M, in label order, from
+    its Smith form U M V = diag(d_1..d_k): y has the mixed-radix label with
+    digits (y V)_i mod d_i.
 
     The coset with Smith digits w in prod range(d_i) is z / den, z = w rows,
     for the Smith generators U_i / d_i over den, rows = diag(den/d_i) U;
@@ -226,10 +210,10 @@ def _coset_walk(quotient, den, gram=None, basis=None):
     from d_t - 1 to 0.  With S the Gram matrix of the steps under gram and
     the running v_j = (w, s_j) in that form, q(w + s_j) = q(w) + 2 v_j +
     S_jj and v += S_j."""
-    moving = [i for i, di in enumerate(quotient.diag) if di > 1]
+    moving = [i for i, di in enumerate(diag) if di > 1]
     k = len(moving)
-    radix = [quotient.diag[i] for i in moving]
-    num = (0,) * len(basis or quotient.U)
+    radix = [diag[i] for i in moving]
+    num = (0,) * len(basis or U)
     yield num, 0
     if not k:
         return
@@ -238,7 +222,7 @@ def _coset_walk(quotient, den, gram=None, basis=None):
         for j in range(k)
     )
     rows = tuple(
-        tuple(den // radix[j] * x for x in quotient.U[i]) for j, i in enumerate(moving)
+        tuple(den // radix[j] * x for x in U[i]) for j, i in enumerate(moving)
     )
     sz = mat_mul(s, rows)
     steps = mat_mul(sz, basis) if basis else sz
@@ -246,7 +230,7 @@ def _coset_walk(quotient, den, gram=None, basis=None):
     w = [0] * k
     v = [0] * k
     q = 0
-    for _ in range(quotient.order - 1):
+    for _ in range(math.prod(radix) - 1):
         j = k - 1
         while w[j] == radix[j] - 1:
             w[j] = 0
@@ -282,7 +266,7 @@ def _q(x, gram):
 class IdealLattice:
     """An integral O_k-ideal a viewed as a rank-2 lattice with
     Q(x) = -N(x)/N(a), so that the dual lattice is D^{-1} a.  Its d dual
-    cosets are built once, with the lattice."""
+    cosets are made from their labels, each on first request."""
 
     def __init__(self, field, basis):
         self.field = field
@@ -311,21 +295,33 @@ class IdealLattice:
         if any(x % self.norm for row in trace for x in row):
             raise NotAnIdealError("non-integral Gram entry")
         self.gram = tuple(tuple(-x // self.norm for x in row) for row in trace)
-        self._quotient = IntegerQuotient(self.gram)
-        d = self._quotient.order
-        _check_dual_order(d)
-        self._cosets = tuple(
-            Coset(label, z, d, Fraction(q % (2 * d * d), 2 * d * d))
-            for label, (z, q) in enumerate(_coset_walk(self._quotient, d, self.gram))
-        )
+        _check_dual_order(field.d)
+        # L^v/L = D^{-1}a/a is cyclic of squarefree order d, so the Smith
+        # form of gram is diag(1, d): coset k is k g / d for g = U[1], with
+        # Q numerator k^2 S over 2 d^2 for S = g gram g^T, and an element
+        # y gram^{-1} of L^v, y integral, has label (y V)_1 = y v mod d
+        _, U, V = smith_normal_form(self.gram)
+        self._g = U[1]
+        self._S = sum(a * b for a, b in zip(mat_vec(U[1], self.gram), U[1]))
+        self._v = (V[0][1], V[1][1])
+        self._cosets = {}
         # {(mu label, num, den): kappa(num/den, mu)}, read and filled only by
         # the kappa_eta fill of cmvalue: kappa_at and kappa_positive keep
         # no memo
         self._kappa = {}
 
-    def dual_index(self):
-        """|L^v / L| = N(D) = d."""
-        return self._quotient.order
+    def coset(self, label):
+        """The coset of label k in 0 <= k < d: k g / d with Q(k g / d) =
+        k^2 S / 2d^2 mod 1, made on first request and then kept."""
+        mu = self._cosets.get(label)
+        if mu is None:
+            d = self.field.d
+            if not 0 <= label < d:
+                raise ValueError(f"no dual coset with label {label}")
+            q = Fraction(label * label * self._S % (2 * d * d), 2 * d * d)
+            num = (label * self._g[0], label * self._g[1])
+            mu = self._cosets[label] = Coset(label, num, d, q)
+        return mu
 
     def q_of(self, coords):
         """Q at an element given in a-basis coordinates."""
@@ -360,31 +356,32 @@ def make_ideal_lattice(field, spec="unit"):
 
 
 def enumerate_dual_cosets(lat):
-    """The d cosets of D^{-1}a / a that the lattice built, as a tuple
-    indexed by canonical label; label 0 is mu = 0."""
-    return lat._cosets
+    """The d cosets of D^{-1}a / a, as a tuple indexed by canonical label;
+    label 0 is mu = 0."""
+    return tuple(map(lat.coset, range(lat.field.d)))
 
 
 def check_coset(lat, mu):
-    """Refuse a coset mu that the ideal lattice lat does not list: one of
+    """Refuse a coset mu that the ideal lattice lat does not have: one of
     another lattice would silently be read as lat's coset of its label."""
-    cosets = lat._cosets
     label = mu.label
-    own = cosets[label] if 0 <= label < len(cosets) else None
-    if own is not mu and own != mu:
+    if not 0 <= label < lat.field.d or (
+        (own := lat.coset(label)) is not mu and own != mu
+    ):
         raise ValueError(
             f"coset label {label} is not a dual coset of the lattice of norm {lat.norm}"
         )
 
 
 def coset_of_element(lat, num, den):
-    """The canonical Coset (the one enumerate_dual_cosets lists) of the
-    coset containing an element of D^{-1}a, given by the integer numerators
-    num of its a-basis coordinates num / den."""
+    """The canonical Coset (lat.coset of its label) of the coset containing
+    an element of D^{-1}a, given by the integer numerators num of its
+    a-basis coordinates num / den."""
     y = mat_vec(num, lat.gram)
     if any(x % den for x in y):
         raise ValueError("element is not in the dual lattice D^{-1}a")
-    return lat._cosets[lat._quotient.label_of([x // den for x in y])]
+    v0, v1 = lat._v
+    return lat.coset((y[0] // den * v0 + y[1] // den * v1) % lat.field.d)
 
 
 # ---------------------------------------------------------------------------
@@ -572,13 +569,13 @@ class SplitLattice:
         # basis^{-1} has generators U_i / d_i in L, so each d_i divides e and
         # den; L^v / L has generators z / D (D = |det gram_L|) in L
         # coordinates, whose ambient numerators are z basis_num
-        dual = IntegerQuotient(self.gram_L)
-        D = dual.order
+        dual_diag, dual_U, _ = smith_normal_form(self.gram_L)
+        D = math.prod(dual_diag)
         _check_dual_order(D)
         den = D * e
-        glue_group = IntegerQuotient(basis_inv)
+        glue_diag, glue_U, _ = smith_normal_form(basis_inv)
         self.glue = []
-        for label, (num, _) in enumerate(_coset_walk(glue_group, den)):
+        for label, (num, _) in enumerate(_coset_walk(glue_diag, glue_U, den)):
             plus_int = all(x % den == 0 for x in num[:n])
             minus_int = all(x % den == 0 for x in num[n:])
             if minus_int and not plus_int:
@@ -589,7 +586,7 @@ class SplitLattice:
         self.etas = [
             Coset(label, num, den, Fraction(q % (2 * D * D), 2 * D * D))
             for label, (num, q) in enumerate(
-                _coset_walk(dual, D, self.gram_L, basis_num)
+                _coset_walk(dual_diag, dual_U, D, self.gram_L, basis_num)
             )
         ]
         # {(eta label, num, den): kappa_eta(m)} over the field of L_-,

@@ -55,6 +55,24 @@ def test_kappa_rational_t(capsys):
     assert data["serialized"] == "3^(-1/1)"
 
 
+@pytest.mark.parametrize("mu, t, serialized", [
+    ("1", "74993/99991", "3947^(-4/205)"),
+    ("12345", "171799/99991", "171799^(-2/205)"),
+])
+def test_kappa_at_a_large_ideal_lattice(capsys, mu, t, serialized):
+    # d = 99991 is just below MAX_DUAL_ORDER; the coset is made from its label
+    code, out, err = _run(capsys, "kappa", "-d", "99991", "--mu", mu, "-t", t)
+    assert code == 0
+    assert _parse(out)["serialized"] == serialized
+
+
+def test_kappa_refuses_label_d_at_a_large_ideal_lattice(capsys):
+    code, out, err = _run(capsys, "kappa", "-d", "99991", "--mu", "99991", "-t", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: no dual coset with label 99991\n"
+
+
 # bcm whittaker's full output: at d = 15, 2 splits, 7 is inert and 3, 5 are
 # ramified; prime:2 twists the ramified signs by the norm 2, and the nonzero
 # cosets (labels 3, 4, 6) take the char(Q(mu_q) + Z_q)(t) path

@@ -11,12 +11,12 @@ from borcherds_cm.lattice import (
     Coset,
     IdealLattice,
     InconsistentEmbeddingError,
-    IntegerQuotient,
     NotAnIdealError,
     PosLattice,
     SplitLattice,
     _coset_walk,
     _transpose,
+    check_coset,
     coset_of_element,
     enumerate_dual_cosets,
     glue,
@@ -26,7 +26,9 @@ from borcherds_cm.lattice import (
     mat_vec,
     smith_normal_form,
 )
+from borcherds_cm import lattice
 from borcherds_cm.arith import is_prime
+from borcherds_cm.kappa import kappa_at
 from borcherds_cm.quadfield import INERT, SPLIT, UnsupportedDiscriminantError, make_field
 
 
@@ -65,27 +67,39 @@ def test_snf_properties(M):
         assert abs(W[0][0] * W[1][1] - W[0][1] * W[1][0]) == 1
 
 
+def _label(y, diag, V):
+    """The canonical label of an integer coordinate vector y of
+    Z^k / Z^k M, U M V = diag(d_i): the mixed-radix number whose digits
+    are (y V)_i mod d_i."""
+    label = 0
+    for wi, di in zip(mat_vec(y, V), diag):
+        label = label * di + wi % di
+    return label
+
+
 def _check_quotient_labels(M):
     """_coset_walk lists Z^k / Z^k M in label order: its numerators z over
-    D give integer coordinates y = z M / D whose label is the list index."""
-    q = IntegerQuotient(M)
-    reps = [z for z, _ in _coset_walk(q, q.order)]
-    assert len(reps) == q.order
+    D give integer coordinates y = z M / D whose label is the list index.
+    Returns the order D."""
+    diag, U, V = smith_normal_form(M)
+    order = math.prod(diag)
+    reps = [z for z, _ in _coset_walk(diag, U, order)]
+    assert len(reps) == order
     assert reps[0] == (0,) * len(M)
     for index, z in enumerate(reps):
         y = mat_vec(z, M)
-        assert all(x % q.order == 0 for x in y)
-        assert q.label_of(tuple(x // q.order for x in y)) == index
+        assert all(x % order == 0 for x in y)
+        assert _label(tuple(x // order for x in y), diag, V) == index
     for row in M:
-        assert q.label_of(row) == 0
-    return q
+        assert _label(row, diag, V) == 0
+    return order
 
 
 def test_integer_quotient_labels():
     # the 3x3 matrix has SNF diag (1, 2, 6)
     for M, order in ((((2, 0), (1, 3)), 6),
                      (((1, 0, 0), (1, 2, 2), (1, 2, 8)), 12)):
-        assert _check_quotient_labels(M).order == order
+        assert _check_quotient_labels(M) == order
 
 
 @given(small_mats)
@@ -94,7 +108,7 @@ def test_integer_quotient_labels_on_random_matrices(M):
     M = tuple(map(tuple, M))
     det = M[0][0] * M[1][1] - M[0][1] * M[1][0]
     assume(det != 0)
-    assert _check_quotient_labels(M).order == abs(det)
+    assert _check_quotient_labels(M) == abs(det)
 
 
 @st.composite
@@ -118,14 +132,12 @@ def multi_digit_grams(draw):
 def test_coset_walk_matches_the_definition(G):
     # the walk steps from coset to coset; the definition takes each coset
     # afresh: z = w rows for the Smith digits w, q = (z G z^T mod 2D^2) / 2D^2
-    quotient = IntegerQuotient(G)
-    D = quotient.order
-    assert sum(di > 1 for di in quotient.diag) >= 2
-    rows = tuple(
-        tuple(D // di * x for x in row) for di, row in zip(quotient.diag, quotient.U)
-    )
-    listed = list(_coset_walk(quotient, D, G))
-    digits = list(itertools.product(*map(range, quotient.diag)))
+    diag, U, V = smith_normal_form(G)
+    D = math.prod(diag)
+    assert sum(di > 1 for di in diag) >= 2
+    rows = tuple(tuple(D // di * x for x in row) for di, row in zip(diag, U))
+    listed = list(_coset_walk(diag, U, D, G))
+    digits = list(itertools.product(*map(range, diag)))
     assert len(listed) == len(digits) == D
     for label, (w, (num, qn)) in enumerate(zip(digits, listed)):
         z = tuple(sum(w[i] * rows[i][j] for i in range(3)) for j in range(3))
@@ -133,7 +145,7 @@ def test_coset_walk_matches_the_definition(G):
         zG = tuple(sum(z[i] * G[i][j] for i in range(3)) for j in range(3))
         q = sum(a * b for a, b in zip(zG, z)) % (2 * D * D)
         assert Fraction(qn % (2 * D * D), 2 * D * D) == Fraction(q, 2 * D * D)
-        assert quotient.label_of(tuple(x // D for x in zG)) == label
+        assert _label(tuple(x // D for x in zG), diag, V) == label
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +164,6 @@ def test_unit_ideal_d7():
     lat = make_ideal_lattice(fld, "unit")
     assert lat.norm == 1
     assert lat.gram == ((-2, -1), (-1, -4))
-    assert lat.dual_index() == 7
     cosets = enumerate_dual_cosets(lat)
     assert len(cosets) == 7
     assert cosets[0].label == 0 and _zero_at(cosets[0], 7)
@@ -331,6 +342,61 @@ def test_local_zero_crt_pattern_d15():
     at5 = sum(1 for c in cosets if _zero_at(c, 5))
     both = sum(1 for c in cosets if _zero_at(c, 3) and _zero_at(c, 5))
     assert (at3, at5, both) == (5, 3, 1)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_ideal_cosets_from_their_label_match_the_walk(data):
+    # coset k is k g / d, g = U[1] of the Smith form diag(1, d) of the
+    # Gram matrix; the walk over that Smith form is the reference listing
+    d = data.draw(
+        st.sampled_from([d for d in range(3, 2000, 4) if _odd_fundamental(d)]),
+        label="d",
+    )
+    fld = make_field(d)
+    primes = sorted(
+        {p for p in range(2, 60) if is_prime(p) and fld.splitting(p) != INERT}
+        | set(fld.ramified_primes)
+    )
+    p = data.draw(st.sampled_from(primes), label="p")
+    c = data.draw(st.integers(1, 6), label="c")
+    for spec in ("unit", f"prime:{p}", f"basis:{c},0;0,{c}"):
+        lat = make_ideal_lattice(fld, spec)
+        diag, U, _ = smith_normal_form(lat.gram)
+        walk = [
+            Coset(k, num, d, Fraction(q % (2 * d * d), 2 * d * d))
+            for k, (num, q) in enumerate(_coset_walk(diag, U, d, lat.gram))
+        ]
+        assert list(enumerate_dual_cosets(lat)) == walk
+        # the linear form gives k back from k g plus any lattice vector
+        g = lat.coset(1).num
+        k = data.draw(st.integers(0, d - 1), label="k")
+        a, b = (data.draw(st.integers(-50, 50), label="shift") for _ in range(2))
+        num = (k * g[0] + a * d, k * g[1] + b * d)
+        assert coset_of_element(lat, num, d) is lat.coset(k)
+        for label in (-1, d):
+            with pytest.raises(ValueError, match=f"no dual coset with label {label}"):
+                lat.coset(label)
+            mu = Coset(label, (label * g[0], label * g[1]), d, Fraction(0))
+            with pytest.raises(ValueError, match=f"coset label {label} is not"):
+                check_coset(lat, mu)
+
+
+def test_one_kappa_at_a_large_ideal_lattice_makes_one_coset(monkeypatch):
+    # the lattice makes a coset only when asked: d = 99991 is just below
+    # MAX_DUAL_ORDER, and one kappa_at makes one Coset, not d of them
+    made = []
+
+    def counting(*args):
+        made.append(args[0])
+        return Coset(*args)
+
+    monkeypatch.setattr(lattice, "Coset", counting)
+    fld = make_field(99991)
+    lat = make_ideal_lattice(fld, "unit")
+    value = kappa_at(fld, lat, lat.coset(12345), Fraction(171799, 99991))
+    assert value.log_part.serialize() == "171799^(-2/205)"
+    assert made == [12345]
 
 
 # ---------------------------------------------------------------------------
