@@ -163,7 +163,7 @@ def _kappa_eta_sum(sl, eta_label, num, den):
     fld = minus.field
     kappas = minus._kappa
     plus = sl.plus
-    E = sl.etas[eta_label].den
+    E = sl.coset(eta_label).den
     scale = 2 * plus.g * E * E
     top = num * scale // den
     td = den * scale
@@ -264,9 +264,6 @@ class CMValueReport:
     @property
     def transcendental_exponent(self):
         return -self.kzero_coeff
-
-    def is_rational(self):
-        return self.kzero_coeff == 0
 
     def rational_value(self):
         """exp(rational_part) as an exact Fraction when possible."""

@@ -5,10 +5,10 @@ QExpansion is a truncated q-series with Python-int coefficients: delta,
 E4, E6 and j all have integer Fourier coefficients, and every step that
 builds them (products, powers, the inverse of a series with constant term
 +-1) stays in the integers.  FourierForm holds the coefficient table
-c_eta(m) of a weakly holomorphic input form on a SplitLattice, whose etas
-give the labels and Q(eta) mod 1.  The table is validated against the
-coefficient-level constraints: integral principal part and the support
-congruence m + Q(eta) in Z.  It keeps its terms under integer keys
+c_eta(m) of a weakly holomorphic input form on a SplitLattice, whose
+cosets eta give the labels and Q(eta) mod 1.  The table is validated
+against the coefficient-level constraints: integral principal part and the
+support congruence m + Q(eta) in Z.  It keeps its terms under integer keys
 (label, num, den) with m = num/den, so validation and the lookups of
 cmvalue are integer work; the Fraction views are made only when read.
 """
@@ -177,7 +177,7 @@ class FourierForm:
     num/den in lowest terms and c an int when it is integral (a Fraction
     otherwise); entries absent from it are zero.  The key does not depend
     on the lattice, so one form serves every lattice check_lattice passes.
-    The SplitLattice's etas provide the labels and Q(eta) mod 1: m and
+    The SplitLattice's cosets provide the labels and Q(eta) mod 1: m and
     q = Q(eta) mod 1 are both in lowest terms, so m + q is an integer
     exactly when den == q.denominator and num + q.numerator is divisible
     by den, an integer test.  `coeffs` and `principal_support` are the
@@ -208,11 +208,11 @@ class FourierForm:
         """Refuse a lattice on which a term is not valid: its eta label is
         out of range, or m + Q(eta) is not an integer.  The constructor
         checks its own lattice, cmvalue any other on first meeting it."""
-        etas = lattice.etas
+        order, coset = lattice.order, lattice.coset
         for label, num, den in self.terms:
-            if not 0 <= label < len(etas):
+            if not 0 <= label < order:
                 raise ValueError(f"eta label {label} out of range")
-            q = etas[label].q_mod_one
+            q = coset(label).q_mod_one
             if den != q.denominator or (num + q.numerator) % den:
                 m = Fraction(num, den)
                 raise SupportCongruenceViolation(

@@ -13,11 +13,13 @@ L^v/L of the ideal, positive and glued lattices, and the glue group
 L/(L_+ + L_-) -- is a quotient Z^k / Z^k M labelled in canonical order
 through the Smith normal form of M.  Each coset is the integer numerator z
 of y M^{-1} = z/D over the single denominator D = |det M|, and z = w rows
-is linear in the Smith digits w, so one routine, _coset_walk, lists the
-groups of a SplitLattice by adding one precomputed row per step; the
-finite quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group
-(Nikulin, Math. USSR Izv. 14 (1980)) steps with it, in integers, from the
-Gram matrix of the generators.  One routine, _q, computes Q(x).
+is linear in the Smith digits w of its label, so one routine,
+_smith_cosets, makes any coset from its label alone, with the finite
+quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group (Nikulin,
+Math. USSR Izv. 14 (1980)) as w S w^T for the integer Gram matrix S of the
+Smith generators.  IdealLattice and SplitLattice share one coset(label),
+made on first request and kept; only the glue group is made whole.  One
+routine, _q, computes Q(x).
 
 No Fraction elimination is left: the integer Smith normal form gives every
 coset, the test that a SplitLattice basis is nonsingular and contains
@@ -35,15 +37,16 @@ row, so the unglued L_+ + L_- and its discriminant group are never listed.
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
 in k.  Its L^v/L is cyclic of squarefree order d: coset k is k g for the
-Smith generator g, with q = k^2 q(g), made from its label when asked, and
-an element's label is one integer linear form mod d.  One frozen integer
-type, Coset, holds every coset and glue vector of every lattice.  An
-IdealLattice also holds the dict of kappa values that cmvalue's kappa_eta
-fill reads and fills; nothing else touches it.
+Smith generator g, with q = k^2 q(g), and an element's label is one
+integer linear form mod d.  One frozen integer type, Coset, holds every
+coset and glue vector of every lattice.  An IdealLattice also holds the
+dict of kappa values that cmvalue's kappa_eta fill reads and fills;
+nothing else touches it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -177,78 +180,92 @@ class Coset:
         return tuple(Fraction(x, self.den) for x in self.num[-2:])
 
 
-# Largest discriminant group |L^v/L| a lattice accepts: a SplitLattice makes
-# every coset up front, about 7.5 us and 0.4 kB apiece (0.8 s and 60 MB at
-# the cap on an Intel Xeon), an IdealLattice one per label asked for.
+# Largest discriminant group |L^v/L| a lattice accepts.  A lattice makes a
+# coset only when its label is asked for, but SplitLattice.etas,
+# cmvalue.contraction_coeffs and the acceptance glue search list whole
+# groups, one Coset of about 0.4 kB apiece.
 MAX_DUAL_ORDER = 10**5
 
 
-def _check_dual_order(order):
-    """Refuse a discriminant group above MAX_DUAL_ORDER before its walk."""
-    if order > MAX_DUAL_ORDER:
-        raise ValueError(
-            f"L^v/L has order {order}, above the cap of {MAX_DUAL_ORDER}"
-        )
+def _smith_cosets(diag, U, D, gram=None, basis=None, den=None):
+    """The routine label -> Coset of Z^k / Z^k M, from its Smith form
+    U M V = diag(d_1..d_k) and D = |det M|: y has the mixed-radix label
+    whose digits are w_i = (y V)_i mod d_i over the d_i > 1, the last
+    fastest.
 
-
-def _coset_walk(diag, U, den, gram=None, basis=None):
-    """Yield (num, q) for every coset of Z^k / Z^k M, in label order, from
-    its Smith form U M V = diag(d_1..d_k): y has the mixed-radix label with
-    digits (y V)_i mod d_i.
-
-    The coset with Smith digits w in prod range(d_i) is z / den, z = w rows,
-    for the Smith generators U_i / d_i over den, rows = diag(den/d_i) U;
-    with den = |det M| this is y M^{-1} for y = w V^{-1}, as M^{-1} = V
-    diag(1/d_i) U and V^{-1} cancels.  num is z, or z basis for a given
-    (square) basis, and q = z gram z^T, the numerator of Q(z/den) over
-    2 den^2, for a given integer gram (else 0).
-
-    Only the digits with d_i > 1 move; the others stay 0, so the order is
-    that of itertools.product(*map(range, d)), which is label order.  Each
-    coset is the one before it plus one precomputed step: advancing digit j
-    adds s_j = e_j - sum_{t > j} (d_t - 1) e_t, since the later digits wrap
-    from d_t - 1 to 0.  With S the Gram matrix of the steps under gram and
-    the running v_j = (w, s_j) in that form, q(w + s_j) = q(w) + 2 v_j +
-    S_jj and v += S_j."""
+    The coset with Smith digits w is z / D, z = w rows, for the Smith
+    generators U_i / d_i over D, rows = diag(D/d_i) U; this is y M^{-1} for
+    y = w V^{-1}, as M^{-1} = V diag(1/d_i) U and V^{-1} cancels.  Its num
+    is z, or z basis for a given (square) basis, over den (D if not given).
+    For a given integer gram its q_mod_one is Q(z/D) mod 1, whose numerator
+    over 2 D^2 is z gram z^T = w S w^T with S = rows gram rows^T, the
+    finite quadratic form of the Smith generators (Nikulin, Math. USSR Izv.
+    14 (1980)); else it is 0."""
     moving = [i for i, di in enumerate(diag) if di > 1]
-    k = len(moving)
-    radix = [diag[i] for i in moving]
-    num = (0,) * len(basis or U)
-    yield num, 0
-    if not k:
-        return
-    s = tuple(
-        tuple(int(t == j) - (t > j) * (radix[t] - 1) for t in range(k))
-        for j in range(k)
-    )
-    rows = tuple(
-        tuple(den // radix[j] * x for x in U[i]) for j, i in enumerate(moving)
-    )
-    sz = mat_mul(s, rows)
-    steps = mat_mul(sz, basis) if basis else sz
-    S = mat_mul(mat_mul(sz, gram), _transpose(sz)) if gram else ((0,) * k,) * k
-    w = [0] * k
-    v = [0] * k
-    q = 0
-    for _ in range(math.prod(radix) - 1):
-        j = k - 1
-        while w[j] == radix[j] - 1:
-            w[j] = 0
-            j -= 1
-        w[j] += 1
-        num = tuple(map(operator.add, num, steps[j]))
-        q += 2 * v[j] + S[j][j]
-        v = list(map(operator.add, v, S[j]))
-        yield num, q
+    # digit i of a label is label // place_i mod d_i
+    places = [(math.prod(diag[j] for j in moving[t + 1:]), diag[i])
+              for t, i in enumerate(moving)]
+    rows = [tuple(D // diag[i] * x for x in U[i]) for i in moving]
+    mul = operator.mul
+    S = gram and [[sum(map(mul, mat_vec(r, gram), s)) for s in rows]
+                  for r in rows]
+    if basis:
+        rows = [mat_vec(r, basis) for r in rows]
+    cols = [tuple(r[j] for r in rows) for j in range(len(basis or U))]
+    den = den or D
+    qden = 2 * D * D
+
+    def coset(label):
+        w = [label // p % r for p, r in places]
+        num = tuple([sum(map(mul, w, c)) for c in cols])
+        if not S:
+            return Coset(label, num, den)
+        q = sum(map(mul, w, [sum(map(mul, w, row)) for row in S]))
+        return Coset(label, num, den, Fraction(q % qden, qden))
+
+    return coset
+
+
+class _DualGroup:
+    """L^v/L of an IdealLattice or a SplitLattice, of order |det gram| for
+    the integer Gram matrix of L: coset(label) makes each coset from its
+    label on first request and keeps it, so no lattice lists its group
+    unless a caller asks for all of it."""
+
+    def _set_dual(self, gram, basis=None, e=1):
+        """Set order and the coset routine of L^v/L, whose numerators are z
+        basis over |det gram| e; returns the V of the Smith form."""
+        diag, U, V = smith_normal_form(gram)
+        self.order = D = math.prod(diag)
+        if D > MAX_DUAL_ORDER:
+            raise ValueError(
+                f"L^v/L has order {D}, above the cap of {MAX_DUAL_ORDER}"
+            )
+        self._make_coset = _smith_cosets(diag, U, D, gram, basis, D * e)
+        self._cosets = {}
+        return V
+
+    def coset(self, label):
+        """The coset of L^v/L with label 0 <= label < order."""
+        mu = self._cosets.get(label)
+        if mu is None:
+            if not 0 <= label < self.order:
+                raise ValueError(f"no dual coset with label {label}")
+            mu = self._cosets[label] = self._make_coset(label)
+        return mu
+
+
+def _check_rank(x, k):
+    if len(x) != k:
+        raise ValueError(
+            f"vector has length {len(x)} but the lattice has rank {k}"
+        )
 
 
 def _q(x, gram):
     """Q(x) = x G x^T / 2 for a vector x of length rank G."""
     k = len(gram)
-    if len(x) != k:
-        raise ValueError(
-            f"vector has length {len(x)} but the lattice has rank {k}"
-        )
+    _check_rank(x, k)
     x = tuple(map(Fraction, x))
     return sum(
         (gram[i][j] * x[i] * x[j] for i in range(k) for j in range(k)),
@@ -263,7 +280,7 @@ def _q(x, gram):
 # omega = (1 + sqrt(-d))/2, so omega^2 = omega - (1+d)/4.
 
 
-class IdealLattice:
+class IdealLattice(_DualGroup):
     """An integral O_k-ideal a viewed as a rank-2 lattice with
     Q(x) = -N(x)/N(a), so that the dual lattice is D^{-1} a.  Its d dual
     cosets are made from their labels, each on first request."""
@@ -295,33 +312,16 @@ class IdealLattice:
         if any(x % self.norm for row in trace for x in row):
             raise NotAnIdealError("non-integral Gram entry")
         self.gram = tuple(tuple(-x // self.norm for x in row) for row in trace)
-        _check_dual_order(field.d)
         # L^v/L = D^{-1}a/a is cyclic of squarefree order d, so the Smith
-        # form of gram is diag(1, d): coset k is k g / d for g = U[1], with
-        # Q numerator k^2 S over 2 d^2 for S = g gram g^T, and an element
-        # y gram^{-1} of L^v, y integral, has label (y V)_1 = y v mod d
-        _, U, V = smith_normal_form(self.gram)
-        self._g = U[1]
-        self._S = sum(a * b for a, b in zip(mat_vec(U[1], self.gram), U[1]))
+        # form of gram is diag(1, d): coset k is k g / d for g = U[1], and an
+        # element y gram^{-1} of L^v, y integral, has label (y V)_1 = y v
+        # mod d
+        V = self._set_dual(self.gram)
         self._v = (V[0][1], V[1][1])
-        self._cosets = {}
         # {(mu label, num, den): kappa(num/den, mu)}, read and filled only by
         # the kappa_eta fill of cmvalue: kappa_at and kappa_positive keep
         # no memo
         self._kappa = {}
-
-    def coset(self, label):
-        """The coset of label k in 0 <= k < d: k g / d with Q(k g / d) =
-        k^2 S / 2d^2 mod 1, made on first request and then kept."""
-        mu = self._cosets.get(label)
-        if mu is None:
-            d = self.field.d
-            if not 0 <= label < d:
-                raise ValueError(f"no dual coset with label {label}")
-            q = Fraction(label * label * self._S % (2 * d * d), 2 * d * d)
-            num = (label * self._g[0], label * self._g[1])
-            mu = self._cosets[label] = Coset(label, num, d, q)
-        return mu
 
     def q_of(self, coords):
         """Q at an element given in a-basis coordinates."""
@@ -358,14 +358,14 @@ def make_ideal_lattice(field, spec="unit"):
 def enumerate_dual_cosets(lat):
     """The d cosets of D^{-1}a / a, as a tuple indexed by canonical label;
     label 0 is mu = 0."""
-    return tuple(map(lat.coset, range(lat.field.d)))
+    return tuple(map(lat.coset, range(lat.order)))
 
 
 def check_coset(lat, mu):
     """Refuse a coset mu that the ideal lattice lat does not have: one of
     another lattice would silently be read as lat's coset of its label."""
     label = mu.label
-    if not 0 <= label < lat.field.d or (
+    if not 0 <= label < lat.order or (
         (own := lat.coset(label)) is not mu and own != mu
     ):
         raise ValueError(
@@ -377,11 +377,12 @@ def coset_of_element(lat, num, den):
     """The canonical Coset (lat.coset of its label) of the coset containing
     an element of D^{-1}a, given by the integer numerators num of its
     a-basis coordinates num / den."""
+    _check_rank(num, 2)
     y = mat_vec(num, lat.gram)
     if any(x % den for x in y):
         raise ValueError("element is not in the dual lattice D^{-1}a")
     v0, v1 = lat._v
-    return lat.coset((y[0] // den * v0 + y[1] // den * v1) % lat.field.d)
+    return lat.coset((y[0] // den * v0 + y[1] // den * v1) % lat.order)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +511,7 @@ class PosLattice:
 # ---------------------------------------------------------------------------
 
 
-class SplitLattice:
+class SplitLattice(_DualGroup):
     """A lattice L with L_+ + L_- <= L <= L^v in V = V_+ (+) U.
 
     Ambient coordinates: first n entries in the L_+ basis, last two in the
@@ -565,36 +566,35 @@ class SplitLattice:
                     f"{Fraction(self.gram_L[i][i], 2)}, not an integer"
                 )
         # Both groups keep ambient numerators over den = |L^v / L| e, integers
-        # as L <= (1/e) Z^N.  The glue group L / (L_+ + L_-) = Z^N / Z^N
-        # basis^{-1} has generators U_i / d_i in L, so each d_i divides e and
-        # den; L^v / L has generators z / D (D = |det gram_L|) in L
-        # coordinates, whose ambient numerators are z basis_num
-        dual_diag, dual_U, _ = smith_normal_form(self.gram_L)
-        D = math.prod(dual_diag)
-        _check_dual_order(D)
-        den = D * e
+        # as L <= (1/e) Z^N.  L^v / L has generators z / D (D = |det gram_L|)
+        # in L coordinates, whose ambient numerators are z basis_num; the
+        # glue group L / (L_+ + L_-) = Z^N / Z^N basis^{-1} has generators
+        # U_i / d_i in L, so each d_i divides e and den
+        self._set_dual(self.gram_L, basis_num, e)
+        den = self.order * e
         glue_diag, glue_U, _ = smith_normal_form(basis_inv)
-        self.glue = []
-        for label, (num, _) in enumerate(_coset_walk(glue_diag, glue_U, den)):
-            plus_int = all(x % den == 0 for x in num[:n])
-            minus_int = all(x % den == 0 for x in num[n:])
+        self.glue = list(
+            map(_smith_cosets(glue_diag, glue_U, den), range(math.prod(glue_diag)))
+        )
+        for lam in self.glue:
+            plus_int = all(x % den == 0 for x in lam.num[:n])
+            minus_int = all(x % den == 0 for x in lam.num[n:])
             if minus_int and not plus_int:
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")
             if plus_int and not minus_int:
                 raise InconsistentEmbeddingError("U cap L exceeds L_-")
-            self.glue.append(Coset(label, num, den))
-        self.etas = [
-            Coset(label, num, den, Fraction(q % (2 * D * D), 2 * D * D))
-            for label, (num, q) in enumerate(
-                _coset_walk(dual_diag, dual_U, D, self.gram_L, basis_num)
-            )
-        ]
         # {(eta label, num, den): kappa_eta(m)} over the field of L_-,
         # filled by cmvalue on first request; the lattice fixes the field,
         # so there is one table per lattice
         self._kappa_eta = {}
         # eta label -> its eta_pairs list, filled on first request
         self._eta_pairs = {}
+
+    @functools.cached_property
+    def etas(self):
+        """Every coset of L^v/L, as a tuple indexed by label; made when first
+        read, for the callers that list the whole group."""
+        return tuple(map(self.coset, range(self.order)))
 
     def q_ambient(self, x):
         """Q(x) for a vector x in ambient coordinates."""
@@ -608,7 +608,7 @@ class SplitLattice:
         first request."""
         pairs = self._eta_pairs.get(label)
         if pairs is None:
-            eta = self.etas[label]
+            eta = self.coset(label)
             pairs = []
             for lam in self.glue:
                 x = tuple(a + b for a, b in zip(eta.num, lam.num))

@@ -387,6 +387,25 @@ def test_cmsum_refuses_dual_group_above_cap(capsys, tmp_path):
     assert err == "error: L^v/L has order 14000000, above the cap of 100000\n"
 
 
+def test_cmsum_at_a_split_lattice_near_the_cap(capsys, tmp_path):
+    # |L^v/L| = 7 * 14284 = 99988, just below the cap; the report reads
+    # eta 0 only
+    lat = tmp_path / "lat.txt"
+    lat.write_text("d=7\nrank=1\ngram=14284\n")
+    form = tmp_path / "form.txt"
+    form.write_text("0 -1 1\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(form),
+                          "--lattice", str(lat))
+    assert code == 0
+    data = _parse(out)
+    assert data["log_rat_serialized"] == "7^(2/1)"
+    assert data["c00"] == "0"
+    assert data["kzero_coeff"] == "0"
+    assert data["numeric"] == (
+        "3.8918202981106266102107054868863594592741694591637223769187803"
+    )
+
+
 def test_kappa_refuses_ideal_dual_group_above_cap(capsys):
     code, out, err = _run(capsys, "kappa", "-d", "100003", "-t", "1")
     assert code == 1

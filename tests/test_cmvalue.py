@@ -66,7 +66,6 @@ def test_desk_instance_report():
     assert report.kzero_coeff == 0
     assert report.c00 == 0
     assert report.degree == 2
-    assert report.is_rational()
     assert report.rational_value() == 49
     ok, violations = check_prime_support(report, fld, form)
     assert ok and not violations
@@ -80,7 +79,6 @@ def test_constant_term_drives_transcendence():
     assert report.c00 == 3
     assert report.kzero_coeff == -3
     assert report.transcendental_exponent == 3
-    assert not report.is_rational()
     # at default vol(K_T) the exponent is h * c00
     assert report.transcendental_exponent == fld.h * report.c00
 

@@ -14,7 +14,7 @@ from borcherds_cm.lattice import (
     NotAnIdealError,
     PosLattice,
     SplitLattice,
-    _coset_walk,
+    _smith_cosets,
     _transpose,
     check_coset,
     coset_of_element,
@@ -28,6 +28,8 @@ from borcherds_cm.lattice import (
 )
 from borcherds_cm import lattice
 from borcherds_cm.arith import is_prime
+from borcherds_cm.cmvalue import log_psi_product
+from borcherds_cm.forms import FourierForm
 from borcherds_cm.kappa import kappa_at
 from borcherds_cm.quadfield import INERT, SPLIT, UnsupportedDiscriminantError, make_field
 
@@ -78,12 +80,13 @@ def _label(y, diag, V):
 
 
 def _check_quotient_labels(M):
-    """_coset_walk lists Z^k / Z^k M in label order: its numerators z over
-    D give integer coordinates y = z M / D whose label is the list index.
-    Returns the order D."""
+    """_smith_cosets makes the coset of Z^k / Z^k M with each label: its
+    numerators z over D give integer coordinates y = z M / D whose label is
+    the one asked for.  Returns the order D."""
     diag, U, V = smith_normal_form(M)
     order = math.prod(diag)
-    reps = [z for z, _ in _coset_walk(diag, U, order)]
+    coset = _smith_cosets(diag, U, order)
+    reps = [coset(label).num for label in range(order)]
     assert len(reps) == order
     assert reps[0] == (0,) * len(M)
     for index, z in enumerate(reps):
@@ -129,22 +132,23 @@ def multi_digit_grams(draw):
 
 @given(multi_digit_grams())
 @settings(max_examples=100, deadline=None, derandomize=True)
-def test_coset_walk_matches_the_definition(G):
-    # the walk steps from coset to coset; the definition takes each coset
-    # afresh: z = w rows for the Smith digits w, q = (z G z^T mod 2D^2) / 2D^2
+def test_cosets_from_their_label_match_the_definition(G):
+    # the routine decodes each label; the definition takes the Smith digits
+    # in itertools.product order: z = w rows, q = (z G z^T mod 2D^2) / 2D^2
     diag, U, V = smith_normal_form(G)
     D = math.prod(diag)
     assert sum(di > 1 for di in diag) >= 2
     rows = tuple(tuple(D // di * x for x in row) for di, row in zip(diag, U))
-    listed = list(_coset_walk(diag, U, D, G))
+    coset = _smith_cosets(diag, U, D, G)
     digits = list(itertools.product(*map(range, diag)))
-    assert len(listed) == len(digits) == D
-    for label, (w, (num, qn)) in enumerate(zip(digits, listed)):
+    assert len(digits) == D
+    for label, w in enumerate(digits):
+        mu = coset(label)
         z = tuple(sum(w[i] * rows[i][j] for i in range(3)) for j in range(3))
-        assert num == z
+        assert (mu.label, mu.num, mu.den) == (label, z, D)
         zG = tuple(sum(z[i] * G[i][j] for i in range(3)) for j in range(3))
         q = sum(a * b for a, b in zip(zG, z)) % (2 * D * D)
-        assert Fraction(qn % (2 * D * D), 2 * D * D) == Fraction(q, 2 * D * D)
+        assert mu.q_mod_one == Fraction(q, 2 * D * D)
         assert _label(tuple(x // D for x in zG), diag, V) == label
 
 
@@ -346,9 +350,10 @@ def test_local_zero_crt_pattern_d15():
 
 @given(st.data())
 @settings(max_examples=40, deadline=None, derandomize=True)
-def test_ideal_cosets_from_their_label_match_the_walk(data):
+def test_ideal_cosets_from_their_label_match_the_definition(data):
     # coset k is k g / d, g = U[1] of the Smith form diag(1, d) of the
-    # Gram matrix; the walk over that Smith form is the reference listing
+    # Gram matrix: its label from the Smith form is k, and its q is
+    # Q(k g / d) mod 1 from the Gram matrix
     d = data.draw(
         st.sampled_from([d for d in range(3, 2000, 4) if _odd_fundamental(d)]),
         label="d",
@@ -362,12 +367,18 @@ def test_ideal_cosets_from_their_label_match_the_walk(data):
     c = data.draw(st.integers(1, 6), label="c")
     for spec in ("unit", f"prime:{p}", f"basis:{c},0;0,{c}"):
         lat = make_ideal_lattice(fld, spec)
-        diag, U, _ = smith_normal_form(lat.gram)
-        walk = [
-            Coset(k, num, d, Fraction(q % (2 * d * d), 2 * d * d))
-            for k, (num, q) in enumerate(_coset_walk(diag, U, d, lat.gram))
-        ]
-        assert list(enumerate_dual_cosets(lat)) == walk
+        G = lat.gram
+        diag, U, V = smith_normal_form(G)
+        assert diag == (1, d)
+        cosets = enumerate_dual_cosets(lat)
+        assert len(cosets) == d
+        for k, mu in enumerate(cosets):
+            z = mu.num
+            zG = mat_vec(z, G)
+            q = sum(a * b for a, b in zip(zG, z)) % (2 * d * d)
+            assert (mu.label, z, mu.den) == (k, (k * U[1][0], k * U[1][1]), d)
+            assert mu.q_mod_one == Fraction(q, 2 * d * d)
+            assert _label(tuple(x // d for x in zG), diag, V) == k
         # the linear form gives k back from k g plus any lattice vector
         g = lat.coset(1).num
         k = data.draw(st.integers(0, d - 1), label="k")
@@ -397,6 +408,30 @@ def test_one_kappa_at_a_large_ideal_lattice_makes_one_coset(monkeypatch):
     value = kappa_at(fld, lat, lat.coset(12345), Fraction(171799, 99991))
     assert value.log_part.serialize() == "171799^(-2/205)"
     assert made == [12345]
+
+
+def test_one_report_at_a_large_split_lattice_makes_few_cosets(monkeypatch):
+    # |L^v/L| = 7 * 14284 = 99988 is just below MAX_DUAL_ORDER; a report on
+    # the form c_0(-1) = 1 makes the glue vector 0, eta 0 and the ideal
+    # coset 0, not the 99988 etas
+    made = []
+
+    def counting(*args):
+        made.append(args[0])
+        return Coset(*args)
+
+    monkeypatch.setattr(lattice, "Coset", counting)
+    fld = make_field(7)
+    sl = SplitLattice(PosLattice(((14284,),)), make_ideal_lattice(fld, "unit"))
+    assert sl.order == 99988
+    report = log_psi_product(FourierForm(sl, {(0, -1): 1}), sl, fld)
+    assert report.rational_part.serialize() == "7^(2/1)"
+    assert report.kzero_coeff == 0
+    assert made == [0, 0, 0]
+    for label in (-1, sl.order):
+        with pytest.raises(ValueError, match=f"no dual coset with label {label}"):
+            sl.coset(label)
+    assert made == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +605,12 @@ def test_coset_length_must_match_the_rank():
     for coords in ((1, 0, 5), (1,)):
         with pytest.raises(ValueError, match=f"length {len(coords)} .*rank 2"):
             ideal.q_of(coords)
+    # coset_of_element reads only two numerators unless it checks them
+    for num in (ideal.coset(3).num + (5,), (1,)):
+        with pytest.raises(
+            ValueError, match=f"vector has length {len(num)} but the lattice has rank 2"
+        ):
+            coset_of_element(ideal, num, 7)
     # the ambient rank of L_+ (+) L_- is 3, not the rank 2 of its minus part
     split = SplitLattice(PosLattice(((2,),)), ideal)
     assert split.q_ambient((1, 1, 0)) == 0
