@@ -24,17 +24,17 @@ precision, and CMValueReport.numeric adds its multiple to the rational
 part in one fixed-point integer sum (FactoredLog.fixed_point_value),
 rounded once.
 SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu, x_+) with
-mu the canonical coset of eta_- + lambda_- and x_+ the integer numerators
-of eta_+ + lambda_+ over eta.den, built on the first request for that eta,
-so kappa_eta and contraction_coeffs find each coset once.  A table entry
-is filled in integers: PosLattice.norm_counts gives the norms N = 2 g den^2
-Q(x) of each x_+ + L_+ up to m, so m - Q(x) is a ratio of ints, and kappa
-of it is read from a dict on the IdealLattice L_- keyed by (mu label,
-t num, t den) in lowest terms, made by kappa_at on a miss.  Only this fill
-reads or writes that dict, so each (mu, t) is checked and computed once
-per ideal lattice while kappa_at and kappa_positive keep no memo.
-contraction_coeffs runs one norm_counts per (eta, lambda), up to the
-largest m - m1 it needs, and reads every count from it.
+mu the coset of eta_- + lambda_-, found by adding two labels and kept in
+no memo, and x_+ the integer numerators of eta_+ + lambda_+ over eta.den.
+A table entry is filled in integers: PosLattice.norm_counts gives the
+norms N = 2 g den^2 Q(x) of each x_+ + L_+ up to m, so m - Q(x) is a
+ratio of ints, and kappa of it is read from a dict on the IdealLattice
+L_- keyed by (mu label, t num, t den) in lowest terms, made by kappa_at
+on a miss.  Only this fill reads or writes that dict, so each (mu, t) is
+checked and computed once per ideal lattice while kappa_at and
+kappa_positive keep no memo.
+contraction_coeffs walks only its form's etas, with one norm_counts per
+(eta, lambda) up to the largest m - m1 it needs.
 Every exact sum (kappa_eta(m) and the inner sum) is added up in one pass
 into one prime -> numerator dict over one denominator and one k0(0)
 multiple.
@@ -82,31 +82,30 @@ def contraction_coeffs(form, sl, m_values):
     lambda_+}(m2), for m in m_values.
 
     Returns a dict (eta_label, lambda_index, m) -> rational.  The m1 sum
-    runs over the finite support of c_eta; d counts vectors of norm m2 >= 0,
-    read from one norm_counts enumeration per (eta, lambda) up to the
-    largest m2 the table needs.
+    runs over the finite support of c_eta in the form's terms, so only its
+    etas are made; d counts vectors of norm m2 >= 0, read from one
+    norm_counts enumeration per (eta, lambda) up to the largest m2 needed.
     """
     form.check_lattice(sl)
     plus = sl.plus
     m_values = [Fraction(m) for m in m_values]
+    supports = {}
+    for (label, num, den), c in form.terms.items():
+        supports.setdefault(label, []).append((Fraction(num, den), c))
     table = {}
-    for eta in sl.etas:
-        support = [
-            (m1, c) for (label, m1), c in form.coeffs.items() if label == eta.label
-        ]
-        if not support:
-            continue
+    for label, support in sorted(supports.items()):
+        E = sl.coset(label).den
         # Q(x) = m2 is N = m2 * scale in norm_counts; a non-integral N
         # counts no vector
-        scale = 2 * plus.g * eta.den * eta.den
+        scale = 2 * plus.g * E * E
         needs = [
             (m, [(c, (m - m1) * scale) for m1, c in support]) for m in m_values
         ]
         top = max(
             (math.floor(N) for _, terms in needs for _, N in terms), default=-1
         )
-        for li, _, x in sl.eta_pairs(eta.label):
-            counts = plus.norm_counts(x, eta.den, top)
+        for li, _, x in sl.eta_pairs(label):
+            counts = plus.norm_counts(x, E, top)
             for m, terms in needs:
                 total = sum(
                     (c * counts.get(N.numerator, 0)
@@ -114,7 +113,7 @@ def contraction_coeffs(form, sl, m_values):
                     Fraction(0),
                 )
                 if total:
-                    table[(eta.label, li, m)] = total
+                    table[(label, li, m)] = total
     return table
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .arith import _ratio
+from .arith import _ratio, _whole
 
 
 class IntegralityViolation(ValueError):
@@ -187,7 +187,7 @@ class FourierForm:
     def __init__(self, lattice, coeffs):
         terms = {}
         for (label, m), c in coeffs.items():
-            label = int(label)
+            label = _whole("eta label", label)
             num, den = _ratio(m)
             cn, cd = _ratio(c)
             if not cn:

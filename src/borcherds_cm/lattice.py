@@ -26,13 +26,13 @@ coset, the test that a SplitLattice basis is nonsingular and contains
 L_+ + L_-, and that basis's inverse; the one exact LDL^T of a PosLattice,
 computed when it is built, tests definiteness (Sylvester's criterion) and
 seeds its enumeration.  A SplitLattice keeps its etas and glue vectors as
-integer ambient numerators over one denominator, with integer gram_L, and
-its eta_pairs give the plus numerators of eta + lambda over eta.den as
-norm_counts reads them; the Fraction plus/minus views of a Coset are made
-only when read.  One routine, glue, builds L_+ + L_- + Z v from a glue
-vector v given as integer ambient numerators over one denominator: it
-scales v so that one coordinate is 1/m and puts it in place of that basis
-row, so the unglued L_+ + L_- and its discriminant group are never listed.
+integer ambient numerators over one denominator, with integer gram_L,
+and each lambda_-'s label in L_-^v/L_- (L is integral), 0 exactly on L_-,
+which the glue checks read and eta_pairs adds to eta_-'s label mod d.
+One routine, glue, builds L_+ + L_- + Z v from a glue vector v given as
+integer ambient numerators over one denominator: it scales v so that one
+coordinate is 1/m and puts it in place of that basis row, so the unglued
+L_+ + L_- and its discriminant group are never listed.
 
 An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
@@ -180,10 +180,9 @@ class Coset:
         return tuple(Fraction(x, self.den) for x in self.num[-2:])
 
 
-# Largest discriminant group |L^v/L| a lattice accepts.  A lattice makes a
-# coset only when its label is asked for, but SplitLattice.etas,
-# cmvalue.contraction_coeffs and the acceptance glue search list whole
-# groups, one Coset of about 0.4 kB apiece.
+# Largest |L^v/L| a lattice accepts: SplitLattice.etas and the acceptance
+# glue search list whole groups, about 0.4 kB per Coset.  The glue group
+# injects into L_-^v/L_- by the glue checks, so this cap on d bounds it.
 MAX_DUAL_ORDER = 10**5
 
 
@@ -576,19 +575,19 @@ class SplitLattice(_DualGroup):
         self.glue = list(
             map(_smith_cosets(glue_diag, glue_U, den), range(math.prod(glue_diag)))
         )
+        self._glue_minus = []
         for lam in self.glue:
+            ell = coset_of_element(minus, lam.num[n:], den).label
             plus_int = all(x % den == 0 for x in lam.num[:n])
-            minus_int = all(x % den == 0 for x in lam.num[n:])
-            if minus_int and not plus_int:
+            if not ell and not plus_int:
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")
-            if plus_int and not minus_int:
+            if plus_int and ell:
                 raise InconsistentEmbeddingError("U cap L exceeds L_-")
+            self._glue_minus.append(ell)
         # {(eta label, num, den): kappa_eta(m)} over the field of L_-,
         # filled by cmvalue on first request; the lattice fixes the field,
         # so there is one table per lattice
         self._kappa_eta = {}
-        # eta label -> its eta_pairs list, filled on first request
-        self._eta_pairs = {}
 
     @functools.cached_property
     def etas(self):
@@ -601,21 +600,18 @@ class SplitLattice(_DualGroup):
         return _q(x, self.gram_ambient)
 
     def eta_pairs(self, label):
-        """[(lambda index, mu, plus)] over the glue vectors lambda, where
-        mu is the canonical coset of eta_- + lambda_- in the ideal lattice
-        and plus the integer numerators of eta_+ + lambda_+ over eta.den,
-        as PosLattice.norm_counts reads them.  Computed once per eta, on
-        first request."""
-        pairs = self._eta_pairs.get(label)
-        if pairs is None:
-            eta = self.coset(label)
-            pairs = []
-            for lam in self.glue:
-                x = tuple(a + b for a, b in zip(eta.num, lam.num))
-                mu = coset_of_element(self.minus, x[-2:], eta.den)
-                pairs.append((lam.label, mu, x[:-2]))
-            self._eta_pairs[label] = pairs
-        return pairs
+        """[(lambda index, mu, plus)] over the glue vectors lambda: mu is
+        the coset of eta_- + lambda_- in L_-, whose label is eta_-'s plus
+        lambda_-'s mod d, and plus the integer numerators of eta_+ +
+        lambda_+ over eta.den, as PosLattice.norm_counts reads them."""
+        eta = self.coset(label)
+        minus, n = self.minus, self.plus.rank
+        k = coset_of_element(minus, eta.num[n:], eta.den).label
+        return [
+            (lam.label, minus.coset((k + ell) % minus.order),
+             tuple(a + b for a, b in zip(eta.num[:n], lam.num)))
+            for lam, ell in zip(self.glue, self._glue_minus)
+        ]
 
 
 def glue(plus, minus, num, den):
@@ -628,6 +624,10 @@ def glue(plus, minus, num, den):
     1/m there.  That vector and the unit rows e_j, j != i, span Z^N + Z v;
     it replaces basis row i, and SplitLattice checks the result, which
     refuses a v with Q(v) not an integer as not integral or not even."""
+    if not den:
+        raise InconsistentEmbeddingError(
+            f"glue along {num}/{den}: the denominator is 0"
+        )
     m = abs(den) // math.gcd(den, *num)
     if m == 1:
         raise InconsistentEmbeddingError(

@@ -406,6 +406,25 @@ def test_cmsum_at_a_split_lattice_near_the_cap(capsys, tmp_path):
     )
 
 
+def test_cmsum_at_the_x1_lattice_of_d_227(capsys, tmp_path):
+    # the X(1) lattice glued along (1/227, 1/227, 225/227): a glue group of
+    # order 227, the largest of any console-script check
+    lat = tmp_path / "lat.txt"
+    lat.write_text("d=227\nrank=1\ngram=454\nbasis=1/227,1/227,225/227;0,1,0;0,0,1\n")
+    form = tmp_path / "form.txt"
+    form.write_text("1 -3/4 1\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(form),
+                          "--lattice", str(lat))
+    assert code == 0
+    data = _parse(out)
+    assert data["log_rat_serialized"] == "2^(108/1)*5^(20/1)*41^(4/1)"
+    assert data["c00"] == "0"
+    assert data["kzero_coeff"] == "0"
+    assert data["numeric"] == (
+        "121.9029420159733321245433092741564524961716834738751284177634505"
+    )
+
+
 def test_kappa_refuses_ideal_dual_group_above_cap(capsys):
     code, out, err = _run(capsys, "kappa", "-d", "100003", "-t", "1")
     assert code == 1

@@ -8,7 +8,7 @@ import pytest
 from mpmath import mp
 
 import borcherds_cm
-from borcherds_cm import arith, cmvalue
+from borcherds_cm import acceptance, arith, cmvalue
 from borcherds_cm.arith import FactoredLog
 from borcherds_cm.cmvalue import (
     CMValueReport,
@@ -519,7 +519,7 @@ def test_eta_pair_table_on_glued_lattices(d, gram, row0):
                 a + b for a, b in zip(eta.plus, lam.plus)
             )
             zero_seen.add(_is_zero(mu))
-        assert sl.eta_pairs(eta.label) is pairs
+        assert sl.eta_pairs(eta.label) == pairs
     assert zero_seen == {True, False}
     for k in range(16):
         coeffs = instance_coeffs(pool, li, k)
@@ -534,6 +534,25 @@ def test_eta_pair_table_on_glued_lattices(d, gram, row0):
                     plus = tuple(a + b for a, b in zip(eta.plus, lam.plus))
                     brute += c * sl.plus.count_vectors(plus, -m1)
         assert c00_contraction(FourierForm(sl, coeffs), sl) == brute
+
+
+def test_eta_pairs_add_labels_on_every_pool_and_corpus_lattice():
+    """On the lattices of the 72 pool and 100 corpus instances, each mu of
+    eta_pairs, made by adding the labels of eta_- and lambda_-, is the
+    coset that coset_of_element finds for the element eta_- + lambda_-,
+    and a glue vector's label of lambda_- is 0 exactly when lambda_- is
+    integral."""
+    lattices = [sl for _, sl in _cm_report_pool()]
+    lattices += [sl for _, sl, _ in acceptance.build_corpus()]
+    assert len(lattices) == 172
+    for sl in lattices:
+        for lam, ell in zip(sl.glue, sl._glue_minus):
+            assert (ell == 0) == all(x.denominator == 1 for x in lam.minus)
+        for label in range(sl.order):
+            eta = sl.coset(label)
+            for (_, mu, _), lam in zip(sl.eta_pairs(label), sl.glue):
+                minus = tuple(a + b for a, b in zip(eta.minus, lam.minus))
+                assert mu is _fraction_coset(sl.minus, minus)
 
 
 @pytest.mark.parametrize("li", [0, 5, 13, 29, 37, 56])

@@ -188,6 +188,14 @@ def test_label_range():
         FourierForm(sl, {(99, Fraction(-1)): 1})
 
 
+def test_a_non_integer_label_is_refused():
+    # int(1.5) would read it as eta 1, whose congruent m gives a report
+    fld = make_field(7)
+    sl = SplitLattice(PosLattice(((2,),)), make_ideal_lattice(fld, "unit"))
+    with pytest.raises(ValueError, match="eta label=1.5 is not an integer"):
+        FourierForm(sl, {(1.5, Fraction(-19, 28)): 1})
+
+
 def test_m_max_holomorphic():
     fld, sl = _desk_lattice()
     form = FourierForm(sl, {(0, Fraction(0)): 2})

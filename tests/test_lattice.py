@@ -28,7 +28,7 @@ from borcherds_cm.lattice import (
 )
 from borcherds_cm import lattice
 from borcherds_cm.arith import is_prime
-from borcherds_cm.cmvalue import log_psi_product
+from borcherds_cm.cmvalue import contraction_coeffs, log_psi_product
 from borcherds_cm.forms import FourierForm
 from borcherds_cm.kappa import kappa_at
 from borcherds_cm.quadfield import INERT, SPLIT, UnsupportedDiscriminantError, make_field
@@ -434,6 +434,24 @@ def test_one_report_at_a_large_split_lattice_makes_few_cosets(monkeypatch):
     assert made == [0, 0, 0]
 
 
+def test_contraction_coeffs_at_a_large_split_lattice_makes_only_its_eta(monkeypatch):
+    # |L^v/L| = 99988: the table of a form on eta 0 makes that eta and no
+    # other coset
+    fld = make_field(7)
+    sl = SplitLattice(PosLattice(((14284,),)), make_ideal_lattice(fld, "unit"))
+    made = []
+
+    def counting(*args):
+        made.append(args[0])
+        return Coset(*args)
+
+    monkeypatch.setattr(lattice, "Coset", counting)
+    form = FourierForm(sl, {(0, -1): 1})
+    table = contraction_coeffs(form, sl, [0, 7141])
+    assert table == {(0, 0, Fraction(7141)): Fraction(2)}
+    assert made == [0]
+
+
 # ---------------------------------------------------------------------------
 # Positive definite lattices
 # ---------------------------------------------------------------------------
@@ -780,6 +798,15 @@ def test_glue_errors():
         glue(plus, unit, (3, 4, 0, 0), 6)
 
 
+def test_glue_refuses_a_zero_denominator():
+    plus, unit = _x1_parts(7)
+    with pytest.raises(
+        InconsistentEmbeddingError,
+        match=r"glue along \(1, 1, 5\)/0: the denominator is 0",
+    ):
+        glue(plus, unit, (1, 1, 5), 0)
+
+
 _GLUE_FIELDS = (7, 15, 23, 35, 39, 55)
 
 
@@ -878,6 +905,11 @@ def test_inconsistent_embedding_errors():
     stretched = ((Fraction(1, 2), 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(InconsistentEmbeddingError, match="L is not an integral lattice"):
         SplitLattice(plus, minus, stretched)
+    # over the gram (8) the same stretch keeps L even, and L_+ = V_+ cap L
+    # fails; U cap L = L_- cannot fail on an even L, as no nonzero coset of
+    # an ideal lattice has q = 0
+    with pytest.raises(InconsistentEmbeddingError, match=r"^V_\+ cap L exceeds L_\+$"):
+        SplitLattice(PosLattice(((8,),)), minus, stretched)
     # shrinking below L_+ + L_- is rejected
     shrunk = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
     with pytest.raises(InconsistentEmbeddingError, match=r"L does not contain L_\+ \+ L_-"):
