@@ -182,12 +182,6 @@ def valuation(t, p):
     return _strip(num, den, p)[0]
 
 
-def prime_unit_part(t, p):
-    """Write t = p^v * u with u a p-unit; return (v, u) for rational t."""
-    v = valuation(t, p)
-    return v, Fraction(t) / Fraction(p) ** v
-
-
 def kronecker(a, n):
     """The Kronecker symbol (a|n) for integers a, n."""
     a, n = int(a), int(n)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .arith import _check_prec, factorize
+from .arith import _check_prec
 from .cmvalue import check_prime_support, log_psi_product, phi_average
 from .forms import classical_qexp, load_form, m_max
 from .kappa import kappa_at
@@ -50,7 +50,7 @@ def _rational(flag, text):
 
 
 def cmd_field(args):
-    if args.prec:
+    if args.prec is not None:
         _check_prec(args.prec, "--prec")
     fld = make_field(args.d)
     print(f"d={fld.d}")
@@ -58,7 +58,7 @@ def cmd_field(args):
     print(f"class_number={fld.h}")
     print(f"w={fld.w}")
     print(f"ramified={','.join(str(q) for q in fld.ramified_primes)}")
-    if args.prec:
+    if args.prec is not None:
         k0 = kappa_zero_constant(fld, args.prec)
         print(f"k0={mp.nstr(k0, args.prec)}")
     return 0
@@ -192,7 +192,7 @@ def build_parser():
 
     p = sub.add_parser("field", help="imaginary quadratic field data")
     p.add_argument("-d", type=int, required=True)
-    p.add_argument("--prec", type=int, default=0, help="also print k0(0)")
+    p.add_argument("--prec", type=int, default=None, help="also print k0(0)")
     p.set_defaults(fn=cmd_field)
 
     p = sub.add_parser("kappa", help="the constant kappa(t, mu, a)")

@@ -47,15 +47,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
 from .arith import FactoredLog, _check_prec, _ratio, flog_combine
 from .forms import _m_max_ratio
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
-from .quadfield import (
-    INERT, check_field, chowla_selberg_log_deriv, kappa_zero_constant,
-)
+from .quadfield import INERT, check_field, kappa_zero_constant
 
 
 def _combine(pairs):
@@ -297,22 +294,6 @@ def log_psi_product(form, sl, fld, vol_kt=None):
         vol_kt=vol_kt,
         d=fld.d,
     )
-
-
-def transcendental_base(fld, prec=64):
-    """The base (4 d pi)^{-1} e^{2 L'(0)/L(0)} of the transcendental factor,
-    in both forms: the exponential form and the Gamma-product
-    [(4 d pi)^{-h} prod_a Gamma(a/d)^{w chi(a)}]^{1/h}."""
-    with mp.workdps(prec + 20):
-        cs = chowla_selberg_log_deriv(fld, prec)
-        form1 = mp.exp(2 * cs) / (4 * fld.d * mp.pi)
-        prod = mp.mpf(1)
-        for a in range(1, fld.d):
-            c = fld.chi_of_prime(a)
-            if c:
-                prod *= mp.gamma(mp.mpf(a) / fld.d) ** (fld.w * c)
-        form2 = mp.power(prod / mp.power(4 * fld.d * mp.pi, fld.h), mp.mpf(1) / fld.h)
-        return +form1, +form2
 
 
 def check_prime_support(report, fld, form):

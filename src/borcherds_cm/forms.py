@@ -180,8 +180,8 @@ class FourierForm:
     The SplitLattice's cosets provide the labels and Q(eta) mod 1: m and
     q = Q(eta) mod 1 are both in lowest terms, so m + q is an integer
     exactly when den == q.denominator and num + q.numerator is divisible
-    by den, an integer test.  `coeffs` and `principal_support` are the
-    Fraction views, made when read.
+    by den, an integer test.  `coeffs` is the Fraction view, made when
+    read.
     """
 
     def __init__(self, lattice, coeffs):
@@ -227,16 +227,6 @@ class FourierForm:
             (label, Fraction(num, den)): Fraction(c)
             for (label, num, den), c in self.terms.items()
         }
-
-    @property
-    def principal_support(self):
-        """The sorted (eta label, m) with m < 0 and c_eta(m) != 0."""
-        return sorted(
-            (label, Fraction(num, den))
-            for label, num, den in self.terms
-            if num < 0
-        )
-
 
 def _m_max_ratio(form):
     """m_max(form) as integers (top, bottom) in lowest terms, bottom > 0.

@@ -2,9 +2,10 @@
 imaginary quadratic field.
 
 The lattice must be an IdealLattice (a, -Nx/Na) and mu one of its cosets,
-which kappa reads only through Q(mu) mod 1; another lattice raises
-UnsupportedLatticeError, and a field whose d is not the lattice's, or a
-coset the lattice does not list, raises ValueError.  At t = 0 the zero
+which kappa reads only through Q(mu) mod 1.  That precondition is
+lattice.check_coset, shared with the locwhit oracle: another lattice
+raises UnsupportedLatticeError, and a field whose d is not the lattice's,
+or a coset the lattice does not list, raises ValueError.  At t = 0 the zero
 coset (Q(mu) = 0 mod 1) contributes the symbolic constant k0(0), kept as
 a rational multiple so that rationality of downstream sums stays
 decidable.
@@ -24,8 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, _ratio, factorize, valuation
-from .lattice import IdealLattice, check_coset
-from .quadfield import INERT, SPLIT, check_field
+from .lattice import check_coset
+from .quadfield import INERT, SPLIT
 
 
 class KappaValue:
@@ -95,24 +96,6 @@ class KappaValue:
 KAPPA_ZERO = KappaValue(ZERO_LOG, Fraction(0))
 
 
-class UnsupportedLatticeError(ValueError):
-    """Raised when the lattice is not an integral O_k-ideal with Q = -Nx/Na."""
-
-
-def _check_lattice(fld, lat, mu):
-    """Refuse lat unless it is an IdealLattice over fld, then mu unless it
-    is one of lat's cosets."""
-    if not isinstance(lat, IdealLattice):
-        raise UnsupportedLatticeError(
-            "kappa formulas require an integral-ideal lattice"
-        )
-    # compared here, so that the kappa_positive of a matching field makes
-    # no further call
-    if lat.field.d != fld.d:
-        check_field(fld, lat.field.d)
-    check_coset(lat, mu)
-
-
 def kappa_positive(fld, lat, mu, t):
     """kappa(t, mu, a) for t > 0, as an exact FactoredLog-valued KappaValue.
 
@@ -150,7 +133,7 @@ def kappa_positive(fld, lat, mu, t):
     unit scaling of the local form -Nx/Na; chi_q(d) = 1 absorbs any
     ramified part of Na.
     """
-    _check_lattice(fld, lat, mu)
+    check_coset(fld, lat, mu)
     t = Fraction(t)
     if t <= 0:
         raise ValueError("kappa_positive requires t > 0")
@@ -183,7 +166,7 @@ def kappa_at(fld, lat, mu, m):
     m = Fraction(m)
     if m > 0:
         return kappa_positive(fld, lat, mu, m)
-    _check_lattice(fld, lat, mu)
+    check_coset(fld, lat, mu)
     if m == 0 and mu.q_mod_one == 0:
         return KappaValue(ZERO_LOG, Fraction(1))
     return KAPPA_ZERO

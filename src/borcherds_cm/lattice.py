@@ -53,11 +53,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, sqrt_mod
-from .quadfield import INERT, make_field
+from .quadfield import INERT, check_field, make_field
 
 
 class NotAnIdealError(ValueError):
     """Basis is not omega-stable or not contained in O_k."""
+
+
+class UnsupportedLatticeError(ValueError):
+    """Raised when the lattice is not an integral O_k-ideal with Q = -Nx/Na."""
 
 
 class InconsistentEmbeddingError(ValueError):
@@ -360,9 +364,18 @@ def enumerate_dual_cosets(lat):
     return tuple(map(lat.coset, range(lat.order)))
 
 
-def check_coset(lat, mu):
-    """Refuse a coset mu that the ideal lattice lat does not have: one of
-    another lattice would silently be read as lat's coset of its label."""
+def check_coset(fld, lat, mu):
+    """The input check of kappa and its oracle: refuse lat unless it is an
+    IdealLattice over fld, then mu unless it is one of lat's cosets; a
+    coset of another lattice would silently be read as lat's coset of its
+    label."""
+    if not isinstance(lat, IdealLattice):
+        raise UnsupportedLatticeError(
+            "kappa formulas require an integral-ideal lattice"
+        )
+    # compared here, so that a matching field makes no further call
+    if lat.field.d != fld.d:
+        check_field(fld, lat.field.d)
     label = mu.label
     if not 0 <= label < lat.order or (
         (own := lat.coset(label)) is not mu and own != mu
@@ -551,7 +564,6 @@ class SplitLattice(_DualGroup):
         gG = tuple(row + (0, 0) for row in plus._gram_int) + tuple(
             (0,) * n + tuple(g * x for x in row) for row in minus.gram
         )
-        self.gram_ambient = tuple(tuple(Fraction(x, g) for x in row) for row in gG)
         gram_L = mat_mul(mat_mul(basis_num, gG), _transpose(basis_num))
         scale = g * e * e
         if any(x % scale for row in gram_L for x in row):
@@ -594,10 +606,6 @@ class SplitLattice(_DualGroup):
         """Every coset of L^v/L, as a tuple indexed by label; made when first
         read, for the callers that list the whole group."""
         return tuple(map(self.coset, range(self.order)))
-
-    def q_ambient(self, x):
-        """Q(x) for a vector x in ambient coordinates."""
-        return _q(x, self.gram_ambient)
 
     def eta_pairs(self, label):
         """[(lambda index, mu, plus)] over the glue vectors lambda: mu is
@@ -675,7 +683,8 @@ def _int_key(keys, key, default=None):
 
 def load_lattice(path):
     """Read a lattice file: key=value lines with keys d, ideal, rank, gram,
-    basis (gram/basis rows ';'-separated, entries ','-separated)."""
+    basis (gram/basis rows ';'-separated, entries ','-separated), each at
+    most once; any other key is refused, not ignored."""
     keys = {}
     with open(path) as fh:
         for line in fh:
@@ -683,7 +692,12 @@ def load_lattice(path):
             if not line:
                 continue
             k, _, v = line.partition("=")
-            keys[k.strip()] = v.strip()
+            k = k.strip()
+            if k not in ("d", "ideal", "rank", "gram", "basis"):
+                raise ValueError(f"lattice file has an unknown key {k!r}")
+            if k in keys:
+                raise ValueError(f"lattice file repeats the key {k}=")
+            keys[k] = v.strip()
     if "d" not in keys:
         raise ValueError("lattice file missing d=")
     fld = make_field(_int_key(keys, "d"))

@@ -8,7 +8,8 @@ module: both must agree exactly as FactoredLog values.
 Every coefficient is 0 or +-1, kept as a Python int, so values and
 derivatives at X = 1 are int sums.  The assembly builds the ramified factors
 first and stops at the first one that is the zero polynomial, before it
-factors t.
+factors t.  Its input check is lattice.check_coset, the one kappa makes:
+an IdealLattice over the field and one of its cosets.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactoredLog, ZERO_LOG, factorize, hilbert_symbol, valuation
+from .arith import FactoredLog, ZERO_LOG, factorize, valuation
 from .lattice import check_coset
-from .quadfield import check_field
 
 
 @dataclass(frozen=True)
@@ -101,24 +101,6 @@ def whit_ramified_zero(fld, q, t, norm=1):
     return WhitPoly(q, (1,) + (0,) * a + (sign,))
 
 
-def whit_ramified_case_split(fld, q, t, norm=1):
-    """The two-case form of the ramified zero-coset Whittaker function,
-    using (q,-t)_q for even ord and (q,-dt)_q for odd ord, applied to the
-    effective local parameter.
-
-    Provably equal to whit_ramified_zero; kept as an independent check.
-    """
-    a = valuation(t, q)
-    if a < 0:
-        raise ValueError("requires ord_q(t) >= 0")
-    te = _t_effective(fld, q, t, norm)
-    if a % 2 == 0:
-        sign = hilbert_symbol(q, -te, q)
-    else:
-        sign = hilbert_symbol(q, -fld.d * te, q)
-    return WhitPoly(q, (1,) + (0,) * a + (sign,))
-
-
 def whit_ramified_nonzero(fld, q, t, q_mu):
     """W*_{t,q} at a ramified prime for a nonzero local coset: the constant
     char(Q(mu_q) + Z_q)(t), with the gamma_q q^{-1/2} unit suppressed."""
@@ -198,14 +180,12 @@ def eisenstein_deriv_coeff(fld, lat, mu, t):
     The ramified factors come first, and the assembly stops at the first
     zero polynomial.  An unramified prime of t's denominator gives the zero
     polynomial too, so only t's numerator is factored, and only when no
-    local factor is zero.  mu must be one of lat's cosets, as for kappa.
+    local factor is zero.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("eisenstein_deriv_coeff requires t > 0")
-    if lat.field.d != fld.d:
-        check_field(fld, lat.field.d)
-    check_coset(lat, mu)
+    check_coset(fld, lat, mu)
     polys = {}
     for q in fld.ramified_primes:
         w = _ramified_poly(fld, q, mu, t, lat.norm)

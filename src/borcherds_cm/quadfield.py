@@ -191,13 +191,6 @@ def _L_hurwitz(fld, s):
     return mp.power(d, -s) * total
 
 
-def L_at_zero(fld):
-    """Exact L(0, chi_d) = -(1/d) sum_a a*chi_d(a), as a Fraction."""
-    d = fld.d
-    s = sum(a * fld.chi_of_prime(a) for a in range(1, d))
-    return Fraction(-s, d)
-
-
 def chowla_selberg_log_deriv(fld, prec=64):
     """L'(0, chi_d)/L(0, chi_d) via the Chowla-Selberg closed form.
 

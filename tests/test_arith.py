@@ -20,7 +20,6 @@ from borcherds_cm.arith import (
     hilbert_symbol,
     is_prime,
     kronecker,
-    prime_unit_part,
     sqrt_mod,
     valuation,
 )
@@ -114,11 +113,6 @@ def test_valuation():
         valuation(0, 3)
 
 
-def test_prime_unit_part():
-    v, u = prime_unit_part(Fraction(12, 7), 2)
-    assert v == 2 and u == Fraction(3, 7)
-
-
 def test_kronecker_table():
     # (a|7) matches the Legendre symbol
     squares = {pow(x, 2, 7) for x in range(1, 7)}
@@ -160,8 +154,8 @@ def _hilbert_reference(a, b, p):
     a, b = Fraction(a), Fraction(b)
     if p == INFINITE_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    alpha, u = prime_unit_part(a, p)
-    beta, v = prime_unit_part(b, p)
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, v = a / Fraction(p) ** alpha, b / Fraction(p) ** beta
     if p == 2:
         ui = u.numerator * u.denominator % 8
         vi = v.numerator * v.denominator % 8

@@ -339,6 +339,10 @@ def test_bad_prime_ideal_rejected(capsys, spec, message):
         ("d=7\nrank=1\ngram=1\n", "L is not even: Q of basis row 0"),
         ("d=7\ngram=2\n", "has gram= but rank=0"),
         ("d=7\nrank=0\ngram=2\n", "has gram= but rank=0"),
+        # a repeated key was read as its last value, an unknown one ignored
+        ("d=7\nd=15\n", "repeats the key d="),
+        ("d=7\nrank=1\ngram=14\nbases=1/7,1/7,5/7;0,1,0;0,0,1\n",
+         "unknown key 'bases'"),
     ],
 )
 def test_malformed_lattice_file(capsys, tmp_path, text, message):
@@ -550,6 +554,13 @@ def test_field_bad_prec_fails_before_output(capsys):
     assert code == 1
     assert out == ""
     assert "--prec" in err and "Traceback" not in err
+
+
+def test_field_refuses_prec_zero(capsys):
+    # --prec 0 is a precision like --prec 5, not the absence of --prec
+    code, out, err = _run(capsys, "field", "-d", "7", "--prec", "0")
+    assert (code, out) == (1, "")
+    assert "--prec must be >= 10, got 0" in err
 
 
 @pytest.mark.parametrize("prec", ["0", "-5", "10001"])

@@ -19,7 +19,6 @@ from borcherds_cm.cmvalue import (
     kappa_eta,
     log_psi_product,
     phi_average,
-    transcendental_base,
 )
 from borcherds_cm.forms import FourierForm, SupportCongruenceViolation
 from borcherds_cm.gzoracle import gz_product
@@ -227,13 +226,6 @@ def test_check_prime_support_flags_foreign_prime():
     )
     ok, violations = check_prime_support(fake, fld, form)
     assert not ok and violations == [11]
-
-
-def test_transcendental_base_two_forms_agree():
-    fld = make_field(15)
-    with mp.workdps(50):
-        f1, f2 = transcendental_base(fld, 40)
-        assert abs(f1 - f2) < mp.mpf("1e-35")
 
 
 def test_phi_average_reuses_the_inner_sum(monkeypatch):

@@ -7,14 +7,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from borcherds_cm.acceptance import D_SET
 from borcherds_cm.arith import FactoredLog, ZERO_LOG, is_prime
-from borcherds_cm.kappa import (
-    KAPPA_ZERO,
-    KappaValue,
+from borcherds_cm.kappa import KAPPA_ZERO, KappaValue, kappa_at, kappa_positive
+from borcherds_cm.lattice import (
+    Coset,
+    PosLattice,
+    SplitLattice,
     UnsupportedLatticeError,
-    kappa_at,
-    kappa_positive,
+    enumerate_dual_cosets,
+    make_ideal_lattice,
 )
-from borcherds_cm.lattice import Coset, enumerate_dual_cosets, make_ideal_lattice
 from borcherds_cm.locwhit import eisenstein_deriv_coeff
 from borcherds_cm.quadfield import SPLIT, UnsupportedDiscriminantError, make_field
 
@@ -269,6 +270,22 @@ def test_kappa_rejects_non_ideal_lattice():
     for bad in (NotAnIdeal(), None):
         with pytest.raises(UnsupportedLatticeError):
             kappa_positive(fld, bad, mu0, 1)
+
+
+def test_oracle_rejects_non_ideal_lattice():
+    # the oracle shares kappa's input check, so a split lattice (which has
+    # no field of its own) is refused by name, not by a missing attribute
+    fld = make_field(7)
+    lat = make_ideal_lattice(fld, "unit")
+    mu0 = _mu(lat, 0)
+    split = SplitLattice(PosLattice(((2,),)), lat)
+    for bad in (split, None):
+        for call in (kappa_positive, eisenstein_deriv_coeff):
+            with pytest.raises(
+                UnsupportedLatticeError,
+                match="kappa formulas require an integral-ideal lattice",
+            ):
+                call(fld, bad, mu0, 1)
 
 
 def test_kappa_refuses_a_coset_of_another_lattice():

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from borcherds_cm.arith import FactoredLog, ZERO_LOG
+from borcherds_cm.arith import FactoredLog, ZERO_LOG, hilbert_symbol, valuation
 from borcherds_cm.lattice import enumerate_dual_cosets, make_ideal_lattice
 from borcherds_cm.locwhit import (
     FLAG_NONVANISHING,
     WhitPoly,
+    _t_effective,
     eisenstein_deriv_coeff,
     value_deriv_at_zero,
-    whit_ramified_case_split,
     whit_ramified_nonzero,
     whit_ramified_zero,
     whit_unramified,
@@ -51,6 +51,24 @@ def test_ramified_zero_poly():
     assert w.coeffs == (1, -1)
     assert w.value_at_one() == 0
     assert w.x_deriv_at_one() == -1
+
+
+def whit_ramified_case_split(fld, q, t, norm=1):
+    """The two-case form of the ramified zero-coset Whittaker function,
+    using (q,-t)_q for even ord and (q,-dt)_q for odd ord, applied to the
+    effective local parameter.
+
+    Provably equal to whit_ramified_zero; kept as an independent check.
+    """
+    a = valuation(t, q)
+    if a < 0:
+        raise ValueError("requires ord_q(t) >= 0")
+    te = _t_effective(fld, q, t, norm)
+    if a % 2 == 0:
+        sign = hilbert_symbol(q, -te, q)
+    else:
+        sign = hilbert_symbol(q, -fld.d * te, q)
+    return WhitPoly(q, (1,) + (0,) * a + (sign,))
 
 
 def test_ramified_two_case_form_agrees():

@@ -11,7 +11,6 @@ from borcherds_cm.quadfield import (
     INERT,
     MAX_D,
     L_at_one,
-    L_at_zero,
     RAMIFIED,
     SPLIT,
     UnsupportedDiscriminantError,
@@ -147,13 +146,6 @@ def test_rho_local():
     assert fld.rho(7) == 0      # 7 inert
     assert fld.rho(7**2) == 1
     assert fld.rho(3**5) == 1   # ramified
-
-
-def test_L_at_zero_class_number():
-    # L(0, chi_d) = 2h/w for odd fundamental discriminants
-    for d in (7, 15, 23, 47):
-        fld = make_field(d)
-        assert L_at_zero(fld) == Fraction(2 * fld.h, fld.w)
 
 
 def test_class_number_formula_quick():
