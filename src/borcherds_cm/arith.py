@@ -515,12 +515,14 @@ def flog_combine(pairs):
     """Exact linear combination sum_i c_i * F_i of FactoredLog values, in
     integers: each term goes over the lcm of the denominators of c_i * F_i,
     numerators are summed into one prime -> numerator dict, and one gcd
-    brings the result to lowest terms."""
+    brings the result to lowest terms; no nonzero term gives ZERO_LOG."""
     scaled = []
     for c, flog in pairs:
         if flog._num:
             a, b = _ratio(c)
             scaled.append((a, b * flog._den, flog._num))
+    if not scaled:
+        return ZERO_LOG
     den = math.lcm(*(b for _, b, _ in scaled))
     num = {}
     for a, b, terms in scaled:

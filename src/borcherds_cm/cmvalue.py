@@ -24,20 +24,23 @@ precision, and CMValueReport.numeric adds its multiple to the rational
 part in one fixed-point integer sum (FactoredLog.fixed_point_value),
 rounded once.
 SplitLattice.eta_pairs gives, per eta, the pairs (lambda, mu, x_+) with
-mu the coset of eta_- + lambda_-, found by adding two labels and kept in
-no memo, and x_+ the integer numerators of eta_+ + lambda_+ over eta.den.
+mu the coset of eta_- + lambda_-, found by adding two labels (eta_-'s
+read from the Smith digits of eta's label) and kept in no memo, and x_+
+the integer numerators of eta_+ + lambda_+ over eta.den.
 A table entry is filled in integers: PosLattice.norm_counts gives the
 norms N = 2 g den^2 Q(x) of each x_+ + L_+ up to m, so m - Q(x) is a
 ratio of ints, and kappa of it is read from a dict on the IdealLattice
 L_- keyed by (mu label, t num, t den) in lowest terms, made by kappa_at
 on a miss.  Only this fill reads or writes that dict, so each (mu, t) is
 checked and computed once per ideal lattice while kappa_at and
-kappa_positive keep no memo.
+kappa_positive keep no memo.  The entry is added up in the same pass:
+its k0(0) multiple n0 is an integer count, the nonzero log parts go
+through one flog_combine, and it makes one KappaValue and no Fraction
+but its nonzero n0.
 contraction_coeffs walks only its form's etas, with one norm_counts per
 (eta, lambda) up to the largest m - m1 it needs.
-Every exact sum (kappa_eta(m) and the inner sum) is added up in one pass
-into one prime -> numerator dict over one denominator and one k0(0)
-multiple.
+The inner sum is added up in one pass into one prime -> numerator dict
+over one denominator and one k0(0) multiple.
 """
 
 from __future__ import annotations
@@ -154,7 +157,10 @@ def _kappa_eta_sum(sl, eta_label, num, den):
     in integers: norm_counts gives Q(x) = N / scale, so m - Q(x) is
     (num scale - N den) / (den scale), and each kappa value is read from
     the dict of L_- under (mu label, t num, t den) in lowest terms, made
-    by kappa_at on a miss."""
+    by kappa_at on a miss.  kappa_at's k0(0) multiple is 1 at t = 0 on
+    mu = 0 and 0 elsewhere, so the k0(0) multiple of the sum is the
+    integer count n0 of those x; the nonzero log parts, each times its
+    count, go through one flog_combine."""
     minus = sl.minus
     fld = minus.field
     kappas = minus._kappa
@@ -163,7 +169,8 @@ def _kappa_eta_sum(sl, eta_label, num, den):
     scale = 2 * plus.g * E * E
     top = num * scale // den
     td = den * scale
-    pairs = []
+    logs = []
+    n0 = 0
     for _, mu, x in sl.eta_pairs(eta_label):
         for N, count in plus.norm_counts(x, E, top).items():
             tn = num * scale - N * den
@@ -172,8 +179,12 @@ def _kappa_eta_sum(sl, eta_label, num, den):
             value = kappas.get(key)
             if value is None:
                 value = kappas[key] = kappa_at(fld, minus, mu, Fraction(tn, td))
-            pairs.append((count, value))
-    return _combine(pairs)
+            if value.kzero_multiple:
+                n0 += count
+            elif value.log_part:
+                logs.append((count, value.log_part))
+    log_part = flog_combine(logs)
+    return KappaValue(log_part, Fraction(n0)) if n0 else KappaValue(log_part)
 
 
 def _inner_sum(form, sl):

@@ -245,17 +245,35 @@ def m_max(form):
 
 def load_form(path, lattice):
     """Read a form table on the SplitLattice `lattice`: optional header lines
-    key=value, then records `eta_label m c` with rationals as a/b.
-    Validates all invariants; a bad record raises a ValueError that names
-    the file and the record."""
+    key=value, then records `eta_label m c` with rationals as a/b.  The one
+    header key is d, at most once, and it must be the d of the lattice's
+    field; any other key is refused, not ignored.  Validates all
+    invariants; a bad header or record raises a ValueError that names the
+    file and the line."""
     coeffs = {}
+    d = None
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" in line and not line[0].isdigit() and not line[0] == "-":
-                continue  # header metadata; lattice is supplied by caller
+                key, _, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if key != "d":
+                    raise ValueError(f"{path}: form file has an unknown key {key!r}")
+                if d is not None:
+                    raise ValueError(f"{path}: form file repeats the key d=")
+                try:
+                    d = int(value)
+                except ValueError:
+                    raise ValueError(f"{path}: d={value!r} is not an integer") from None
+                if d != lattice.minus.field.d:
+                    raise ValueError(
+                        f"{path}: form file has d={d} but the lattice's field "
+                        f"is d={lattice.minus.field.d}"
+                    )
+                continue
             try:
                 label, m, c = line.split()
                 label, m, c = int(label), Fraction(m), Fraction(c)

@@ -29,6 +29,10 @@ seeds its enumeration.  A SplitLattice keeps its etas and glue vectors as
 integer ambient numerators over one denominator, with integer gram_L,
 and each lambda_-'s label in L_-^v/L_- (L is integral), 0 exactly on L_-,
 which the glue checks read and eta_pairs adds to eta_-'s label mod d.
+That label is additive, so the lattice also keeps l_i, the label of the
+minus part of each Smith generator g_i of L^v/L, made by
+label_of_element without a Coset, and eta_pairs reads eta_-'s label as
+sum w_i l_i mod d from the Smith digits w_i of eta's label.
 One routine, glue, builds L_+ + L_- + Z v from a glue vector v given as
 integer ambient numerators over one denominator: it scales v so that one
 coordinate is 1/m and puts it in place of that basis row, so the unglued
@@ -38,7 +42,9 @@ An IdealLattice takes its Gram matrix from the trace form of k and its
 omega-stability from an integral matrix test, without element arithmetic
 in k.  Its L^v/L is cyclic of squarefree order d: coset k is k g for the
 Smith generator g, with q = k^2 q(g), and an element's label is one
-integer linear form mod d.  One frozen integer type, Coset, holds every
+integer linear form mod d (label_of_element; coset_of_element is the
+coset of that label).  A label is refused unless it is a whole number
+in range.  One frozen integer type, Coset, holds every
 coset and glue vector of every lattice.  An IdealLattice also holds the
 dict of kappa values that cmvalue's kappa_eta fill reads and fills;
 nothing else touches it.
@@ -52,7 +58,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_prime, sqrt_mod
+from .arith import _whole, is_prime, sqrt_mod
 from .quadfield import INERT, check_field, make_field
 
 
@@ -190,6 +196,18 @@ class Coset:
 MAX_DUAL_ORDER = 10**5
 
 
+def _smith_generators(diag, U, D):
+    """(places, rows) of the Smith generators of Z^k / Z^k M, from its
+    Smith form U M V = diag(d_1..d_k) and D = |det M|, over the d_i > 1:
+    digit w_i of a label is label // place_i mod d_i for (place_i, d_i) in
+    places, and the coset with digits w is (w rows) / D."""
+    moving = [i for i, di in enumerate(diag) if di > 1]
+    places = [(math.prod(diag[j] for j in moving[t + 1:]), diag[i])
+              for t, i in enumerate(moving)]
+    rows = [tuple(D // diag[i] * x for x in U[i]) for i in moving]
+    return places, rows
+
+
 def _smith_cosets(diag, U, D, gram=None, basis=None, den=None):
     """The routine label -> Coset of Z^k / Z^k M, from its Smith form
     U M V = diag(d_1..d_k) and D = |det M|: y has the mixed-radix label
@@ -204,11 +222,7 @@ def _smith_cosets(diag, U, D, gram=None, basis=None, den=None):
     over 2 D^2 is z gram z^T = w S w^T with S = rows gram rows^T, the
     finite quadratic form of the Smith generators (Nikulin, Math. USSR Izv.
     14 (1980)); else it is 0."""
-    moving = [i for i, di in enumerate(diag) if di > 1]
-    # digit i of a label is label // place_i mod d_i
-    places = [(math.prod(diag[j] for j in moving[t + 1:]), diag[i])
-              for t, i in enumerate(moving)]
-    rows = [tuple(D // diag[i] * x for x in U[i]) for i in moving]
+    places, rows = _smith_generators(diag, U, D)
     mul = operator.mul
     S = gram and [[sum(map(mul, mat_vec(r, gram), s)) for s in rows]
                   for r in rows]
@@ -237,7 +251,8 @@ class _DualGroup:
 
     def _set_dual(self, gram, basis=None, e=1):
         """Set order and the coset routine of L^v/L, whose numerators are z
-        basis over |det gram| e; returns the V of the Smith form."""
+        basis over |det gram| e; returns the Smith form (diag, U, V) of
+        gram."""
         diag, U, V = smith_normal_form(gram)
         self.order = D = math.prod(diag)
         if D > MAX_DUAL_ORDER:
@@ -246,12 +261,14 @@ class _DualGroup:
             )
         self._make_coset = _smith_cosets(diag, U, D, gram, basis, D * e)
         self._cosets = {}
-        return V
+        return diag, U, V
 
     def coset(self, label):
-        """The coset of L^v/L with label 0 <= label < order."""
+        """The coset of L^v/L with label 0 <= label < order, a whole number;
+        the kept coset is keyed and labelled by the int."""
         mu = self._cosets.get(label)
         if mu is None:
+            label = _whole("label", label)
             if not 0 <= label < self.order:
                 raise ValueError(f"no dual coset with label {label}")
             mu = self._cosets[label] = self._make_coset(label)
@@ -319,7 +336,7 @@ class IdealLattice(_DualGroup):
         # form of gram is diag(1, d): coset k is k g / d for g = U[1], and an
         # element y gram^{-1} of L^v, y integral, has label (y V)_1 = y v
         # mod d
-        V = self._set_dual(self.gram)
+        _, _, V = self._set_dual(self.gram)
         self._v = (V[0][1], V[1][1])
         # {(mu label, num, den): kappa(num/den, mu)}, read and filled only by
         # the kappa_eta fill of cmvalue: kappa_at and kappa_positive keep
@@ -385,16 +402,23 @@ def check_coset(fld, lat, mu):
         )
 
 
-def coset_of_element(lat, num, den):
-    """The canonical Coset (lat.coset of its label) of the coset containing
-    an element of D^{-1}a, given by the integer numerators num of its
-    a-basis coordinates num / den."""
+def label_of_element(lat, num, den):
+    """The label of the coset containing an element of D^{-1}a, given by the
+    integer numerators num of its a-basis coordinates num / den; no Coset
+    is made.  The label is additive: the sum of two elements has the sum
+    of their labels mod d."""
     _check_rank(num, 2)
     y = mat_vec(num, lat.gram)
     if any(x % den for x in y):
         raise ValueError("element is not in the dual lattice D^{-1}a")
     v0, v1 = lat._v
-    return lat.coset((y[0] // den * v0 + y[1] // den * v1) % lat.order)
+    return (y[0] // den * v0 + y[1] // den * v1) % lat.order
+
+
+def coset_of_element(lat, num, den):
+    """The canonical Coset (lat.coset of its label) of the coset containing
+    an element of D^{-1}a, given as for label_of_element."""
+    return lat.coset(label_of_element(lat, num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +605,17 @@ class SplitLattice(_DualGroup):
         # in L coordinates, whose ambient numerators are z basis_num; the
         # glue group L / (L_+ + L_-) = Z^N / Z^N basis^{-1} has generators
         # U_i / d_i in L, so each d_i divides e and den
-        self._set_dual(self.gram_L, basis_num, e)
+        diag, U, _ = self._set_dual(self.gram_L, basis_num, e)
         den = self.order * e
+        # (place_i, d_i, l_i) per Smith generator g_i of L^v/L, with l_i the
+        # label of its minus part in L_-^v/L_- (eta in L^v pairs integrally
+        # with L_-, so eta_- is in L_-^v): eta = sum w_i g_i for the digits
+        # w_i of its label, so eta_- has the label sum w_i l_i mod d
+        places, rows = _smith_generators(diag, U, self.order)
+        self._minus_digits = [
+            (place, di, label_of_element(minus, mat_vec(row, basis_num)[n:], den))
+            for (place, di), row in zip(places, rows)
+        ]
         glue_diag, glue_U, _ = smith_normal_form(basis_inv)
         self.glue = list(
             map(_smith_cosets(glue_diag, glue_U, den), range(math.prod(glue_diag)))
@@ -610,14 +643,20 @@ class SplitLattice(_DualGroup):
     def eta_pairs(self, label):
         """[(lambda index, mu, plus)] over the glue vectors lambda: mu is
         the coset of eta_- + lambda_- in L_-, whose label is eta_-'s plus
-        lambda_-'s mod d, and plus the integer numerators of eta_+ +
-        lambda_+ over eta.den, as PosLattice.norm_counts reads them."""
+        lambda_-'s mod d, eta_-'s read from the Smith digits of eta's
+        label, and plus the integer numerators of eta_+ + lambda_+ over
+        eta.den, as PosLattice.norm_counts reads them."""
         eta = self.coset(label)
-        minus, n = self.minus, self.plus.rank
-        k = coset_of_element(minus, eta.num[n:], eta.den).label
+        label = eta.label
+        k = 0
+        for place, di, ell in self._minus_digits:
+            k += label // place % di * ell
+        minus = self.minus
+        d = minus.order
+        plus = eta.num[:self.plus.rank]
         return [
-            (lam.label, minus.coset((k + ell) % minus.order),
-             tuple(a + b for a, b in zip(eta.num[:n], lam.num)))
+            (lam.label, minus.coset((k + ell) % d),
+             tuple(map(operator.add, plus, lam.num)))
             for lam, ell in zip(self.glue, self._glue_minus)
         ]
 

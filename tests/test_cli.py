@@ -498,6 +498,35 @@ def test_invalid_form_record_names_file(capsys, tmp_path, record, message):
     assert err == f"error: {form}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        # each was skipped unread, and the d = 7 report printed
+        ("d=15\nbogus=1\n", "form file has d=15 but the lattice's field is d=7"),
+        ("bogus=1\nd=7\n", "form file has an unknown key 'bogus'"),
+        ("d=7\nd=7\n", "form file repeats the key d="),
+        ("d=seven\n", "d='seven' is not an integer"),
+    ],
+)
+def test_form_file_header_is_read(capsys, tmp_path, header, message):
+    lat, _ = _write_desk_files(tmp_path)
+    form = tmp_path / "headed_form.txt"
+    form.write_text(f"{header}0 -1/1 1/1\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(form), "--lattice", lat)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {form}: {message}\n"
+
+
+def test_form_file_with_its_lattice_d_loads(capsys, tmp_path):
+    lat, form = _write_desk_files(tmp_path)
+    headed = tmp_path / "headed_form.txt"
+    headed.write_text("d=7  # the field of the lattice\n0 -1/1 1/1\n")
+    code, out, err = _run(capsys, "cmsum", "--form", str(headed), "--lattice", lat)
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, "cmsum", "--form", form, "--lattice", lat)[1]
+
+
 @pytest.mark.parametrize("mu", ["7", "-1"])
 def test_unknown_dual_coset_label(capsys, mu):
     # Q(sqrt(-7)) has the 7 dual cosets 0..6

@@ -635,6 +635,36 @@ def test_kappa_eta_fill_matches_the_fraction_route(monkeypatch):
             for label, num, den in lat._kappa} == set(calls)
 
 
+def test_a_first_report_makes_no_coset_of_element_call(monkeypatch):
+    """eta_pairs reads the L_-^v/L_- label of eta_- from the Smith digits of
+    eta's label, so first log_psi_products, which fill kappa_eta entries
+    on every pool lattice, glued ones included, call coset_of_element
+    nowhere (a call per entry would show here)."""
+    from borcherds_cm import lattice
+
+    pool = _fresh_pool()
+    pool_forms = [
+        FourierForm(sl, instance_coeffs(pool, li, k))
+        for li, (_, sl) in enumerate(pool) for k in range(2)
+    ]
+    calls = []
+
+    def counting(lat, num, den):
+        calls.append((num, den))
+        return coset_of_element(lat, num, den)
+
+    monkeypatch.setattr(lattice, "coset_of_element", counting)
+    glued = 0
+    for form in pool_forms:
+        sl = form._lattice
+        fld = sl.minus.field
+        log_psi_product(form, sl, fld)
+        glued += len(sl.glue) > 1
+    assert all(sl._kappa_eta for _, sl in pool)
+    assert glued
+    assert calls == []
+
+
 def test_kappa_positive_leaves_no_memo_on_the_lattice():
     """kappa_positive and kappa_at keep nothing: the kappa dict of L_- is
     the kappa_eta fill's alone."""

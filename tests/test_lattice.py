@@ -434,6 +434,25 @@ def test_one_report_at_a_large_split_lattice_makes_few_cosets(monkeypatch):
     assert made == [0, 0, 0]
 
 
+@pytest.mark.parametrize("kind", ["ideal", "split"])
+def test_a_coset_label_must_be_a_whole_number(kind):
+    # 1.5 and 2.0 reached the coset routine, which raised a bare TypeError
+    # on 1.5, and True was kept as a Coset labelled True
+    fld = make_field(15)
+    lat = make_ideal_lattice(fld, "prime:2")
+    if kind == "split":
+        lat = SplitLattice(PosLattice(((2, 1), (1, 8))), lat)
+    for label in (1.5, "3", None):
+        with pytest.raises(ValueError, match=f"label={label!r} is not an integer"):
+            lat.coset(label)
+    two = lat.coset(2.0)
+    one = lat.coset(True)
+    assert (type(two.label), two.label, type(one.label), one.label) == (int, 2, int, 1)
+    assert two is lat.coset(2) and one is lat.coset(1)
+    assert sorted(lat._cosets) == [1, 2]
+    assert all(type(label) is int for label in lat._cosets)
+
+
 def test_contraction_coeffs_at_a_large_split_lattice_makes_only_its_eta(monkeypatch):
     # |L^v/L| = 99988: the table of a form on eta 0 makes that eta and no
     # other coset
