@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from mpmath import mp
@@ -164,7 +165,9 @@ def cmd_gz(args):
     from .gzoracle import gz_product, gz_support_check
 
     result = gz_product(args.d1, args.d2, args.prec)
-    print(f"product={result.product}")
+    # str() of an int stops at the interpreter's digit limit (4300 by
+    # default); Decimal converts from the binary digits, with no limit
+    print(f"product={Decimal(result.product)}")
     print(f"factored={result.factored_string()}")
     ok, violations = gz_support_check(result)
     print(f"support={'OK' if ok else 'FAIL'}")

@@ -20,16 +20,19 @@ mpmath number, exactly (see `j_value` for W and the error budget).  The
 forms (a, b, c) and (a, -b, c) have conjugate j values, so each class
 evaluates j once per such pair.
 
-`gz_product` reads each j back exactly as integers, and the product of
+`gz_product` fixes its digits a priori from the size of each form's j,
+|j| <= e^{pi sqrt(d) / a} + 2079, summed over the pairs of forms (Enge,
+Math. Comp. 78 (2009) sizes class polynomials from the same per-form
+terms).  It reads each j back exactly as integers, and the product of
 differences, its rounding to the nearest integer and the rounding margin
-are integer work at one scale 2^W as well (Enge, Math. Comp. 78 (2009)
-fixes the precision a priori in the same way); only the margin becomes
-a float, for the report.
+are integer work at one scale 2^W as well; only the margin becomes a
+float, for the report.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -146,26 +149,38 @@ def j_value(form, d, prec=64):
     - q = 2^-k M and q^2 are truncated once each: one unit in each E.
     - `_euler` makes 4 truncating products per index k, one unit each,
       and multiplies every earlier error only by factors of modulus
-      < 0.0045.  So each k's two terms are off by at most 4 units, and
-      each E needs fewer than 40 values of k up to 4000 digits: at most
-      161 units.
-    - The division adds one unit, so E(q^2) / E(q) is within 330 units.
-    - The 24th power multiplies that relative error by 24, and its five
-      truncations add at most 24 units more: R is within 2^13 units.
-    - X = M R, 0.44 < |X| < 1.12, is within 2^14 units, so x = 2^-k X is
-      good to 2^(16 - W) relative, and 1 / |x| < 2^(k + 1.2).
-    - u = 1 + 256 x takes 256 * 2^-k <= 2 times X's error and one
-      truncation: 2^15 + 1 units.  As |u| < 2.26, u^3 is within 2^19.
+      < 0.0045.  So each k's two terms are off by at most 4 units.  The
+      sum stops by the first k with |q|^{k(3k+1)/2} < 2^-(W+1), and
+      |q| < 2^-7.85, so it takes K < sqrt((W + 1) / 11.77) + 1 values of
+      k: K = 10 at W = 1000, and K = 64 at W = 47 700, which is above
+      all that `gz_product` asks for (10 000 digits, and size_digits
+      <= 4315 at d <= 10^7).  Each E is within 4K + 1 units.
+    - E(q) and E(q^2) lie within 0.0045 of 1, so E(q^2) / E(q), with one
+      unit for the division, is within 2.02 (4K + 1) + 1 < 9K + 4 units.
+    - That ratio has modulus below 1.0046, so the 24th power multiplies
+      its error by at most 24 * 1.0046^23 < 27, and its five truncations
+      add at most 30 units: R is within 243K + 138 < 2^8 (K + 1) units.
+    - X = M R, 0.44 < |X| < 1.12, takes |M| <= 1 times R's error, |R|
+      times M's 3 units and one truncation: 2^8 (K + 2) units.  So
+      x = 2^-k X is good to 2^(10 - W) (K + 2) relative, and
+      1 / |x| < 2^(k + 1.2).
+    - u = 1 + 256 x takes 256 * 2^-k <= 2 times X's error (k >= 7) and
+      one truncation: 2^9 (K + 2) + 1 units.  As |u| < 2.26, u^3 is
+      within 2^13 (K + 2).
     - j = u^3 conj(X) 2^k / |X|^2 takes one floor division per part.  As
-      |j| < 11.6 / |x|, j is within 2^19 / |x| + |j| 2^(16 - W) + 1
-      < 2^(k + 22) units.
+      |j| < 11.6 / |x|, j is within 2^13 (K + 2) / |x|
+      + |j| 2^(10 - W) (K + 2) + 1 < 2^(k + 16) (K + 2) units.
     Since 2^k <= 10^size_digits and 2^W >= 2^20 10^(prec + 15 + size_digits),
-    j is accurate to 4 * 10^-(prec + 15) absolute.  The series shares
-    nothing with the package's q-expansion code.
+    j is accurate to (K + 2) / 16 * 10^-(prec + 15) absolute: below
+    5 * 10^-(prec + 15) up to W = 47 700, and below 10^-(prec + 14) for
+    every W under 290 000 bits (K < 158), so the 20 guard bits cover
+    every precision `gz_product` or `bcm gz --prec` reaches.  The series
+    shares nothing with the package's q-expansion code.
 
     For the form (a, -b, c), tau is -conj(tau) of (a, b, c), and j has
     integer Fourier coefficients, so the value is the conjugate.
     """
+    prec = _whole("prec", prec)
     if prec < 30:
         raise ValueError("j_value requires prec >= 30")
     a, b, c = form
@@ -236,11 +251,19 @@ def gz_product(d1, d2, prec=None):
 
     d1, d2 must be coprime with -d1, -d2 odd fundamental discriminants.
     Precision is chosen from the a-priori size bound log|product| <=
-    h1 h2 (pi sqrt(d_max) + 30) and doubled on rounding failure; a
-    positive prec raises the starting digits to at least prec.  Digits
-    above MAX_PREC are refused, whether prec asks for them or the size
-    bound does, and the doublings stop there.  d1, d2 and prec must be
-    whole numbers.
+    size_bound, digits = int(size_bound / ln 10) + 40, and doubled on
+    rounding failure; a positive prec raises the starting digits to at
+    least prec.  Digits above MAX_PREC are refused before any j is
+    evaluated, whether prec asks for them or the size bound does, and
+    the doublings stop there.  d1, d2 and prec must be whole numbers.
+
+    The bound is summed over the pairs of forms.  j(tau) - 1/q has the
+    coefficients c(n) >= 0 of j, and Im tau >= sqrt(3) / 2 at a reduced
+    form, so |j(tau) - 1/q| <= j(i sqrt(3) / 2) - e^{pi sqrt 3} < 2079.
+    With t = pi sqrt(d) / a, |1/q| = e^t, so |j| <= e^t + 2079, and the
+    factor of forms f1, f2 has |j1 - j2| <= 4 max(e^t1, e^t2, 2079):
+
+        size_bound = sum over (f1, f2) of max(t1, t2, ln 2079) + ln 4.
 
     At each rung j_value runs inside mp.workdps(digits + 20), and every
     part of every j is read back exactly and aligned, by left shifts
@@ -249,10 +272,11 @@ def gz_product(d1, d2, prec=None):
     round(P_re) and margin = max(|P_re - nearest|, |P_im|), all integers;
     the rung succeeds when margin < 10^-20.  Each truncating product adds
     at most one unit 2^-W per part, which the later factors multiply by
-    their moduli.  Each factor has modulus at most e^{pi sqrt(d_max) + 30},
-    so the moduli multiply to at most e^size_bound < 10^(digits - 39),
-    and truncation costs at most h1 h2 2^(1-W) 10^(digits - 39) < 10^-55
-    (h1 h2 < 800 below MAX_PREC digits, 2^-W < 10^-(digits + 20)).
+    their moduli.  Each factor's bound is at least 4 * 2079 > 1, so the
+    moduli multiply to at most e^size_bound < 10^(digits - 39), and
+    truncation costs at most h1 h2 2^(1-W) 10^(digits - 39) < 10^-55:
+    each factor adds at least ln(4 * 2079) > 9.02 to size_bound, so
+    h1 h2 < 2550 below MAX_PREC digits, and 2^-W < 10^-(digits + 20).
     """
     d1, d2 = _whole("d1", d1), _whole("d2", d2)
     if prec is not None:
@@ -268,7 +292,16 @@ def gz_product(d1, d2, prec=None):
     forms1 = reduced_forms(d1)
     forms2 = reduced_forms(d2)
     h1, h2 = len(forms1), len(forms2)
-    size_bound = h1 * h2 * (math.pi * math.sqrt(max(d1, d2)) + 30)
+    floor = math.log(2079)
+    t1 = sorted(max(math.pi * math.sqrt(d1) / a, floor) for a, _, _ in forms1)
+    t2 = sorted(max(math.pi * math.sqrt(d2) / a, floor) for a, _, _ in forms2)
+    # the sum of max(x, y) over t1 x t2: each y is the max against the
+    # x <= y, each x against the y < x
+    size_bound = (
+        sum(y * bisect_right(t1, y) for y in t2)
+        + sum(x * bisect_left(t2, x) for x in t1)
+        + h1 * h2 * math.log(4)
+    )
     digits = int(size_bound / math.log(10)) + 40
     if prec is not None:
         digits = max(digits, prec)

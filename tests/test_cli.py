@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import borcherds_cm
+from borcherds_cm import gzoracle
 from borcherds_cm.cli import main
+from borcherds_cm.gzoracle import GZResult
 
 
 def _run(capsys, *argv):
@@ -600,10 +602,34 @@ def test_gz_rejects_non_positive_prec(capsys, prec):
     assert "prec" in err and "Traceback" not in err
 
 
-def test_gz_refuses_size_bound_beyond_max_prec(capsys):
-    # h(2000003) = 357: the a-priori bound asks for 693530 digits
-    code, out, err = _run(capsys, "gz", "--d1", "3", "--d2", "2000003")
+def test_gz_refuses_size_bound_beyond_max_prec(capsys, monkeypatch):
+    # h(5000003) = 476: the a-priori bound asks for 11753 digits, and the
+    # pair is refused before any j is evaluated
+    calls = []
+    monkeypatch.setattr(gzoracle, "j_value", lambda *args: calls.append(args))
+    code, out, err = _run(capsys, "gz", "--d1", "3", "--d2", "5000003")
     assert code == 1
     assert out == ""
-    assert "d1=3, d2=2000003 need 693530 digits" in err
+    assert "d1=3, d2=5000003 need 11753 digits" in err
     assert "Traceback" not in err
+    assert calls == []
+
+
+def test_gz_prints_products_beyond_the_int_str_digit_limit(capsys, monkeypatch):
+    # str() of an int refuses more than 4300 digits by default; a product
+    # that size, here from a stub, must still print exactly
+    product = 123456789 * 10**4991 + 987654321
+    fake = GZResult(
+        d1=3,
+        d2=7,
+        product=-product,
+        factorization=((3, 1),),
+        precision_used=5040,
+        margin=0.0,
+    )
+    monkeypatch.setattr(gzoracle, "gz_product", lambda d1, d2, prec: fake)
+    code, out, err = _run(capsys, "gz", "--d1", "3", "--d2", "7")
+    assert (code, err) == (0, "")
+    digits = "123456789" + "0" * 4982 + "987654321"
+    assert len(digits) == 5000
+    assert out.splitlines()[0] == "product=-" + digits

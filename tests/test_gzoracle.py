@@ -76,8 +76,9 @@ def test_j_value_matches_exact_qexp(d, form, prec):
         assert diff < mp.mpf(10) ** -(prec - 5)
 
 
-# 896 = 56 * 2^4 is the top of gz_product(3, 7)'s doubling ladder.
-@pytest.mark.parametrize("prec", [60, 250, 896])
+# 704 = 44 * 2^4 is the top of gz_product(3, 7)'s doubling ladder; 896
+# lies beyond it.
+@pytest.mark.parametrize("prec", [60, 250, 704, 896])
 @pytest.mark.parametrize("d", [3, 7, 23, 39, 47, 55, 71, 95, 995])
 def test_j_value_matches_kleinj(d, prec):
     # forms with a = b, a = c, conjugate pairs (a, +-b, c) and, at
@@ -91,6 +92,19 @@ def test_j_value_matches_kleinj(d, prec):
             value = j_value((a, b, c), d, prec)
             assert abs(value - reference) < tol, (a, b, c)
             assert abs(j_value((a, -b, c), d, prec) - mp.conj(value)) < tol
+
+
+def test_j_value_at_9000_digits_and_d_2000003():
+    # W near 30 000 bits: _euler sums about 51 indices, beyond the range
+    # of the tests above
+    d, (a, b, c) = 2000003, (791, -731, 801)
+    assert (a, b, c) in reduced_forms(d)
+    prec = 9000
+    size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
+    with mp.workdps(prec + 40 + size_digits):
+        reference = 1728 * mp.kleinj((-b + mp.sqrt(-d)) / (2 * a))
+        diff = abs(j_value((a, b, c), d, prec) - reference)
+        assert diff < mp.mpf(10) ** -(prec - 5)
 
 
 def test_j_value_accuracy_ignores_caller_precision():
@@ -153,6 +167,31 @@ def test_j_value_domain():
         j_value((1, 1, 2), 11, 40)  # discriminant mismatch
     with pytest.raises(ValueError):
         j_value((1, 1, 2), 7, 10)  # prec too small
+    with pytest.raises(ValueError, match=re.escape("prec=30.5 is not an integer")):
+        j_value((1, 1, 2), 7, 30.5)
+
+
+def test_j_at_i_sqrt3_over_2_is_within_2079_of_its_leading_term():
+    # the coefficients of j - 1/q are >= 0, so at Im tau >= sqrt(3)/2
+    # |j(tau) - 1/q| is at most this value, the constant of gz_product's
+    # size bound
+    with mp.workdps(50):
+        gap = 1728 * mp.kleinj(1j * mp.sqrt(3) / 2) - mp.exp(mp.pi * mp.sqrt(3))
+        assert abs(gap.imag) < mp.mpf(10) ** -40
+        assert 2078 < gap.real < 2079
+
+
+def test_j_value_within_its_size_bound():
+    # |j| <= e^{pi sqrt(d) / a} + 2079 at every reduced form with d < 2000
+    count = 0
+    for d in _odd_fundamental(1999):
+        for a, b, c in reduced_forms(d):
+            size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
+            with mp.workdps(30 + size_digits):
+                bound = mp.exp(mp.pi * mp.sqrt(d) / a) + 2079
+                assert abs(j_value((a, b, c), d, 30)) <= bound, (d, a, b)
+            count += 1
+    assert count > 5000
 
 
 @pytest.mark.parametrize("form", [(-1, 1, -2), (-2, 1, -1), (2, 3, 2), (2, -3, 2)])
@@ -234,7 +273,7 @@ def _odd_fundamental(bound):
 
 # SHA-256 of one repr((d1, d2, product, factorization, precision_used,
 # doublings)) line per pair of the sweep below, in sweep order.
-SWEEP_1000_DIGEST = "defa4cabab8b1e9d3537567487939f10e4d37f817079086280ac6791d541d493"
+SWEEP_1000_DIGEST = "2d85e8dbda004122e035994abbc116da742a7244b7c9166a1edf9c803276f4c1"
 
 
 def test_gz_sweep_pinned():
@@ -289,7 +328,7 @@ def test_gz_counts_doublings(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "prec, ladder", [(None, [56, 112, 224, 448, 896]), (5000, [5000, 10000])]
+    "prec, ladder", [(None, [44, 88, 176, 352, 704]), (5000, [5000, 10000])]
 )
 def test_gz_doublings_stop_at_max_prec(monkeypatch, prec, ladder):
     precs = []
@@ -346,13 +385,20 @@ def _mpc_class_j_values(forms, d, digits):
     return [values[f] for f in forms]
 
 
+def _size_bound(d1, d2):
+    """gz_product's a-priori bound on log|product|, factor by factor:
+    |j1 - j2| <= 4 max(e^t1, e^t2, 2079), t = pi sqrt(d) / a."""
+    t1 = [math.pi * math.sqrt(d1) / a for a, _, _ in reduced_forms(d1)]
+    t2 = [math.pi * math.sqrt(d2) / a for a, _, _ in reduced_forms(d2)]
+    return sum(max(x, y, math.log(2079)) + math.log(4) for x in t1 for y in t2)
+
+
 def _mpc_gz_product(d1, d2):
     """gz_product's ladder with the product, rounding and margin in
     mpmath complex arithmetic at workdps(digits + 20): (product,
     factorization, precision_used, doublings, margin)."""
     forms1, forms2 = reduced_forms(d1), reduced_forms(d2)
-    size_bound = len(forms1) * len(forms2) * (math.pi * math.sqrt(max(d1, d2)) + 30)
-    digits = int(size_bound / math.log(10)) + 40
+    digits = int(_size_bound(d1, d2) / math.log(10)) + 40
     for attempt in range(5):
         with mp.workdps((digits << attempt) + 20):
             j1 = _mpc_class_j_values(forms1, d1, digits << attempt)
@@ -402,12 +448,43 @@ def test_gz_bounds_prec():
 
 
 def test_gz_bounds_size_bound_digits(monkeypatch):
-    # h(10007) = 77 puts the a-priori bound above MAX_PREC
+    # h(5000003) = 476 puts the a-priori bound above MAX_PREC
     calls = []
     monkeypatch.setattr(gzoracle, "j_value", lambda *args: calls.append(args))
-    with pytest.raises(PrecisionError, match="d1=3, d2=10007 need 11552 digits"):
-        gz_product(3, 10007)
+    with pytest.raises(PrecisionError, match="d1=3, d2=5000003 need 11753 digits"):
+        gz_product(3, 5000003)
     assert calls == []
+
+
+def test_gz_products_within_size_bound():
+    # the criterion-9 pairs: coprime, d1 < d2 and d1 * d2 <= 2000
+    ds = _odd_fundamental(2000 // 3)
+    pairs = [
+        (d1, d2)
+        for i, d1 in enumerate(ds)
+        for d2 in ds[i + 1 :]
+        if d1 * d2 <= 2000 and math.gcd(d1, d2) == 1
+    ]
+    assert len(pairs) == 244
+    for d1, d2 in pairs:
+        r = gz_product(d1, d2)
+        bound = _size_bound(d1, d2)
+        assert math.log(abs(r.product)) <= bound, (d1, d2)
+        assert r.precision_used == int(bound / math.log(10)) + 40, (d1, d2)
+
+
+# SHA-256 of repr((product, factorization)) of gz_product(3, 10007).
+GZ_3_10007_DIGEST = "9469e10ace2370704a31b554ad010151684c15930a9a53b0f4efc0fec475246b"
+
+
+def test_gz_3_10007_runs_below_max_prec():
+    # h(10007) = 77; the a-priori bound asks for 1020 digits
+    r = gz_product(3, 10007)
+    assert (r.doublings, r.precision_used) == (0, 1020)
+    assert r.margin < 1e-20
+    assert gz_support_check(r) == (True, [])
+    digest = hashlib.sha256(repr((r.product, r.factorization)).encode()).hexdigest()
+    assert digest == GZ_3_10007_DIGEST
 
 
 def test_gz_support_check_pass():
