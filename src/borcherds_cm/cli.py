@@ -27,19 +27,11 @@ from .locwhit import _local_polys
 from .quadfield import kappa_zero_constant, make_field
 
 
-def _cmsum_prec(prec):
-    """Digits of cmsum's numeric=: --prec, else BCM_PREC, else 64, checked
-    against the supported range before anything is printed."""
-    if prec is not None:
-        _check_prec(prec, "--prec")
-        return prec
-    value = os.environ.get("BCM_PREC", "64")
-    try:
-        prec = int(value)
-    except ValueError:
-        raise ValueError(f"BCM_PREC={value!r} is not an integer") from None
-    _check_prec(prec, "BCM_PREC")
-    return prec
+def _digits(n):
+    """The decimal digits of the int n.  str() of an int stops at the
+    interpreter's digit limit (4300 by default); Decimal converts from the
+    binary digits, with no limit."""
+    return str(Decimal(n))
 
 
 def _rational(flag, text):
@@ -135,9 +127,9 @@ def cmd_cmsum(args):
     fld, sl = load_lattice(args.lattice)
     form = load_form(args.form, sl)
     vol_kt = _rational("--vol-kt", args.vol_kt) if args.vol_kt else None
-    prec = _cmsum_prec(args.prec)
+    _check_prec(args.prec, "--prec")
     report = log_psi_product(form, sl, fld, vol_kt)
-    for line in _report_lines(report, fld, form, prec):
+    for line in _report_lines(report, fld, form, args.prec):
         print(line)
     phi = phi_average(form, sl, fld, vol_kt)
     print(f"phi_so_integral={phi.value.render()}")
@@ -156,7 +148,7 @@ def cmd_factor(args):
             f"{report.kzero_coeff} is nonzero"
         )
     value = report.rational_value()
-    print(f"rat={value.numerator}/{value.denominator}")
+    print(f"rat={_digits(value.numerator)}/{_digits(value.denominator)}")
     print(f"factored={report.rational_part.serialize()}")
     return 0
 
@@ -165,9 +157,7 @@ def cmd_gz(args):
     from .gzoracle import gz_product, gz_support_check
 
     result = gz_product(args.d1, args.d2, args.prec)
-    # str() of an int stops at the interpreter's digit limit (4300 by
-    # default); Decimal converts from the binary digits, with no limit
-    print(f"product={Decimal(result.product)}")
+    print(f"product={_digits(result.product)}")
     print(f"factored={result.factored_string()}")
     ok, violations = gz_support_check(result)
     print(f"support={'OK' if ok else 'FAIL'}")
@@ -228,8 +218,8 @@ def build_parser():
     p.add_argument("--form", required=True)
     p.add_argument("--lattice", required=True)
     p.add_argument("--vol-kt", dest="vol_kt", default=None)
-    p.add_argument("--prec", type=int, default=None,
-                   help="digits of numeric= (default: BCM_PREC, else 64)")
+    p.add_argument("--prec", type=int, default=64,
+                   help="digits of numeric= (default 64)")
     p.set_defaults(fn=cmd_cmsum)
 
     p = sub.add_parser(

@@ -39,8 +39,8 @@ through one flog_combine, and it makes one KappaValue and no Fraction
 but its nonzero n0.
 contraction_coeffs walks only its form's etas, with one norm_counts per
 (eta, lambda) up to the largest m - m1 it needs.
-The inner sum is added up in one pass into one prime -> numerator dict
-over one denominator and one k0(0) multiple.
+The inner sum is the same kind of sum: its c_eta(-m) are ints, so its
+log parts go through one flog_combine and c00 is an int sum of c n0.
 """
 
 from __future__ import annotations
@@ -56,25 +56,6 @@ from .arith import FactoredLog, _check_prec, _ratio, flog_combine
 from .forms import _m_max_ratio
 from .kappa import KAPPA_ZERO, KappaValue, kappa_at
 from .quadfield import INERT, check_field, kappa_zero_constant
-
-
-def _combine(pairs):
-    """sum_i c_i * v_i over (c_i, KappaValue v_i), in one pass: one
-    FactoredLog sum, and the nonzero k0(0) multiples summed as integer
-    numerators over one denominator into one Fraction."""
-    logs = []
-    kzero = []
-    for c, v in pairs:
-        logs.append((c, v.log_part))
-        k = v.kzero_multiple
-        if k:
-            a, b = _ratio(c)
-            kzero.append((a * k.numerator, b * k.denominator))
-    den = math.lcm(*(b for _, b in kzero))
-    return KappaValue(
-        flog_combine(logs),
-        Fraction(sum(a * (den // b) for a, b in kzero), den),
-    )
 
 
 def contraction_coeffs(form, sl, m_values):
@@ -191,6 +172,9 @@ def _inner_sum(form, sl):
     """sum_eta sum_{m >= 0} c_eta(-m) kappa_eta(m) over the principal part
     and constant terms of the form; its k0(0) multiple is c00.
 
+    The c_eta(-m) of these terms are ints (FourierForm refuses others) and
+    the k0(0) multiple of each entry is its count n0, so the log parts go
+    through one flog_combine and c00 = sum c_eta(-m) n0 is an int sum.
     The sum is computed once per lattice and kept on the form, unscaled,
     so log_psi_product, phi_average and c00_contraction share it at any
     vol_KT; a lattice other than the form's own is checked first."""
@@ -198,10 +182,15 @@ def _inner_sum(form, sl):
     if value is None:
         if sl is not form._lattice:
             form.check_lattice(sl)
-        value = form._inner_sums[sl] = _combine(
-            (c, _kappa_eta_entry(sl, (label, -num, den)))
-            for (label, num, den), c in form.terms.items()
-            if num <= 0
+        logs = []
+        c00 = 0
+        for (label, num, den), c in form.terms.items():
+            if num <= 0:
+                entry = _kappa_eta_entry(sl, (label, -num, den))
+                logs.append((c, entry.log_part))
+                c00 += c * entry.kzero_multiple.numerator
+        value = form._inner_sums[sl] = KappaValue(
+            flog_combine(logs), Fraction(c00)
         )
     return value
 

@@ -265,8 +265,8 @@ def gz_product(d1, d2, prec=None):
 
         size_bound = sum over (f1, f2) of max(t1, t2, ln 2079) + ln 4.
 
-    At each rung j_value runs inside mp.workdps(digits + 20), and every
-    part of every j is read back exactly and aligned, by left shifts
+    At each rung j_value gives each j at digits, whatever mp.prec is, and
+    every part of every j is read back exactly and aligned, by left shifts
     only, to one scale 2^W, W = max(dps_to_prec(digits + 20), -exponent
     of every part).  The product is `_mul` at that scale, nearest =
     round(P_re) and margin = max(|P_re - nearest|, |P_im|), all integers;
@@ -314,9 +314,8 @@ def gz_product(d1, d2, prec=None):
         digits << i for i in range(_MAX_DOUBLINGS + 1) if digits << i <= MAX_PREC
     ]
     for attempt, digits in enumerate(ladder):
-        with mp.workdps(digits + 20):
-            j1 = _class_j_values(forms1, d1, digits)
-            j2 = _class_j_values(forms2, d2, digits)
+        j1 = _class_j_values(forms1, d1, digits)
+        j2 = _class_j_values(forms2, d2, digits)
         w = max(dps_to_prec(digits + 20), *(-exp for z in j1 + j2 for _, exp in z))
         j1 = [_at_scale(z, w) for z in j1]
         j2 = [_at_scale(z, w) for z in j2]

@@ -22,6 +22,7 @@ with r the number of ramified q with mu_q = 0 (see kappa_positive).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import FactoredLog, ZERO_LOG, _ratio, factorize, valuation
@@ -29,34 +30,15 @@ from .lattice import check_coset
 from .quadfield import INERT, SPLIT
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class KappaValue:
     """An exact value  log_part + kzero_multiple * k0(0).
 
     Values are immutable.  Equality, hashing and repr are those of the
     pair (log_part, kzero_multiple)."""
 
-    __slots__ = ("log_part", "kzero_multiple")
-
-    def __init__(self, log_part, kzero_multiple=Fraction(0)):
-        self.log_part = log_part
-        self.kzero_multiple = kzero_multiple
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.log_part == other.log_part
-            and self.kzero_multiple == other.kzero_multiple
-        )
-
-    def __hash__(self):
-        return hash((self.log_part, self.kzero_multiple))
-
-    def __repr__(self):
-        return (
-            f"KappaValue(log_part={self.log_part!r}, "
-            f"kzero_multiple={self.kzero_multiple!r})"
-        )
+    log_part: FactoredLog
+    kzero_multiple: Fraction = Fraction(0)
 
     def __add__(self, other):
         return KappaValue(

@@ -30,8 +30,8 @@ integer ambient numerators over one denominator, with integer gram_L,
 and each lambda_-'s label in L_-^v/L_- (L is integral), 0 exactly on L_-,
 which the glue checks read and eta_pairs adds to eta_-'s label mod d.
 That label is additive, so the lattice also keeps l_i, the label of the
-minus part of each Smith generator g_i of L^v/L, made by
-label_of_element without a Coset, and eta_pairs reads eta_-'s label as
+minus part of each Smith generator g_i of L^v/L; label_of_element reads
+both without making a Coset of L_-.  eta_pairs reads eta_-'s label as
 sum w_i l_i mod d from the Smith digits w_i of eta's label.
 One routine, glue, builds L_+ + L_- + Z v from a glue vector v given as
 integer ambient numerators over one denominator: it scales v so that one
@@ -622,7 +622,7 @@ class SplitLattice(_DualGroup):
         )
         self._glue_minus = []
         for lam in self.glue:
-            ell = coset_of_element(minus, lam.num[n:], den).label
+            ell = label_of_element(minus, lam.num[n:], den)
             plus_int = all(x % den == 0 for x in lam.num[:n])
             if not ell and not plus_int:
                 raise InconsistentEmbeddingError("V_+ cap L exceeds L_+")

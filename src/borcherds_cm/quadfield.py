@@ -132,19 +132,15 @@ class QuadField:
 
 def make_field(d):
     """Construct QuadField data for d squarefree, d = 3 mod 4, 3 < d <= MAX_D:
-    h from `reduced_forms`, the ramified primes from one factorize(d)."""
+    h from `reduced_forms`, which refuses any other d but 3, and the
+    ramified primes from one factorize(d).  d = 3 is fundamental, but its
+    field has w = 6 roots of unity, not the w = 2 every formula here uses."""
     d = _whole("d", d)
-    try:
-        h = len(reduced_forms(d))
-    except UnsupportedDiscriminantError:
-        if d > MAX_D:
-            raise
-        h = None
-    if d <= 3 or h is None:
+    if d == 3:
         raise UnsupportedDiscriminantError(
-            f"d={d}: need d > 3, d = 3 (mod 4), squarefree (2-ramified fields "
-            "are out of scope)"
+            "d=3: Q(sqrt(-3)) has w = 6 roots of unity, out of scope (need d > 3)"
         )
+    h = len(reduced_forms(d))
     ramified = tuple(p for p, _ in factorize(d))
     return QuadField(d=d, ramified_primes=ramified, h=h)
 

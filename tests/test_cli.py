@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -201,20 +202,13 @@ def _write_ci_files(tmp_path):
 
 CI_NUMERIC = {
     30: "-22.3521956600179100529097185232",
-    40: "-22.35219566001791005290971852319832289458",
     64: "-22.35219566001791005290971852319832289458135695790349521132503048",
 }
 
 
-@pytest.mark.parametrize(
-    "flags, bcm_prec, prec", [(["--prec", "30"], None, 30), ([], "40", 40), ([], None, 64)]
-)
-def test_cmsum_prints_prec_digits(capsys, tmp_path, monkeypatch, flags, bcm_prec, prec):
-    """numeric= has --prec, else BCM_PREC, else 64 significant digits."""
-    if bcm_prec is None:
-        monkeypatch.delenv("BCM_PREC", raising=False)
-    else:
-        monkeypatch.setenv("BCM_PREC", bcm_prec)
+@pytest.mark.parametrize("flags, prec", [(["--prec", "30"], 30), ([], 64)])
+def test_cmsum_prints_prec_digits(capsys, tmp_path, flags, prec):
+    """numeric= has --prec, else 64 significant digits."""
     lat, form = _write_ci_files(tmp_path)
     code, out, err = _run(capsys, "cmsum", "--form", form, "--lattice", lat, *flags)
     assert code == 0
@@ -230,6 +224,24 @@ def test_factor(capsys, tmp_path):
     data = _parse(out)
     assert data["rat"] == "49/1"
     assert data["factored"] == "7^(2/1)"
+
+
+def test_factor_prints_rationals_beyond_the_int_str_digit_limit(capsys, tmp_path):
+    # at vol_KT = 1/1000 the X(1) value of (15, 7) has 35 511 digits, above
+    # the 4300 that str() of an int allows by default
+    lat = tmp_path / "x1"
+    lat.write_text("d=15\nrank=1\ngram=30\nbasis=1/15,1/15,13/15;0,1,0;0,0,1\n")
+    form = tmp_path / "gz"
+    form.write_text("1 -7/4 1\n")
+    code, out, err = _run(capsys, "factor", "--form", str(form),
+                          "--lattice", str(lat), "--vol-kt", "1/1000")
+    assert (code, err) == (0, "")
+    data = _parse(out)
+    assert data["factored"] == "3^(24000/1)*5^(12000/1)*7^(8000/1)*13^(8000/1)"
+    num, den = data["rat"].split("/")
+    assert len(num) == 35511 and den == "1"
+    # Decimal reads the digits back with no limit
+    assert int(Decimal(num)) == 3**24000 * 5**12000 * 7**8000 * 13**8000
 
 
 def test_factor_rejects_transcendental(capsys, tmp_path):
@@ -543,15 +555,6 @@ def test_gz_negative_discriminant_message(capsys):
     assert "d=-7" in err and "--7" not in err
 
 
-def test_bad_bcm_prec_rejected(capsys, tmp_path, monkeypatch):
-    lat, form = _write_desk_files(tmp_path)
-    monkeypatch.setenv("BCM_PREC", "abc")
-    code, out, err = _run(capsys, "cmsum", "--form", form, "--lattice", lat)
-    assert code == 1
-    assert "BCM_PREC='abc'" in err
-    assert "Traceback" not in err
-
-
 def _write_transcendental_files(tmp_path):
     lat = tmp_path / "lat.txt"
     lat.write_text("d=7\nideal=unit\nrank=0\n")
@@ -569,15 +572,6 @@ def test_cmsum_bad_prec_fails_before_output(capsys, tmp_path, prec):
     assert code == 1
     assert out == ""
     assert "--prec" in err and "Traceback" not in err
-
-
-def test_cmsum_bad_bcm_prec_fails_before_output(capsys, tmp_path, monkeypatch):
-    lat, form = _write_desk_files(tmp_path)
-    monkeypatch.setenv("BCM_PREC", "5")
-    code, out, err = _run(capsys, "cmsum", "--form", form, "--lattice", lat)
-    assert code == 1
-    assert out == ""
-    assert "BCM_PREC" in err and "Traceback" not in err
 
 
 def test_field_bad_prec_fails_before_output(capsys):

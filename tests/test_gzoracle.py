@@ -116,6 +116,16 @@ def test_j_value_accuracy_ignores_caller_precision():
         assert abs(value - reference) < mp.mpf(10) ** -55
 
 
+@pytest.mark.parametrize("d1, d2", [(7, 43), (15, 7)])
+def test_gz_product_ignores_caller_precision(d1, d2):
+    # j_value and the integer product read no mp.prec
+    with mp.workdps(15):
+        low = gz_product(d1, d2)
+    with mp.workdps(300):
+        high = gz_product(d1, d2)
+    assert low == high
+
+
 def _squarefree(n):
     return all(e == 1 for _, e in factorize(n))
 

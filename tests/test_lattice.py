@@ -455,20 +455,30 @@ def test_a_coset_label_must_be_a_whole_number(kind):
 
 def test_contraction_coeffs_at_a_large_split_lattice_makes_only_its_eta(monkeypatch):
     # |L^v/L| = 99988: the table of a form on eta 0 makes that eta and no
-    # other coset
+    # other coset of L^v/L; L_- makes the coset 0 of eta_- + lambda_-
     fld = make_field(7)
     sl = SplitLattice(PosLattice(((14284,),)), make_ideal_lattice(fld, "unit"))
-    made = []
+    made = {}
 
-    def counting(*args):
-        made.append(args[0])
-        return Coset(*args)
+    def counting(label, num, *rest):
+        # a coset of L^v/L has 3 ambient numerators, one of L_-^v/L_- 2
+        made.setdefault(len(num), []).append(label)
+        return Coset(label, num, *rest)
 
     monkeypatch.setattr(lattice, "Coset", counting)
     form = FourierForm(sl, {(0, -1): 1})
     table = contraction_coeffs(form, sl, [0, 7141])
     assert table == {(0, 0, Fraction(7141)): Fraction(2)}
-    assert made == [0]
+    assert made == {3: [0], 2: [0]}
+
+
+def test_a_split_lattice_build_makes_no_coset_of_l_minus():
+    # the glue checks read each lambda_-'s label by label_of_element: the
+    # d1 = 227 X(1) lattice has 227 glue vectors and makes no L_- coset
+    fld = make_field(227)
+    x1 = glue(PosLattice(((454,),)), make_ideal_lattice(fld, "unit"), (1, 1, -2), 227)
+    assert len(x1.glue) == 227
+    assert x1.minus._cosets == {}
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,14 @@ def test_class_numbers():
 
 
 def test_make_field_domain():
-    for d in (3, 5, 21, 63):
-        with pytest.raises(UnsupportedDiscriminantError):
+    # one refusal routine: reduced_forms' message, and make_field's own only
+    # at d = 3, which is fundamental but has w = 6
+    for d in (-7, 0, 5, 21, 63, 75):
+        with pytest.raises(UnsupportedDiscriminantError) as exc:
             make_field(d)
+        assert str(exc.value) == f"d={d}: -d is not an odd fundamental discriminant"
+    with pytest.raises(UnsupportedDiscriminantError, match="w = 6"):
+        make_field(3)
     fld = make_field(15)
     assert fld.discriminant == -15
     assert fld.ramified_primes == (3, 5)
