@@ -122,17 +122,15 @@ def factorize(n):
     n = int(n)
     factors = {}
     for p in (2, 3, 5):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            factors[p], n = _remove(n, p)
     # wheel mod 30: the residues coprime to 2, 3 and 5
     p = 7
     incs = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
     while p * p <= n and p < 10**6:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        if n % p == 0:
+            factors[p], n = _remove(n, p)
         p += incs[i]
         i = (i + 1) % 8
     if n > 1:
@@ -153,6 +151,20 @@ def factorize(n):
     return sorted(factors.items())
 
 
+def _remove(n, p):
+    """(v, n / p^v) for the largest v with p^v dividing n, where p divides
+    n != 0.  It removes the largest power of p^2 first, by the same routine,
+    then at most one p: O(log v) divisions, where removing one p at a time
+    takes v, each as long as n."""
+    q = p * p
+    if n % q:
+        return 1, n // p
+    v, n = _remove(n, q)
+    if n % p:
+        return 2 * v, n
+    return 2 * v + 1, n // p
+
+
 def _ratio(t):
     """Numerator and denominator (> 0) of a rational; ints and Fractions are
     read directly, anything else goes through Fraction once."""
@@ -165,12 +177,11 @@ def _strip(num, den, p):
     """(v, num', den') with num/den = p^v * num'/den' and p dividing
     neither num' nor den'; num must be nonzero."""
     v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
+    if num % p == 0:
+        v, num = _remove(num, p)
+    if den % p == 0:
+        w, den = _remove(den, p)
+        v -= w
     return v, num, den
 
 
@@ -413,20 +424,6 @@ class FactoredLog:
         return "*".join(
             f"{p}^({a}/{b})" for p, a, b in sorted(self._exponents())
         )
-
-    @classmethod
-    def deserialize(cls, text):
-        text = text.strip()
-        if text == "1":
-            return cls()
-        terms = {}
-        for part in text.split("*"):
-            base, _, exp = part.partition("^")
-            exp = exp.strip()
-            if not (exp.startswith("(") and exp.endswith(")")):
-                raise ValueError(f"malformed FactoredLog term {part!r}")
-            terms[int(base)] = Fraction(exp[1:-1])
-        return cls(terms)
 
     def log_string(self):
         """Human-readable form like "-2*log(7) + 1/2*log(3)"; "0" if empty."""

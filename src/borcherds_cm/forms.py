@@ -19,6 +19,7 @@ from fractions import Fraction
 from operator import mul
 
 from .arith import _ratio, _whole
+from .lattice import _text_lines
 
 
 class IntegralityViolation(ValueError):
@@ -35,11 +36,9 @@ class SupportCongruenceViolation(ValueError):
 
 
 class QExpansion:
-    """A q-series sum_{n=v}^{N} a_n q^n with integer coefficients.
-
-    `order` is the last exponent N known to be correct; products keep the
-    common region of validity.
-    """
+    """A q-series sum_{n=v}^{N} a_n q^n with integer coefficients a_n =
+    coeffs[n - v], v = leading; N is the last exponent known to be correct,
+    and products keep the common region of validity."""
 
     __slots__ = ("leading", "coeffs")
 
@@ -50,18 +49,6 @@ class QExpansion:
             leading += 1
         self.leading = leading
         self.coeffs = tuple(coeffs)
-
-    @property
-    def order(self):
-        return self.leading + len(self.coeffs) - 1
-
-    def coeff(self, n):
-        i = n - self.leading
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        if n <= self.order:
-            return 0
-        raise IndexError(f"coefficient of q^{n} beyond truncation order")
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -248,29 +235,26 @@ def load_form(path, lattice):
     key=value, then records `eta_label m c` with rationals as a/b.  The one
     header key is d, at most once, and it must be the d of the lattice's
     field; any other key is refused, not ignored.  Validates all
-    invariants; a bad header or record raises a ValueError that names the
-    file and the line."""
+    invariants; every refusal keeps its type and names the file, and that
+    of a bad header or record also the line."""
     coeffs = {}
     d = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    try:
+        for line in _text_lines(path):
             if "=" in line and not line[0].isdigit() and not line[0] == "-":
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
                 if key != "d":
-                    raise ValueError(f"{path}: form file has an unknown key {key!r}")
+                    raise ValueError(f"form file has an unknown key {key!r}")
                 if d is not None:
-                    raise ValueError(f"{path}: form file repeats the key d=")
+                    raise ValueError("form file repeats the key d=")
                 try:
                     d = int(value)
                 except ValueError:
-                    raise ValueError(f"{path}: d={value!r} is not an integer") from None
+                    raise ValueError(f"d={value!r} is not an integer") from None
                 if d != lattice.minus.field.d:
                     raise ValueError(
-                        f"{path}: form file has d={d} but the lattice's field "
+                        f"form file has d={d} but the lattice's field "
                         f"is d={lattice.minus.field.d}"
                     )
                 continue
@@ -279,15 +263,12 @@ def load_form(path, lattice):
                 label, m, c = int(label), Fraction(m), Fraction(c)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(
-                    f"{path}: form record {line!r} is not `eta_label m c` "
+                    f"form record {line!r} is not `eta_label m c` "
                     "with an integer label and rationals a/b, b != 0"
                 ) from None
             if (label, m) in coeffs:
-                raise ValueError(
-                    f"{path}: duplicate record for eta={label}, m={m}"
-                )
+                raise ValueError(f"duplicate record for eta={label}, m={m}")
             coeffs[(label, m)] = c
-    try:
         return FourierForm(lattice, coeffs)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from None

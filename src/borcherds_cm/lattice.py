@@ -18,8 +18,7 @@ _smith_cosets, makes any coset from its label alone, with the finite
 quadratic form q(z/D) = Q(z/D) mod 1 of a discriminant group (Nikulin,
 Math. USSR Izv. 14 (1980)) as w S w^T for the integer Gram matrix S of the
 Smith generators.  IdealLattice and SplitLattice share one coset(label),
-made on first request and kept; only the glue group is made whole.  One
-routine, _q, computes Q(x).
+made on first request and kept; only the glue group is made whole.
 
 No Fraction elimination is left: the integer Smith normal form gives every
 coset, the test that a SplitLattice basis is nonsingular and contains
@@ -275,24 +274,6 @@ class _DualGroup:
         return mu
 
 
-def _check_rank(x, k):
-    if len(x) != k:
-        raise ValueError(
-            f"vector has length {len(x)} but the lattice has rank {k}"
-        )
-
-
-def _q(x, gram):
-    """Q(x) = x G x^T / 2 for a vector x of length rank G."""
-    k = len(gram)
-    _check_rank(x, k)
-    x = tuple(map(Fraction, x))
-    return sum(
-        (gram[i][j] * x[i] * x[j] for i in range(k) for j in range(k)),
-        Fraction(0),
-    ) / 2
-
-
 # ---------------------------------------------------------------------------
 # Ideal lattices in k = Q(sqrt(-d))
 # ---------------------------------------------------------------------------
@@ -342,10 +323,6 @@ class IdealLattice(_DualGroup):
         # the kappa_eta fill of cmvalue: kappa_at and kappa_positive keep
         # no memo
         self._kappa = {}
-
-    def q_of(self, coords):
-        """Q at an element given in a-basis coordinates."""
-        return _q(coords, self.gram)
 
 
 def make_ideal_lattice(field, spec="unit"):
@@ -407,7 +384,10 @@ def label_of_element(lat, num, den):
     integer numerators num of its a-basis coordinates num / den; no Coset
     is made.  The label is additive: the sum of two elements has the sum
     of their labels mod d."""
-    _check_rank(num, 2)
+    if len(num) != 2:
+        raise ValueError(
+            f"vector has length {len(num)} but the lattice has rank 2"
+        )
     y = mat_vec(num, lat.gram)
     if any(x % den for x in y):
         raise ValueError("element is not in the dual lattice D^{-1}a")
@@ -460,10 +440,6 @@ class PosLattice:
         self._gram_int = tuple(tuple(int(x * self.g) for x in row) for row in gram)
         # kept as floats: they only choose candidates
         self._ldl = [[float(x) for x in row] for row in q]
-
-    def q_of(self, x):
-        """Q(x) = (x, x)/2 for a vector x of length rank."""
-        return _q(x, self.gram)
 
     def norm_counts(self, num, den, top):
         """{N: count} over z in num + (den Z)^n with N = z (g G) z^T <= top,
@@ -720,16 +696,30 @@ def _int_key(keys, key, default=None):
         raise ValueError(f"{key}={value!r} is not an integer") from None
 
 
+def _text_lines(path):
+    """The lines of the file at path, each cut at "#" and stripped, blank
+    ones dropped; a ValueError if the file is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        # not type(exc)(...): UnicodeDecodeError takes five arguments
+        raise ValueError(
+            f"not UTF-8 text: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+        ) from None
+    return [
+        line for raw in text.split("\n") if (line := raw.split("#", 1)[0].strip())
+    ]
+
+
 def load_lattice(path):
     """Read a lattice file: key=value lines with keys d, ideal, rank, gram,
     basis (gram/basis rows ';'-separated, entries ','-separated), each at
-    most once; any other key is refused, not ignored."""
-    keys = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
+    most once; any other key is refused, not ignored.  Every refusal is
+    raised as its own type with a message that names the file."""
+    try:
+        keys = {}
+        for line in _text_lines(path):
             k, _, v = line.partition("=")
             k = k.strip()
             if k not in ("d", "ideal", "rank", "gram", "basis"):
@@ -737,22 +727,24 @@ def load_lattice(path):
             if k in keys:
                 raise ValueError(f"lattice file repeats the key {k}=")
             keys[k] = v.strip()
-    if "d" not in keys:
-        raise ValueError("lattice file missing d=")
-    fld = make_field(_int_key(keys, "d"))
-    minus = make_ideal_lattice(fld, keys.get("ideal", "unit"))
-    rank = _int_key(keys, "rank", "0")
-    if rank < 0:
-        raise ValueError(f"rank={rank} is negative")
-    if rank:
-        if "gram" not in keys:
-            raise ValueError(f"lattice file has rank={rank} but no gram=")
-        plus = PosLattice(_parse_rows("gram", keys["gram"]))
-        if plus.rank != rank:
-            raise ValueError("rank does not match gram size")
-    elif "gram" in keys:
-        raise ValueError(f"lattice file has gram= but rank={rank}")
-    else:
-        plus = PosLattice(())
-    basis = _parse_rows("basis", keys["basis"]) if "basis" in keys else None
-    return fld, SplitLattice(plus, minus, basis)
+        if "d" not in keys:
+            raise ValueError("lattice file missing d=")
+        fld = make_field(_int_key(keys, "d"))
+        minus = make_ideal_lattice(fld, keys.get("ideal", "unit"))
+        rank = _int_key(keys, "rank", "0")
+        if rank < 0:
+            raise ValueError(f"rank={rank} is negative")
+        if rank:
+            if "gram" not in keys:
+                raise ValueError(f"lattice file has rank={rank} but no gram=")
+            plus = PosLattice(_parse_rows("gram", keys["gram"]))
+            if plus.rank != rank:
+                raise ValueError("rank does not match gram size")
+        elif "gram" in keys:
+            raise ValueError(f"lattice file has gram= but rank={rank}")
+        else:
+            plus = PosLattice(())
+        basis = _parse_rows("basis", keys["basis"]) if "basis" in keys else None
+        return fld, SplitLattice(plus, minus, basis)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

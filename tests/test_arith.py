@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_rational, round_nearest, to_fixed
 
@@ -111,6 +111,48 @@ def test_valuation():
     assert valuation(Fraction(9, 5), 3) == 2
     with pytest.raises(UndefinedValuationError):
         valuation(0, 3)
+
+
+def _strip_one_at_a_time(n, p):
+    """(v, n / p^v) with p^v the largest power of p dividing n, removed
+    one p at a time."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def _trial_factors(n):
+    """factorize(n) by trial division by every integer up to sqrt(n)."""
+    factors, q = [], 2
+    while q * q <= n:
+        e, n = _strip_one_at_a_time(n, q)
+        if e:
+            factors.append((q, e))
+        q += 1
+    return factors + [(n, 1)] * (n > 1)
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7, 11, 101, 997)),
+    st.integers(0, 10**4),
+    st.integers(1, 10**6),
+)
+@example(2, 10**4, 1)
+@example(997, 10**4, 997 * 996)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_valuation_and_factorize_at_high_prime_powers(p, v, m):
+    # valuation and factorize remove p^v in O(log v) divisions
+    n = p**v * m
+    w, rest = _strip_one_at_a_time(n, p)
+    assert valuation(n, p) == valuation(-n, p) == w
+    t = Fraction(m, p**v)
+    assert valuation(t, p) == (
+        _strip_one_at_a_time(t.numerator, p)[0]
+        - _strip_one_at_a_time(t.denominator, p)[0]
+    )
+    assert factorize(n) == sorted([(p, w)] * (w > 0) + _trial_factors(rest))
 
 
 def test_kronecker_table():
@@ -281,6 +323,21 @@ def test_factored_log_arithmetic_matches_the_public_constructor(a, b):
         FactoredLog({4: 1})
 
 
+def deserialize(text):
+    """The FactoredLog whose serialize() is text."""
+    text = text.strip()
+    if text == "1":
+        return FactoredLog()
+    terms = {}
+    for part in text.split("*"):
+        base, _, exp = part.partition("^")
+        exp = exp.strip()
+        if not (exp.startswith("(") and exp.endswith(")")):
+            raise ValueError(f"malformed FactoredLog term {part!r}")
+        terms[int(base)] = Fraction(exp[1:-1])
+    return FactoredLog(terms)
+
+
 def _reference(*pairs):
     """sum_i c_i * terms_i as a prime -> nonzero Fraction dict."""
     total = {}
@@ -330,7 +387,7 @@ def test_factored_log_integer_arithmetic_matches_fractions(a, b, k, c):
     routes = [
         FactoredLog(_reference((1, a), (1, b))),
         flog_combine([(1, fb), (1, fa)]),
-        FactoredLog.deserialize(s.serialize()),
+        deserialize(s.serialize()),
         (2 * fa + 2 * fb) * Fraction(1, 2),
     ]
     for other in routes:
@@ -343,7 +400,7 @@ def test_factored_log_integer_arithmetic_matches_fractions(a, b, k, c):
 @settings(max_examples=100, deadline=None)
 def test_factored_log_serialize_round_trip(a):
     fa = FactoredLog(a)
-    assert FactoredLog.deserialize(fa.serialize()) == fa
+    assert deserialize(fa.serialize()) == fa
 
 
 def test_serialize_format():
@@ -352,7 +409,7 @@ def test_serialize_format():
     assert f.serialize() == "3^(1/2)*7^(-2/1)"
     assert f.log_string() == "1/2*log(3) - 2*log(7)"
     with pytest.raises(ValueError):
-        FactoredLog.deserialize("7^2")
+        deserialize("7^2")
 
 
 def test_exp_rational():

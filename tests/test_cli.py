@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -65,6 +66,21 @@ def test_kappa_rational_t(capsys):
 def test_kappa_at_a_large_ideal_lattice(capsys, mu, t, serialized):
     # d = 99991 is just below MAX_DUAL_ORDER; the coset is made from its label
     code, out, err = _run(capsys, "kappa", "-d", "99991", "--mu", mu, "-t", t)
+    assert code == 0
+    assert _parse(out)["serialized"] == serialized
+
+
+@pytest.mark.parametrize("d, serialized", [
+    ("7", "7^(-200002/1)"),
+    # the Hilbert symbol at the ramified 5 strips 5^100000 from t as well
+    ("15", "3^(-200002/1)"),
+])
+def test_kappa_at_a_high_prime_power_in_t(capsys, d, serialized):
+    # t = 10^100000 holds 2^100000 and 5^100000: removed one p at a time,
+    # each would take 100000 divisions of a 332 000-bit number
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "kappa", "-d", d, "-t", "1e100000")
+    assert time.perf_counter() - start < 5
     assert code == 0
     assert _parse(out)["serialized"] == serialized
 
@@ -367,7 +383,7 @@ def test_malformed_lattice_file(capsys, tmp_path, text, message):
     code, out, err = _run(capsys, "cmsum", "--form", str(form),
                           "--lattice", str(lat))
     assert code == 1
-    assert message in err
+    assert err.startswith(f"error: {lat}: ") and message in err
 
 
 @pytest.mark.parametrize("gram", ["", "gram=2\n"])
@@ -380,7 +396,7 @@ def test_cmsum_refuses_negative_rank(capsys, tmp_path, gram):
     code, out, err = _run(capsys, "cmsum", "--form", str(form),
                           "--lattice", str(lat))
     assert code == 1 and out == ""
-    assert "rank=-1 is negative" in err and "gram" not in err
+    assert err == f"error: {lat}: rank=-1 is negative\n"
     assert "Traceback" not in err
 
 
@@ -402,7 +418,24 @@ def test_cmsum_refuses_dual_group_above_cap(capsys, tmp_path):
                           "--lattice", str(lat))
     assert code == 1
     assert out == ""
-    assert err == "error: L^v/L has order 14000000, above the cap of 100000\n"
+    assert err == (
+        f"error: {lat}: L^v/L has order 14000000, above the cap of 100000\n"
+    )
+
+
+def test_files_that_are_not_utf8_text_are_refused_with_their_path(capsys, tmp_path):
+    # the binary file as the lattice file, then as the form file behind a
+    # good lattice file
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"d=7\n\xd0\x00\xff\n")
+    lat, _ = _write_desk_files(tmp_path)
+    for flags in (("--lattice", str(binary), "--form", str(binary)),
+                  ("--lattice", lat, "--form", str(binary))):
+        code, out, err = _run(capsys, "cmsum", *flags)
+        assert code == 1 and out == ""
+        assert err == (
+            f"error: {binary}: not UTF-8 text: byte 0xd0 (invalid continuation byte)\n"
+        )
 
 
 def test_cmsum_at_a_split_lattice_near_the_cap(capsys, tmp_path):

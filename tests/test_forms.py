@@ -33,12 +33,9 @@ from workloads import build_pool  # noqa: E402
 
 def test_qexp_basic():
     f = QExpansion(0, (1, 2, 3))
-    assert f.order == 2
-    assert f.coeff(1) == 2
-    assert f.coeff(2) == 3
-    with pytest.raises(IndexError):
-        f.coeff(3)
-    assert QExpansion(-1, (1, 0, 5)).coeff(0) == 0
+    assert f.leading == 0 and f.coeffs == (1, 2, 3)
+    g = QExpansion(-1, (1, 0, 5))
+    assert g.leading == -1 and g.coeffs == (1, 0, 5)
 
 
 def test_qexp_normalizes_leading_zeros():
@@ -51,7 +48,7 @@ def test_qexp_mul_tracks_order():
     b = QExpansion(1, (1, 0, 1))    # order 3
     c = a * b
     assert c.leading == 1
-    assert c.order == 2  # min(1 + 1, 3 + 0)
+    assert c.coeffs == (1, 1)  # exact to q^2, min(1 + 1, 3 + 0)
 
 
 def test_qexp_inverse_identity():
@@ -113,8 +110,9 @@ def test_delta_expansion():
 def test_delta_tau_values():
     d = classical_qexp("delta", 10)
     # Ramanujan tau
-    assert d.coeff(5) == 4830
-    assert d.coeff(10) == -115920
+    assert d.leading == 1
+    assert d.coeffs[5 - 1] == 4830
+    assert d.coeffs[10 - 1] == -115920
 
 
 def test_e4_e6():
@@ -132,12 +130,10 @@ def test_j_expansion():
 
 def test_j_integrality_to_200():
     j = classical_qexp("j", 200)
-    assert j.coeff(-1) == 1
-    assert j.coeff(0) == 744
-    assert j.coeff(1) == 196884
+    assert j.leading == -1
+    assert j.coeffs[:3] == (1, 744, 196884)
     assert len(j.coeffs) == 202
-    for n in range(-1, 201):
-        assert type(j.coeff(n)) is int
+    assert all(type(c) is int for c in j.coeffs)
 
 
 def test_classical_qexp_errors():

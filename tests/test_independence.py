@@ -88,6 +88,20 @@ def _names(tree):
     return names
 
 
+def _definitions(tree):
+    """(dotted name, node) for each module-level def and class of tree and
+    each non-dunder def in a class body."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_library_definition_has_a_caller_outside_the_tests():
     # code that only tests call belongs in the tests
     trees = {
@@ -96,11 +110,10 @@ def test_every_library_definition_has_a_caller_outside_the_tests():
     }
     used = sum(map(_names, trees.values()), Counter())
     unused = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{name}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not used[node.name] - _names(node)[node.name]
+        for name, node in _definitions(tree)
+        if not used[node.name] - _names(node)[node.name]
     ]
     assert unused == []

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -32,6 +33,8 @@ from borcherds_cm.cmvalue import contraction_coeffs, log_psi_product
 from borcherds_cm.forms import FourierForm
 from borcherds_cm.kappa import kappa_at
 from borcherds_cm.quadfield import INERT, SPLIT, UnsupportedDiscriminantError, make_field
+
+from reference import _q
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +526,7 @@ def test_vector_norms_brute_force():
     for x in range(-8, 9):
         for y in range(-8, 9):
             v = (x + coset[0], y + coset[1])
-            q = pl.q_of(v)
+            q = _q(pl.gram, v)
             if q <= bound:
                 brute[q] = brute.get(q, 0) + 1
     assert counts == brute
@@ -641,17 +644,10 @@ def test_coset_length_must_match_the_rank():
             pl.vector_norms_up_to(coset, 2)
         with pytest.raises(ValueError, match="rank 2"):
             pl.count_vectors(coset, 2)
-        with pytest.raises(ValueError, match=f"length {len(coset)} .*rank 2"):
-            pl.q_of(coset)
     with pytest.raises(ValueError, match="length 1 .*rank 0"):
         PosLattice(()).vector_norms_up_to((0,), 1)
-    with pytest.raises(ValueError, match="length 1 .*rank 0"):
-        PosLattice(()).q_of((0,))
     ideal = make_ideal_lattice(make_field(7), "unit")
-    assert ideal.q_of((1, 0)) == -1
-    for coords in ((1, 0, 5), (1,)):
-        with pytest.raises(ValueError, match=f"length {len(coords)} .*rank 2"):
-            ideal.q_of(coords)
+    assert _q(ideal.gram, (1, 0)) == -1
     # coset_of_element reads only two numerators unless it checks them
     for num in (ideal.coset(3).num + (5,), (1,)):
         with pytest.raises(
@@ -663,7 +659,7 @@ def test_coset_length_must_match_the_rank():
 def test_rank_zero_lattice():
     pl = PosLattice(())
     assert pl.rank == 0
-    assert pl.q_of(()) == 0
+    assert _q(pl.gram, ()) == 0
     assert pl.count_vectors((), 0) == 1
     assert pl.count_vectors((), 1) == 0
     assert pl.vector_norms_up_to((), 5) == {0: 1}
@@ -769,7 +765,7 @@ def test_glued_lattice_index_seven():
     for g in nontrivial:
         assert any(x.denominator != 1 for x in g.minus)
         # the ambient Gram is block-diagonal
-        assert (plus.q_of(g.plus) + minus.q_of(g.minus)).denominator == 1
+        assert (_q(plus.gram, g.plus) + _q(minus.gram, g.minus)).denominator == 1
 
 
 def _x1_parts(d1):
@@ -817,7 +813,7 @@ def test_glue_errors():
     # Q(1/2, 2/3) = 4/4 + 9 (4/9) = 5: order 6, with coordinate
     # denominators 2 and 3 only
     plus = PosLattice(((8, 0), (0, 18)))
-    assert plus.q_of((Fraction(1, 2), Fraction(2, 3))) == 5
+    assert _q(plus.gram, (Fraction(1, 2), Fraction(2, 3))) == 5
     with pytest.raises(InconsistentEmbeddingError, match="no coordinate"):
         glue(plus, unit, (3, 4, 0, 0), 6)
 
@@ -860,7 +856,7 @@ def glued_lattices(draw):
         plus = PosLattice(tuple(tuple(p * x for x in row) for row in G0))
         for rest in itertools.product(range(p), repeat=n - 1):
             x_plus = (Fraction(1, p),) + tuple(Fraction(a, p) for a in rest)
-            target = -plus.q_of(x_plus) % 1
+            target = -_q(plus.gram, x_plus) % 1
             candidates += [
                 (plus, x_plus + mu.minus) for mu in torsion if mu.q_mod_one == target
             ]
@@ -896,7 +892,7 @@ def test_random_glued_lattices_in_fractions(sl):
     for eta in sl.etas:
         x = eta.plus + eta.minus
         assert all(y.denominator == 1 for y in mat_vec(x, pairing))
-        q = sl.plus.q_of(x[:n]) + sl.minus.q_of(x[n:])
+        q = _q(sl.plus.gram, x[:n]) + _q(sl.minus.gram, x[n:])
         assert eta.q_mod_one == q % 1
     # L = Z^N + Z v with v = B[0] of order p, so lam is in L exactly when
     # lam - k v is integral for some k
@@ -960,6 +956,20 @@ def test_load_lattice(tmp_path):
     assert sl.plus.rank == 1
     assert sl.minus.norm == 1
     assert len(sl.etas) == 14
+
+
+@pytest.mark.parametrize("text, error", [
+    ("d=8\n", UnsupportedDiscriminantError),
+    ("d=7\nideal=prime:3\n", NotAnIdealError),
+    ("d=7\nrank=1\ngram=2\nbasis=1,0,0;0,2,0;0,0,1\n", InconsistentEmbeddingError),
+    ("d=7\nrank=-1\n", ValueError),
+])
+def test_load_lattice_refusals_keep_their_type_and_name_the_file(tmp_path, text, error):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: ") as exc:
+        load_lattice(path)
+    assert type(exc.value) is error
 
 
 def test_load_lattice_errors(tmp_path):
