@@ -12,13 +12,15 @@ At a reduced form's CM point |q| <= e^{-pi sqrt 3} < 0.0044, so the series
 is short and E(q) is within 1 % of 1.  That makes fixed point relative
 precision: q, E(q), E(q^2), their ratio to the 24th power, x and j are
 complex numbers held as pairs of Python integers scaled by 2^W, and each
-product is one integer product pair and a shift.  |q| and x carry a
-separate power of two, so they keep W relative bits however small they
-are.  q comes from mpmath's fixed-point kernels for pi, ln 2, exp and
-cos/sin (the rotation is exactly -1 when |b| = a), and j becomes an
-mpmath number, exactly (see `j_value` for W and the error budget).  The
-forms (a, b, c) and (a, -b, c) have conjugate j values, so each class
-evaluates j once per such pair.
+product is one integer product pair and a shift, written out in place.
+|q| and x carry a separate power of two, so they keep W relative bits
+however small they are.  q comes from mpmath's fixed-point kernels for
+pi, ln 2, exp and cos/sin, and j becomes an mpmath number, exactly (see
+`j_value` for W and the error budget).  At the forms with |b| = a the
+rotation is exactly -1 and q is real; there every imaginary part is
+exactly 0, so `j_value` runs the same steps on single integers, with the
+same bits.  The forms (a, b, c) and (a, -b, c) have conjugate j values,
+so each class evaluates j once per such pair.
 
 `gz_product` fixes its digits a priori from the size of each form's j,
 |j| <= e^{pi sqrt(d) / a} + 2079, summed over the pairs of forms (Enge,
@@ -36,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, to_float
+from mpmath.libmp import dps_to_prec, from_man_exp, fzero, to_float
 from mpmath.libmp.libelefun import (
     cos_sin_fixed,
     exp_basecase,
@@ -89,37 +91,47 @@ def _euler(q, w):
     sum_k (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}), for |q| < 0.0045.
 
     q and the result are fixed-point pairs for `_mul`.  Each power comes
-    from the previous one by `_mul`, and the sum stops once a term is
-    within one unit 2^-w in both parts.
+    from the previous one by one truncating complex product, written out
+    as in `_mul`, and the sum stops once a term is within one unit 2^-w in
+    both parts.
     """
+    qr, qi = q
     tr, ti = 1 << w, 0
     sign = -1
-    qk = q  # q^k
-    low = q  # q^{k(3k-1)/2}
+    kr, ki = qr, qi  # q^k
+    lr, li = qr, qi  # q^{k(3k-1)/2}
     while True:
-        high = _mul(low, qk, w)  # q^{k(3k+1)/2}
-        tr += sign * (low[0] + high[0])
-        ti += sign * (low[1] + high[1])
-        if -2 < high[0] < 2 and -2 < high[1] < 2:
+        hr = (lr * kr - li * ki) >> w  # q^{k(3k+1)/2}
+        hi = (lr * ki + li * kr) >> w
+        tr += sign * (lr + hr)
+        ti += sign * (li + hi)
+        if -2 < hr < 2 and -2 < hi < 2:
             return tr, ti
-        qk_next = _mul(qk, q, w)
+        nr = (kr * qr - ki * qi) >> w  # q^{k+1}
+        ni = (kr * qi + ki * qr) >> w
         # k(3k+1)/2 + k + (k+1) = (k+1)(3k+2)/2
-        low = _mul(_mul(high, qk, w), qk_next, w)
-        qk = qk_next
+        lr, li = (hr * kr - hi * ki) >> w, (hr * ki + hi * kr) >> w
+        lr, li = (lr * nr - li * ni) >> w, (lr * ni + li * nr) >> w
+        kr, ki = nr, ni
         sign = -sign
 
 
-def _ratio_power_24(a, b, w):
-    """(a / b)^24 for fixed-point pairs a, b near 1.
-
-    a / b = a conj(b) / |b|^2 with one floor division per part, and the
-    power is r^16 r^8 from four squarings and one product."""
-    (ar, ai), (br, bi) = a, b
-    den = br * br + bi * bi
-    r = ((ar * br + ai * bi) << w) // den, ((ai * br - ar * bi) << w) // den
-    for _ in range(3):
-        r = _mul(r, r, w)
-    return _mul(_mul(r, r, w), r, w)
+def _euler_real(q, w):
+    """`_euler` at real q, on the real parts alone: with q's imaginary part
+    0, every imaginary part of `_euler` is exactly 0, so this returns the
+    real part of `_euler((q, 0), w)`, bit for bit."""
+    t = 1 << w
+    sign = -1
+    qk = low = q
+    while True:
+        high = (low * qk) >> w
+        t += sign * (low + high)
+        if -2 < high < 2:
+            return t
+        qk_next = (qk * q) >> w
+        low = (((high * qk) >> w) * qk_next) >> w
+        qk = qk_next
+        sign = -sign
 
 
 def j_value(form, d, prec=64):
@@ -144,8 +156,7 @@ def j_value(form, d, prec=64):
       off by one unit of 2^-V each and ln 2 by one unit times k < 5 sqrt(d),
       so r is within (6 sqrt(d) + 6) 2^-V < 2^-W.  exp_basecase and
       cos_sin_fixed add a few units of 2^-V, and M's two truncating
-      products one unit each: M is within 3 units.  When |b| = a the
-      rotation e^{-i pi b / a} is exactly -1 and skips cos_sin_fixed.
+      products one unit each: M is within 3 units.
     - q = 2^-k M and q^2 are truncated once each: one unit in each E.
     - `_euler` makes 4 truncating products per index k, one unit each,
       and multiplies every earlier error only by factors of modulus
@@ -177,6 +188,14 @@ def j_value(form, d, prec=64):
     every precision `gz_product` or `bcm gz --prec` reaches.  The series
     shares nothing with the package's q-expansion code.
 
+    When |b| = a the rotation e^{-i pi b / a} is exactly -1, so it skips
+    cos_sin_fixed and q is real.  Then every imaginary part of the steps
+    above is exactly 0, and the real path runs the same truncations on the
+    real parts alone, E by `_euler_real`.  Its two divisions drop the
+    common factor of the complex ones, as
+    floor(a b 2^W / b^2) = floor(a 2^W / b), so j is the complex steps'
+    value bit for bit, and the budget above holds as it stands.
+
     For the form (a, -b, c), tau is -conj(tau) of (a, b, c), and j has
     integer Fourier coefficients, so the value is the conjugate.
     """
@@ -197,17 +216,38 @@ def j_value(form, d, prec=64):
     pi = int(pi_fixed(v))
     k, r = divmod((pi * math.isqrt(d << 2 * v) >> v) // a, int(ln2_fixed(v)))
     m = int(exp_basecase(-r, v))
-    if abs(b) == a:
-        cos, sin = -(1 << v), 0
-    else:
-        cos, sin = cos_sin_fixed(pi * b // a, v, pi >> 1)
     shift = 2 * v - w
-    qm = (m * int(cos)) >> shift, -(m * int(sin)) >> shift
-    q = qm[0] >> k, qm[1] >> k
-    ratio = _ratio_power_24(_euler(_mul(q, q, w), w), _euler(q, w), w)
-    xr, xi = _mul(qm, ratio, w)
-    u = (1 << w) + ((xr << 8) >> k), (xi << 8) >> k
-    ur, ui = _mul(_mul(u, u, w), u, w)
+    if abs(b) == a:
+        # e^{-i pi b / a} = -1, so q and every step below are real
+        qm = -(m << v) >> shift
+        q = qm >> k
+        e = (_euler_real((q * q) >> w, w) << w) // _euler_real(q, w)
+        e = (e * e) >> w
+        e = (e * e) >> w
+        e = (e * e) >> w
+        x = (qm * ((((e * e) >> w) * e) >> w)) >> w
+        u = (1 << w) + ((x << 8) >> k)
+        u = (((u * u) >> w) * u) >> w
+        return mp.make_mpc((from_man_exp((u << (k + w)) // x, -w), fzero))
+    cos, sin = cos_sin_fixed(pi * b // a, v, pi >> 1)
+    qmr, qmi = (m * int(cos)) >> shift, -(m * int(sin)) >> shift
+    qr, qi = qmr >> k, qmi >> k
+    ar, ai = _euler(((qr * qr - qi * qi) >> w, (qr * qi + qi * qr) >> w), w)
+    br, bi = _euler((qr, qi), w)
+    # E(q^2) / E(q) = E(q^2) conj(E(q)) / |E(q)|^2, then its 24th power
+    # as r^16 r^8 from four squarings and one product
+    den = br * br + bi * bi
+    rr = ((ar * br + ai * bi) << w) // den
+    ri = ((ai * br - ar * bi) << w) // den
+    rr, ri = (rr * rr - ri * ri) >> w, (rr * ri + ri * rr) >> w
+    rr, ri = (rr * rr - ri * ri) >> w, (rr * ri + ri * rr) >> w
+    rr, ri = (rr * rr - ri * ri) >> w, (rr * ri + ri * rr) >> w
+    sr, si = (rr * rr - ri * ri) >> w, (rr * ri + ri * rr) >> w
+    rr, ri = (sr * rr - si * ri) >> w, (sr * ri + si * rr) >> w
+    xr, xi = (qmr * rr - qmi * ri) >> w, (qmr * ri + qmi * rr) >> w
+    ur, ui = (1 << w) + ((xr << 8) >> k), (xi << 8) >> k
+    sr, si = (ur * ur - ui * ui) >> w, (ur * ui + ui * ur) >> w
+    ur, ui = (sr * ur - si * ui) >> w, (sr * ui + si * ur) >> w
     den = xr * xr + xi * xi
     jr = ((ur * xr + ui * xi) << (k + w)) // den
     ji = ((ui * xr - ur * xi) << (k + w)) // den

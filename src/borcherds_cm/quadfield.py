@@ -43,11 +43,13 @@ def reduced_forms(d):
     or a = c.  Returned in canonical (a, b) order; the list length is the
     class number.
 
-    The walk is the squarefree test; d is not factored.  A form of
-    content g > 1 has g^2 | b^2 - 4ac = -d.  If p^2 | d, then p is odd,
-    d/p^2 = 3 mod 4 gives d >= 3p^2, and (p, p, (p^2 + d)/4p) is a reduced
-    form of content p (Cohen, GTM 138, section 5.3).  So d is refused at
-    the first imprimitive form.  A d above MAX_D is refused first.
+    The walk visits odd b only: for even b, b^2 + d is odd, and 4a does
+    not divide it.  The walk is the squarefree test; d is not factored.
+    A form of content g > 1 has g^2 | b^2 - 4ac = -d.  If p^2 | d, then p
+    is odd, d/p^2 = 3 mod 4 gives d >= 3p^2, and (p, p, (p^2 + d)/4p) is a
+    reduced form of content p (Cohen, GTM 138, section 5.3).  So d is
+    refused at the first imprimitive form.  A d above MAX_D is refused
+    first.
     """
     d = _whole("d", d)
     if d > MAX_D:
@@ -59,7 +61,8 @@ def reduced_forms(d):
         raise UnsupportedDiscriminantError(not_fundamental)
     forms = []
     for a in range(1, math.isqrt(d // 3) + 1):
-        for b in range(-a, a + 1):
+        # -a | 1 is the least odd b >= -a
+        for b in range(-a | 1, a + 1, 2):
             if (b * b + d) % (4 * a):
                 continue
             c = (b * b + d) // (4 * a)

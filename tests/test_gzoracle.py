@@ -107,6 +107,40 @@ def test_j_value_at_9000_digits_and_d_2000003():
         assert diff < mp.mpf(10) ** -(prec - 5)
 
 
+def _pinned_forms(bound):
+    """(form, d) for every d < bound that reduced_forms accepts: its
+    forms, then the mirrors (a, -b, c) with 0 < b < a < c."""
+    out = []
+    for d in range(3, bound, 4):
+        try:
+            forms = reduced_forms(d)
+        except UnsupportedDiscriminantError:
+            continue
+        out += [(f, d) for f in forms]
+        out += [((a, -b, c), d) for a, b, c in forms if 0 < b < a < c]
+    return out
+
+
+# sha256 prefixes of every bit of j at 3010 forms (257 at prec 896): a
+# change to j_value's kernel must keep each truncation where it is
+@pytest.mark.parametrize(
+    "prec, bound, digest",
+    [
+        (30, 1000, "dbee82f1633fa774"),
+        (60, 1000, "2acaa9ecedaef140"),
+        (250, 1000, "3170650fd9335355"),
+        (896, 200, "ab2a73ff32e84c60"),
+    ],
+)
+def test_j_value_bits_are_pinned(prec, bound, digest):
+    forms = _pinned_forms(bound)
+    assert len(forms) == {1000: 3010, 200: 257}[bound]
+    h = hashlib.sha256()
+    for form, d in forms:
+        h.update(repr(j_value(form, d, prec)._mpc_).encode())
+    assert h.hexdigest()[:16] == digest
+
+
 def test_j_value_accuracy_ignores_caller_precision():
     # at mpmath's default 15 digits, j_value must still return 60 digits
     with mp.workdps(15):
@@ -170,6 +204,23 @@ def test_fixed_point_euler_matches_qpochhammer(digits, radius, turn):
         # one unit for q and 4 per index k (k <= 17 at 1000 digits): at
         # most 69 units of 2^-w
         assert err < mp.ldexp(1, 8 - w), (digits, radius, turn)
+
+
+@given(
+    digits=st.integers(min_value=30, max_value=1000),
+    radius=st.floats(min_value=-1, max_value=1),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fixed_point_real_euler_matches_qpochhammer(digits, radius):
+    # the real kernel of the forms with |b| = a, at real q of either sign
+    # up to |q| = e^{-pi sqrt 3}, with the bound of the complex kernel
+    with mp.workdps(digits):
+        q = radius * mp.exp(-mp.pi * mp.sqrt(3))
+        w = mp.prec + gzoracle._GUARD_BITS
+        e = gzoracle._euler_real(int(to_fixed(q._mpf_, w)), w)
+    with mp.workdps(digits + 20):
+        err = abs(mp.ldexp(e, -w) - mp.qp(q))
+        assert err < mp.ldexp(1, 8 - w), (digits, radius)
 
 
 def test_j_value_domain():

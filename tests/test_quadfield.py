@@ -64,6 +64,31 @@ def test_reduced_forms_refuses_exactly_the_non_squarefree():
         assert refused == _has_square_factor(d), d
 
 
+def _reduced_forms_both_parities(d):
+    """The reduced forms of discriminant -d from a walk over every b with
+    |b| <= a, or None at the first imprimitive form."""
+    forms = []
+    for a in range(1, math.isqrt(d // 3) + 1):
+        for b in range(-a, a + 1):
+            c, rem = divmod(b * b + d, 4 * a)
+            if rem or c < a or (b < 0 and (a == -b or a == c)):
+                continue
+            if math.gcd(a, b, c) != 1:
+                return None
+            forms.append((a, b, c))
+    return sorted(forms)
+
+
+def test_reduced_forms_walk_over_odd_b_misses_nothing():
+    # d is odd, so for even b 4a never divides b^2 + d
+    for d in range(3, 4000, 4):
+        try:
+            forms = reduced_forms(d)
+        except UnsupportedDiscriminantError:
+            forms = None
+        assert forms == _reduced_forms_both_parities(d), d
+
+
 def test_factorize_calls(monkeypatch):
     # reduced_forms factors nothing; make_field factors d once
     calls = []
