@@ -25,10 +25,10 @@ so each class evaluates j once per such pair.
 `gz_product` fixes its digits a priori from the size of each form's j,
 |j| <= e^{pi sqrt(d) / a} + 2079, summed over the pairs of forms (Enge,
 Math. Comp. 78 (2009) sizes class polynomials from the same per-form
-terms).  It reads each j back exactly as integers, and the product of
-differences, its rounding to the nearest integer and the rounding margin
-are integer work at one scale 2^W as well; only the margin becomes a
-float, for the report.
+terms).  It reads each j back exactly as integers at one scale 2^W, and
+the product of differences, one inline loop of truncating products, its
+rounding to the nearest integer and the rounding margin are integer work
+as well; only the margin becomes a float, for the report.
 """
 
 from __future__ import annotations
@@ -79,21 +79,14 @@ class GZResult:
 _GUARD_BITS = 20
 
 
-def _mul(a, b, w):
-    """The product of complex numbers (re, im) held as integers scaled by
-    2^w, truncated back to that scale."""
-    (ar, ai), (br, bi) = a, b
-    return (ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w
-
-
 def _euler(q, w):
     """E(q) = prod_{n >= 1} (1 - q^n) by Euler's pentagonal number theorem,
     sum_k (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}), for |q| < 0.0045.
 
-    q and the result are fixed-point pairs for `_mul`.  Each power comes
-    from the previous one by one truncating complex product, written out
-    as in `_mul`, and the sum stops once a term is within one unit 2^-w in
-    both parts.
+    q and the result are pairs (re, im) of integers scaled by 2^w.  Each
+    power comes from the previous one by one truncating complex product,
+    written out in place, and the sum stops once a term is within one unit
+    2^-w in both parts.
     """
     qr, qi = q
     tr, ti = 1 << w, 0
@@ -254,31 +247,23 @@ def j_value(form, d, prec=64):
     return mp.make_mpc((from_man_exp(jr, -w), from_man_exp(ji, -w)))
 
 
-def _parts(z):
-    """The real and imaginary parts of the mpmath complex z, each exactly
-    as (signed mantissa, exponent).  mpf.man_exp would drop the sign."""
-    return tuple((-man if sign else man, exp) for sign, man, exp, _ in z._mpc_)
-
-
-def _at_scale(z, w):
-    """`_parts` z as a fixed-point pair for `_mul`, exactly: w is at least
-    minus either exponent, so both shifts are left shifts."""
-    (re, re_exp), (im, im_exp) = z
-    return re << (re_exp + w), im << (im_exp + w)
-
-
 def _class_j_values(forms, d, digits):
-    """j_value at each form, in order, as `_parts`, with one evaluation
-    per pair (a, +-b, c): the form with b < 0 takes the conjugate of its
-    mirror."""
+    """j_value at each form, in order, as (re, re_exp, im, im_exp): each
+    part exactly, as a signed mantissa and its exponent, with one
+    evaluation per pair (a, +-b, c): the form with b < 0 takes its
+    mirror's value with the imaginary mantissa negated."""
     values = {}
     for a, b, c in sorted(forms, key=lambda f: f[1] < 0):
         mirror = values.get((a, -b, c))
         if mirror is None:
-            values[(a, b, c)] = _parts(j_value((a, b, c), d, digits))
+            (r_sign, re, re_exp, _), (i_sign, im, im_exp, _) = j_value(
+                (a, b, c), d, digits
+            )._mpc_
+            re, im = -re if r_sign else re, -im if i_sign else im
+            values[(a, b, c)] = re, re_exp, im, im_exp
         else:
-            re, (im, exp) = mirror
-            values[(a, b, c)] = re, (-im, exp)
+            re, re_exp, im, im_exp = mirror
+            values[(a, b, c)] = re, re_exp, -im, im_exp
     return [values[f] for f in forms]
 
 
@@ -308,13 +293,15 @@ def gz_product(d1, d2, prec=None):
     At each rung j_value gives each j at digits, whatever mp.prec is, and
     every part of every j is read back exactly and aligned, by left shifts
     only, to one scale 2^W, W = max(dps_to_prec(digits + 20), -exponent
-    of every part).  The product is `_mul` at that scale, nearest =
-    round(P_re) and margin = max(|P_re - nearest|, |P_im|), all integers;
-    the rung succeeds when margin < 10^-20.  Each truncating product adds
-    at most one unit 2^-W per part, which the later factors multiply by
-    their moduli.  Each factor's bound is at least 4 * 2079 > 1, so the
-    moduli multiply to at most e^size_bound < 10^(digits - 39), and
-    truncation costs at most h1 h2 2^(1-W) 10^(digits - 39) < 10^-55:
+    of every part).  The product is one inline loop of truncating complex
+    products at that scale, j2 within j1 in forms order, which fixes its
+    bits; nearest = round(P_re) and margin = max(|P_re - nearest|, |P_im|)
+    are integers, and the rung succeeds when margin < 10^-20.  Each
+    truncating product adds at most one unit 2^-W per part, which the
+    later factors multiply by their moduli.  Each factor's bound is at
+    least 4 * 2079 > 1, so the moduli multiply to at most
+    e^size_bound < 10^(digits - 39), and truncation costs at most
+    h1 h2 2^(1-W) 10^(digits - 39) < 10^-55:
     each factor adds at least ln(4 * 2079) > 9.02 to size_bound, so
     h1 h2 < 2550 below MAX_PREC digits, and 2^-W < 10^-(digits + 20).
     """
@@ -356,15 +343,18 @@ def gz_product(d1, d2, prec=None):
     for attempt, digits in enumerate(ladder):
         j1 = _class_j_values(forms1, d1, digits)
         j2 = _class_j_values(forms2, d2, digits)
-        w = max(dps_to_prec(digits + 20), *(-exp for z in j1 + j2 for _, exp in z))
-        j1 = [_at_scale(z, w) for z in j1]
-        j2 = [_at_scale(z, w) for z in j2]
-        product = 1 << w, 0
+        w = dps_to_prec(digits + 20)
+        for _, re_exp, _, im_exp in j1 + j2:
+            w = max(w, -re_exp, -im_exp)
+        j1 = [(re << (re_exp + w), im << (im_exp + w)) for re, re_exp, im, im_exp in j1]
+        j2 = [(re << (re_exp + w), im << (im_exp + w)) for re, re_exp, im, im_exp in j2]
+        pr, pi = 1 << w, 0
         for xr, xi in j1:
             for yr, yi in j2:
-                product = _mul(product, (xr - yr, xi - yi), w)
-        nearest = (product[0] + (1 << (w - 1))) >> w
-        margin = max(abs(product[0] - (nearest << w)), abs(product[1]))
+                zr, zi = xr - yr, xi - yi
+                pr, pi = (pr * zr - pi * zi) >> w, (pr * zi + pi * zr) >> w
+        nearest = (pr + (1 << (w - 1))) >> w
+        margin = max(abs(pr - (nearest << w)), abs(pi))
         if margin * 10**20 < 1 << w:
             return GZResult(
                 d1=d1,

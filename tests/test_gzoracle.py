@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 
@@ -8,7 +9,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from borcherds_cm import gzoracle
-from borcherds_cm.arith import factorize
+from borcherds_cm.arith import factorize, kronecker
 from borcherds_cm.forms import classical_qexp
 from borcherds_cm.gzoracle import (
     GZResult,
@@ -335,6 +336,12 @@ def _odd_fundamental(bound):
 # SHA-256 of one repr((d1, d2, product, factorization, precision_used,
 # doublings)) line per pair of the sweep below, in sweep order.
 SWEEP_1000_DIGEST = "2d85e8dbda004122e035994abbc116da742a7244b7c9166a1edf9c803276f4c1"
+# SHA-256 of one repr(margin) line per pair of the same sweep: the margin
+# reads the truncation bits of the product, so it moves with W or with
+# the order of the factors.
+SWEEP_1000_MARGIN_DIGEST = (
+    "358d9a95bd13030dd79ede3cd6f05e1139b1554eaf1e4b78175b5da07c3e823a"
+)
 
 
 def test_gz_sweep_pinned():
@@ -348,14 +355,74 @@ def test_gz_sweep_pinned():
         if d1 * d2 <= 1000 and math.gcd(d1, d2) == 1
     ]
     assert len(pairs) == 110
-    lines = []
+    lines, margins = [], []
     for d1, d2 in pairs:
         r = gz_product(d1, d2)
         assert r.margin < 1e-20, (d1, d2, r.margin)
         record = (r.d1, r.d2, r.product, r.factorization, r.precision_used, r.doublings)
         lines.append(repr(record))
+        margins.append(repr(r.margin))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == SWEEP_1000_DIGEST
+    digest = hashlib.sha256("\n".join(margins).encode()).hexdigest()
+    assert digest == SWEEP_1000_MARGIN_DIGEST
+
+
+def _trial_factor(m):
+    """{p: e} with m = prod p^e, by trial division."""
+    factors = {}
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1
+    if m > 1:
+        factors[m] = 1
+    return factors
+
+
+def _gz_formula_valuations(d1, d2):
+    """{p: v_p(prod_x F((d1 d2 - x^2) / 4))} over x^2 < d1 d2 with
+    x = d1 d2 (mod 2), both signs, F(m) = prod_{n n' = m} n^eps(n'),
+    eps multiplicative with eps(p) = chi_{-d1}(p) if p does not divide
+    d1, else chi_{-d2}(p) (Gross-Zagier, "On singular moduli", Thm 1.3)."""
+
+    def eps(p):
+        return kronecker(-d1, p) if d1 % p else kronecker(-d2, p)
+
+    D = d1 * d2
+    total = {}
+    for x in range(-math.isqrt(D), math.isqrt(D) + 1):
+        if (D - x) % 2:
+            continue
+        factors = sorted(_trial_factor((D - x * x) // 4).items())
+        # n runs over the divisors of m by exponent vectors; then
+        # v_p(F(m)) = sum over n of v_p(n) eps(m / n)
+        for ks in itertools.product(*(range(e + 1) for _, e in factors)):
+            sign = math.prod(eps(p) ** (e - k) for (p, e), k in zip(factors, ks))
+            for (p, _), k in zip(factors, ks):
+                total[p] = total.get(p, 0) + sign * k
+    return total
+
+
+def test_gz_product_matches_gross_zagier_formula():
+    # J = prod (j(tau_1) - j(tau_2))^(4 / (w1 w2)) has J^2 = +-prod_x F(...),
+    # so 8 v_p(product) = w1 w2 sum_x v_p(F(...)) for every prime p
+    ds = _odd_fundamental(2000 // 3)
+    pairs = [
+        (d1, d2)
+        for d1 in ds
+        for d2 in ds
+        if d1 != d2 and d1 * d2 <= 2000 and math.gcd(d1, d2) == 1
+    ]
+    assert len(pairs) == 488
+    for d1, d2 in pairs:
+        units = (6 if d1 == 3 else 2) * (6 if d2 == 3 else 2)
+        product = dict(gz_product(d1, d2).factorization)
+        formula = _gz_formula_valuations(d1, d2)
+        for p in product.keys() | formula.keys():
+            assert 8 * product.get(p, 0) == units * formula.get(p, 0), (d1, d2, p)
 
 
 def test_gz_symmetry_sign():
