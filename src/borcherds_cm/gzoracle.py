@@ -19,8 +19,11 @@ pi, ln 2, exp and cos/sin, and j becomes an mpmath number, exactly (see
 `j_value` for W and the error budget).  At the forms with |b| = a the
 rotation is exactly -1 and q is real; there every imaginary part is
 exactly 0, so `j_value` runs the same steps on single integers, with the
-same bits.  The forms (a, b, c) and (a, -b, c) have conjugate j values,
-so each class evaluates j once per such pair.
+same bits.  At d = 3, where j(rho) = 0, the error budget shows that
+those steps give exactly 0, so `j_value` returns 0 without them.  Its
+budget is worked out up to MAX_PREC digits and d = MAX_D, and it refuses
+anything above either.  The forms (a, b, c) and (a, -b, c) have
+conjugate j values, so each class evaluates j once per such pair.
 
 `gz_product` fixes its digits a priori from the size of each form's j,
 |j| <= e^{pi sqrt(d) / a} + 2079, summed over the pairs of forms (Enge,
@@ -47,7 +50,7 @@ from mpmath.libmp.libelefun import (
 )
 
 from .arith import MAX_PREC, PrecisionError, _whole, factorize, kronecker
-from .quadfield import reduced_forms
+from .quadfield import MAX_D, reduced_forms
 
 
 class RoundingFailure(ArithmeticError):
@@ -133,7 +136,9 @@ def j_value(form, d, prec=64):
 
     This is safe for every form with 0 < a and |b| <= a <= c, so for
     every reduced form and its mirror (a, -b, c); other forms raise a
-    ValueError.  For these d = 4ac - b^2 >= 3a^2, so
+    ValueError, as does d > MAX_D, and prec > MAX_PREC raises a
+    PrecisionError: the budget below is worked out for those caps.
+    For these forms d = 4ac - b^2 >= 3a^2, so
     |q| = e^{-pi sqrt(d) / a} <= e^{-pi sqrt 3} < 0.0044.  Then E(q) lies
     within 1 % of 1, so fixed point is relative precision for E and R, and
     no step cancels.  Since |j(tau)| is about e^{pi sqrt(d)/a}, that is
@@ -157,8 +162,9 @@ def j_value(form, d, prec=64):
       sum stops by the first k with |q|^{k(3k+1)/2} < 2^-(W+1), and
       |q| < 2^-7.85, so it takes K < sqrt((W + 1) / 11.77) + 1 values of
       k: K = 10 at W = 1000, and K = 64 at W = 47 700, which is above
-      all that `gz_product` asks for (10 000 digits, and size_digits
-      <= 4315 at d <= 10^7).  Each E is within 4K + 1 units.
+      every W that the caps admit (MAX_PREC = 10 000 digits, and
+      size_digits <= 4315 at d <= MAX_D = 10^7, give W <= 47 627).
+      Each E is within 4K + 1 units.
     - E(q) and E(q^2) lie within 0.0045 of 1, so E(q^2) / E(q), with one
       unit for the division, is within 2.02 (4K + 1) + 1 < 9K + 4 units.
     - That ratio has modulus below 1.0046, so the 24th power multiplies
@@ -176,10 +182,9 @@ def j_value(form, d, prec=64):
       + |j| 2^(10 - W) (K + 2) + 1 < 2^(k + 16) (K + 2) units.
     Since 2^k <= 10^size_digits and 2^W >= 2^20 10^(prec + 15 + size_digits),
     j is accurate to (K + 2) / 16 * 10^-(prec + 15) absolute: below
-    5 * 10^-(prec + 15) up to W = 47 700, and below 10^-(prec + 14) for
-    every W under 290 000 bits (K < 158), so the 20 guard bits cover
-    every precision `gz_product` or `bcm gz --prec` reaches.  The series
-    shares nothing with the package's q-expansion code.
+    5 * 10^-(prec + 15) up to W = 47 700, so the 20 guard bits cover
+    every input that the caps admit.  The series shares nothing with the
+    package's q-expansion code.
 
     When |b| = a the rotation e^{-i pi b / a} is exactly -1, so it skips
     cos_sin_fixed and q is real.  Then every imaginary part of the steps
@@ -189,12 +194,26 @@ def j_value(form, d, prec=64):
     floor(a b 2^W / b^2) = floor(a 2^W / b), so j is the complex steps'
     value bit for bit, and the budget above holds as it stands.
 
+    At d = 3 the only forms accepted are (1, +-1, 1), both on the real
+    path, with tau = rho = (+-1 + sqrt(-3)) / 2, where j(rho) = 0.  So the
+    value is mpc(0), exactly, and j_value returns it without running the
+    steps above, with the same bits as they give: j = u^3 / x with
+    x != 0 makes the true u = 0, and the budget puts the integer u within
+    2^9 (K + 2) + 1 units of it.  Up to MAX_PREC, W <= 33 302 and K <= 54,
+    so |u| < 2^15, and W >= 183 at prec >= 30.  Then (u u) >> W = 0 as
+    0 <= u u < 2^30 < 2^W, u^3 = (0 u) >> W = 0, and both parts of j are
+    0 // x = 0, that is (fzero, fzero).
+
     For the form (a, -b, c), tau is -conj(tau) of (a, b, c), and j has
     integer Fourier coefficients, so the value is the conjugate.
     """
     prec = _whole("prec", prec)
     if prec < 30:
         raise ValueError("j_value requires prec >= 30")
+    if prec > MAX_PREC:
+        raise PrecisionError(
+            f"prec={prec} beyond supported range (at most {MAX_PREC} digits)"
+        )
     a, b, c = form
     if b * b - 4 * a * c != -d:
         raise ValueError("form discriminant does not match -d")
@@ -203,6 +222,10 @@ def j_value(form, d, prec=64):
             f"form {form} is outside j_value's error budget: "
             "it needs 0 < a and |b| <= a <= c"
         )
+    if d > MAX_D:
+        raise ValueError(f"d={d} is above j_value's cap MAX_D={MAX_D}")
+    if d == 3:
+        return mp.make_mpc((fzero, fzero))
     size_digits = math.ceil(math.pi * math.sqrt(d) / (a * math.log(10)))
     w = dps_to_prec(prec + 15 + size_digits) + _GUARD_BITS
     v = w + d.bit_length() + 4

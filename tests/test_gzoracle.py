@@ -6,10 +6,10 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import fzero, to_fixed
 
 from borcherds_cm import gzoracle
-from borcherds_cm.arith import factorize, kronecker
+from borcherds_cm.arith import MAX_PREC, factorize, kronecker
 from borcherds_cm.forms import classical_qexp
 from borcherds_cm.gzoracle import (
     GZResult,
@@ -19,6 +19,7 @@ from borcherds_cm.gzoracle import (
     j_value,
 )
 from borcherds_cm.quadfield import (
+    MAX_D,
     PrecisionError,
     UnsupportedDiscriminantError,
     reduced_forms,
@@ -26,9 +27,11 @@ from borcherds_cm.quadfield import (
 
 
 def test_j_value_d3_is_zero():
-    with mp.workdps(60):
-        v = j_value((1, 1, 1), 3, 40)
-        assert abs(v) < mp.mpf("1e-30")
+    # j(rho) = 0: these are the bits the series steps give at each of
+    # these precs, and j_value must return them without the series
+    for form in [(1, 1, 1), (1, -1, 1)]:
+        for prec in [*range(30, 401), 1000, 2500, 5000, 10000]:
+            assert j_value(form, 3, prec)._mpc_ == (fzero, fzero), (form, prec)
 
 
 def test_j_value_d7():
@@ -231,6 +234,14 @@ def test_j_value_domain():
         j_value((1, 1, 2), 7, 10)  # prec too small
     with pytest.raises(ValueError, match=re.escape("prec=30.5 is not an integer")):
         j_value((1, 1, 2), 7, 30.5)
+
+
+def test_j_value_refuses_inputs_beyond_its_error_budget():
+    # the budget is worked out up to MAX_PREC digits and d = MAX_D
+    with pytest.raises(PrecisionError, match=f"prec={MAX_PREC + 1} .*at most {MAX_PREC}"):
+        j_value((1, 1, 2), 7, MAX_PREC + 1)
+    with pytest.raises(ValueError, match=f"d=10000003 .*MAX_D={MAX_D}"):
+        j_value((1, 1, 2500001), 10000003)
 
 
 def test_j_at_i_sqrt3_over_2_is_within_2079_of_its_leading_term():
