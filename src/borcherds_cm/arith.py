@@ -39,13 +39,15 @@ class PrecisionError(ValueError):
 MAX_PREC = 10000
 
 
-def _check_prec(prec, name="prec"):
-    """Reject digit counts outside [10, MAX_PREC]; name is the option that
-    the message blames."""
-    if prec < 10:
-        raise PrecisionError(f"{name} must be >= 10, got {prec}")
+def _check_prec(prec, name="prec", low=10):
+    """Reject digit counts outside [low, MAX_PREC] with a PrecisionError;
+    name is the option that the message blames."""
+    if prec < low:
+        raise PrecisionError(f"{name} must be >= {low}, got {prec}")
     if prec > MAX_PREC:
-        raise PrecisionError(f"{name}={prec} beyond supported range")
+        raise PrecisionError(
+            f"{name}={prec} beyond supported range (at most {MAX_PREC} digits)"
+        )
 
 
 def _whole(name, value):
@@ -57,6 +59,31 @@ def _whole(name, value):
     if n is None or n != value:
         raise ValueError(f"{name}={value!r} is not an integer")
     return n
+
+
+def monomial(c, var, n):
+    """c var^n as text: c alone at n = 0, var for var^1, and a coefficient
+    +-1 as its sign only, so 3*X^2, -q, q^-1 and -5."""
+    if n == 0:
+        return str(c)
+    mono = var if n == 1 else f"{var}^{n}"
+    if c == 1:
+        return mono
+    return f"-{mono}" if c == -1 else f"{c}*{mono}"
+
+
+def signed_sum(terms):
+    """Text terms joined as "t1 + t2 - t3": a later term that starts with
+    "-" is joined by " - " without it.  "0" for no terms."""
+    out = ""
+    for term in terms:
+        if not out:
+            out = term
+        elif term.startswith("-"):
+            out += f" - {term[1:]}"
+        else:
+            out += f" + {term}"
+    return out or "0"
 
 
 # Miller-Rabin to the twelve prime bases up to 37 is a proof of primality
@@ -91,9 +118,8 @@ def is_prime(n):
 
 
 def _pollard_rho(n):
-    # Floyd's cycle detection; n must be composite and odd.
-    if n % 2 == 0:
-        return 2
+    # Floyd's cycle detection; n must be composite and odd, as every
+    # cofactor that factorize hands it is free of primes below 10^6.
     c = 1
     while True:
         x = y = 2
@@ -425,23 +451,19 @@ class FactoredLog:
             f"{p}^({a}/{b})" for p, a, b in sorted(self._exponents())
         )
 
+    def log_terms(self):
+        """The terms of log_string in prime order: log(p) for e_p = 1, else
+        a*log(p) or a/b*log(p) with e_p = a/b."""
+        return [
+            f"log({p})" if a == b
+            else f"{a}*log({p})" if b == 1
+            else f"{a}/{b}*log({p})"
+            for p, a, b in sorted(self._exponents())
+        ]
+
     def log_string(self):
-        """Human-readable form like "-2*log(7) + 1/2*log(3)"; "0" if empty."""
-        if not self._num:
-            return "0"
-        parts = []
-        for p, a, b in sorted(self._exponents()):
-            if a == b:
-                term = f"log({p})"
-            else:
-                term = f"{a}*log({p})" if b == 1 else f"{a}/{b}*log({p})"
-            if not parts:
-                parts.append(term)
-            elif term.startswith("-"):
-                parts.append(f"- {term[1:]}")
-            else:
-                parts.append(f"+ {term}")
-        return " ".join(parts)
+        """Human-readable form like "1/2*log(3) - 2*log(7)"; "0" if empty."""
+        return signed_sum(self.log_terms())
 
     def exp_rational(self):
         """exp(self) as an exact Fraction; requires all integer exponents."""

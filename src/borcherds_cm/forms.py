@@ -18,8 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import mul
 
-from .arith import _ratio, _whole
-from .lattice import _text_lines
+from .arith import _ratio, _whole, monomial, signed_sum
+from .lattice import _int_key, _text_lines
 
 
 class IntegralityViolation(ValueError):
@@ -90,21 +90,10 @@ class QExpansion:
     def render(self, max_terms=8):
         """The first max_terms nonzero terms, then `...` if any is left."""
         terms = [(self.leading + i, c) for i, c in enumerate(self.coeffs) if c]
-        parts = []
-        for n, c in terms[:max_terms]:
-            if n == 0:
-                parts.append(str(c))
-            else:
-                mono = "q" if n == 1 else f"q^{n}"
-                if c == 1:
-                    parts.append(mono)
-                elif c == -1:
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{c}*{mono}")
+        parts = [monomial(c, "q", n) for n, c in terms[:max_terms]]
         if len(terms) > max_terms:
             parts.append("...")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        return signed_sum(parts)
 
 
 def _euler_series(N):
@@ -248,10 +237,7 @@ def load_form(path, lattice):
                     raise ValueError(f"form file has an unknown key {key!r}")
                 if d is not None:
                     raise ValueError("form file repeats the key d=")
-                try:
-                    d = int(value)
-                except ValueError:
-                    raise ValueError(f"d={value!r} is not an integer") from None
+                d = _int_key(key, value)
                 if d != lattice.minus.field.d:
                     raise ValueError(
                         f"form file has d={d} but the lattice's field "

@@ -49,7 +49,9 @@ from mpmath.libmp.libelefun import (
     pi_fixed,
 )
 
-from .arith import MAX_PREC, PrecisionError, _whole, factorize, kronecker
+from .arith import (
+    MAX_PREC, PrecisionError, _check_prec, _whole, factorize, kronecker,
+)
 from .quadfield import MAX_D, reduced_forms
 
 
@@ -136,8 +138,8 @@ def j_value(form, d, prec=64):
 
     This is safe for every form with 0 < a and |b| <= a <= c, so for
     every reduced form and its mirror (a, -b, c); other forms raise a
-    ValueError, as does d > MAX_D, and prec > MAX_PREC raises a
-    PrecisionError: the budget below is worked out for those caps.
+    ValueError, as does d > MAX_D, and a prec outside [30, MAX_PREC]
+    raises a PrecisionError: the budget below is worked out for those caps.
     For these forms d = 4ac - b^2 >= 3a^2, so
     |q| = e^{-pi sqrt(d) / a} <= e^{-pi sqrt 3} < 0.0044.  Then E(q) lies
     within 1 % of 1, so fixed point is relative precision for E and R, and
@@ -208,12 +210,7 @@ def j_value(form, d, prec=64):
     integer Fourier coefficients, so the value is the conjugate.
     """
     prec = _whole("prec", prec)
-    if prec < 30:
-        raise ValueError("j_value requires prec >= 30")
-    if prec > MAX_PREC:
-        raise PrecisionError(
-            f"prec={prec} beyond supported range (at most {MAX_PREC} digits)"
-        )
+    _check_prec(prec, low=30)
     a, b, c = form
     if b * b - 4 * a * c != -d:
         raise ValueError("form discriminant does not match -d")
@@ -300,9 +297,9 @@ def gz_product(d1, d2, prec=None):
     d1, d2 must be coprime with -d1, -d2 odd fundamental discriminants.
     Precision is chosen from the a-priori size bound log|product| <=
     size_bound, digits = int(size_bound / ln 10) + 40, and doubled on
-    rounding failure; a positive prec raises the starting digits to at
-    least prec.  Digits above MAX_PREC are refused before any j is
-    evaluated, whether prec asks for them or the size bound does, and
+    rounding failure; a prec, from 1 to MAX_PREC, raises the starting
+    digits to at least prec.  Digits above MAX_PREC are refused before any
+    j is evaluated, whether prec asks for them or the size bound does, and
     the doublings stop there.  d1, d2 and prec must be whole numbers.
 
     The bound is summed over the pairs of forms.  j(tau) - 1/q has the
@@ -331,12 +328,7 @@ def gz_product(d1, d2, prec=None):
     d1, d2 = _whole("d1", d1), _whole("d2", d2)
     if prec is not None:
         prec = _whole("prec", prec)
-        if prec <= 0:
-            raise ValueError(f"prec={prec} must be a positive number of digits")
-        if prec > MAX_PREC:
-            raise PrecisionError(
-                f"prec={prec} beyond supported range (at most {MAX_PREC} digits)"
-            )
+        _check_prec(prec, low=1)
     if math.gcd(d1, d2) != 1:
         raise ValueError(f"d1={d1}, d2={d2} are not coprime")
     forms1 = reduced_forms(d1)

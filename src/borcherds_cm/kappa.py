@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactoredLog, ZERO_LOG, _ratio, factorize, valuation
+from .arith import FactoredLog, ZERO_LOG, _ratio, signed_sum, valuation
 from .lattice import check_coset
-from .quadfield import INERT, SPLIT
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -65,14 +64,11 @@ class KappaValue:
         return self.log_part.is_zero() and self.kzero_multiple == 0
 
     def render(self):
-        parts = []
-        if self.log_part:
-            parts.append(self.log_part.log_string())
-        if self.kzero_multiple:
-            c = self.kzero_multiple
-            term = "k0(0)" if c == 1 else f"{c}*k0(0)"
-            parts.append(term if not parts else f"+ {term}")
-        return " ".join(parts) if parts else "0"
+        """The log terms, then c*k0(0) for c = kzero_multiple, as one
+        signed sum: "40*log(3) - 8*log(5) - 6*k0(0)"."""
+        c = self.kzero_multiple
+        k0 = ["k0(0)" if c == 1 else f"{c}*k0(0)"] if c else []
+        return signed_sum(self.log_part.log_terms() + k0)
 
 
 KAPPA_ZERO = KappaValue(ZERO_LOG, Fraction(0))
@@ -125,14 +121,10 @@ def kappa_positive(fld, lat, mu, t):
     zeros = [q for q in fld.ramified_primes if q_mu.denominator % q]
     tn = -t * lat.norm
     obstructions = [q for q in zeros if fld.chi(tn, q) == -1]
-    n = 1 << len(zeros)
     # dt is an integer, as t - Q(mu) and d Q(mu) are
-    for p, a in factorize(fld.d * t.numerator // t.denominator):
-        s = fld.splitting(p)
-        if s == SPLIT:
-            n *= a + 1
-        elif s == INERT and a % 2:
-            obstructions.append(p)
+    n, odd_inert = fld.split_count(fld.d * t.numerator // t.denominator)
+    obstructions += odd_inert
+    n <<= len(zeros)
     if len(obstructions) != 1:
         return KAPPA_ZERO
     (ell,) = obstructions

@@ -688,8 +688,8 @@ def _parse_rows(key, text):
         raise ValueError(f"{key}={text!r} is not rows of rationals a/b") from None
 
 
-def _int_key(keys, key, default=None):
-    value = keys.get(key, default)
+def _int_key(key, value):
+    """int(value), or a ValueError that names the file key and the value."""
     try:
         return int(value)
     except ValueError:
@@ -729,9 +729,9 @@ def load_lattice(path):
             keys[k] = v.strip()
         if "d" not in keys:
             raise ValueError("lattice file missing d=")
-        fld = make_field(_int_key(keys, "d"))
+        fld = make_field(_int_key("d", keys["d"]))
         minus = make_ideal_lattice(fld, keys.get("ideal", "unit"))
-        rank = _int_key(keys, "rank", "0")
+        rank = _int_key("rank", keys.get("rank", "0"))
         if rank < 0:
             raise ValueError(f"rank={rank} is negative")
         if rank:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import FactoredLog, ZERO_LOG, factorize, valuation
+from .arith import FactoredLog, ZERO_LOG, factorize, monomial, signed_sum, valuation
 from .lattice import check_coset
 
 
@@ -45,23 +45,10 @@ class WhitPoly:
         return sum(r * c for r, c in enumerate(self.coeffs))
 
     def poly_string(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for r, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if r == 0:
-                parts.append(str(c))
-            else:
-                mono = "X" if r == 1 else f"X^{r}"
-                if c == 1:
-                    parts.append(f"+ {mono}" if parts else mono)
-                elif c == -1:
-                    parts.append(f"- {mono}" if parts else f"-{mono}")
-                else:
-                    parts.append(f"+ {c}*{mono}" if parts else f"{c}*{mono}")
-        return " ".join(parts) if parts else "0"
+        """The nonzero terms in increasing degree, like "1 - X + X^2"."""
+        return signed_sum(
+            monomial(c, "X", r) for r, c in enumerate(self.coeffs) if c
+        )
 
 
 def whit_unramified(fld, p, t):

@@ -114,6 +114,18 @@ class QuadField:
         self._split_cache[p] = s
         return s
 
+    def split_count(self, n):
+        """For an integer n >= 1, over the p^a || n: the product of a + 1
+        over the split p, and the inert p with a odd, in increasing order."""
+        count, odd_inert = 1, []
+        for p, a in factorize(n):
+            s = self.splitting(p)
+            if s == SPLIT:
+                count *= a + 1
+            elif s == INERT and a % 2:
+                odd_inert.append(p)
+        return count, odd_inert
+
     def rho(self, t):
         """Number of integral O_k-ideals of norm t, for positive rational t:
         the product over p^a || t of a + 1 for split p, 1 for ramified p,
@@ -123,14 +135,8 @@ class QuadField:
             raise ValueError("rho requires t > 0")
         if t.denominator != 1:
             return 0  # no integral ideal has non-integer norm
-        result = 1
-        for p, a in factorize(t.numerator):
-            s = self.splitting(p)
-            if s == SPLIT:
-                result *= a + 1
-            elif s == INERT and a % 2:
-                return 0
-        return result
+        count, odd_inert = self.split_count(t.numerator)
+        return 0 if odd_inert else count
 
 
 def make_field(d):

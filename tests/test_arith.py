@@ -24,6 +24,9 @@ from borcherds_cm.arith import (
     valuation,
 )
 from borcherds_cm.cmvalue import CMValueReport
+from borcherds_cm.forms import QExpansion
+from borcherds_cm.kappa import KappaValue
+from borcherds_cm.locwhit import WhitPoly
 from borcherds_cm.quadfield import kappa_zero_constant, make_field
 
 
@@ -410,6 +413,104 @@ def test_serialize_format():
     assert f.log_string() == "1/2*log(3) - 2*log(7)"
     with pytest.raises(ValueError):
         deserialize("7^2")
+
+
+# The three sum printers as they were before signed_sum and monomial, each
+# joining its signed terms by its own rules; the printers must still give
+# these strings byte for byte.
+def _old_log_string(flog):
+    if not flog.terms:
+        return "0"
+    parts = []
+    for p, e in sorted(flog.terms.items()):
+        a, b = e.numerator, e.denominator
+        if a == b:
+            term = f"log({p})"
+        else:
+            term = f"{a}*log({p})" if b == 1 else f"{a}/{b}*log({p})"
+        if not parts:
+            parts.append(term)
+        elif term.startswith("-"):
+            parts.append(f"- {term[1:]}")
+        else:
+            parts.append(f"+ {term}")
+    return " ".join(parts)
+
+
+def _old_qexp_render(f, max_terms):
+    terms = [(f.leading + i, c) for i, c in enumerate(f.coeffs) if c]
+    parts = []
+    for n, c in terms[:max_terms]:
+        if n == 0:
+            parts.append(str(c))
+        else:
+            mono = "q" if n == 1 else f"q^{n}"
+            if c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+    if len(terms) > max_terms:
+        parts.append("...")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _old_poly_string(coeffs):
+    if not coeffs:
+        return "0"
+    parts = []
+    for r, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        if r == 0:
+            parts.append(str(c))
+        else:
+            mono = "X" if r == 1 else f"X^{r}"
+            if c == 1:
+                parts.append(f"+ {mono}" if parts else mono)
+            elif c == -1:
+                parts.append(f"- {mono}" if parts else f"-{mono}")
+            else:
+                parts.append(f"+ {c}*{mono}" if parts else f"{c}*{mono}")
+    return " ".join(parts) if parts else "0"
+
+
+def _old_kappa_render(value):
+    parts = []
+    if value.log_part:
+        parts.append(value.log_part.log_string())
+    if value.kzero_multiple:
+        c = value.kzero_multiple
+        term = "k0(0)" if c == 1 else f"{c}*k0(0)"
+        parts.append(term if not parts else f"+ {term}")
+    return " ".join(parts) if parts else "0"
+
+
+@given(
+    flog_terms,
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    st.integers(-4, 4),
+    st.lists(st.integers(-3, 3) | st.integers(-10**30, 10**30), max_size=12),
+    st.integers(0, 10),
+    # local Whittaker coefficients are 0 or +-1
+    st.lists(st.sampled_from([-1, 0, 1]), max_size=8),
+)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_sum_printers_match_their_old_joins(
+    terms, kzero, leading, qcoeffs, max_terms, wcoeffs
+):
+    flog = FactoredLog(terms)
+    assert flog.log_string() == _old_log_string(flog)
+    f = QExpansion(leading, qcoeffs)
+    assert f.render(max_terms) == _old_qexp_render(f, max_terms)
+    assert WhitPoly(2, tuple(wcoeffs)).poly_string() == _old_poly_string(wcoeffs)
+    # the one change: a negative k0(0) multiple after log terms reads
+    # "- c*k0(0)", no longer "+ -c*k0(0)"
+    value = KappaValue(flog, kzero)
+    old = _old_kappa_render(value)
+    assert value.render() == old.replace(" + -", " - ")
+    assert (" + -" in old) == (bool(flog) and kzero < 0)
 
 
 def test_exp_rational():

@@ -20,7 +20,7 @@ from borcherds_cm.cmvalue import (
     log_psi_product,
     phi_average,
 )
-from borcherds_cm.forms import FourierForm, SupportCongruenceViolation
+from borcherds_cm.forms import FourierForm, SupportCongruenceViolation, load_form
 from borcherds_cm.gzoracle import gz_product
 from borcherds_cm.kappa import KAPPA_ZERO, KappaValue, kappa_at, kappa_positive
 from borcherds_cm.lattice import (
@@ -30,6 +30,7 @@ from borcherds_cm.lattice import (
     coset_of_element,
     enumerate_dual_cosets,
     glue,
+    load_lattice,
     make_ideal_lattice,
 )
 from borcherds_cm.locwhit import eisenstein_deriv_coeff
@@ -68,6 +69,17 @@ def test_desk_instance_report():
     assert report.rational_value() == 49
     ok, violations = check_prime_support(report, fld, form)
     assert ok and not violations
+
+
+def test_negative_kzero_multiple_renders_as_a_difference(tmp_path):
+    # the glued d = 7 lattice of the CI console check, with c_0(0) = -3
+    lat = tmp_path / "lat"
+    lat.write_text("d=7\nrank=1\ngram=14\nbasis=1/7,1/7,5/7;0,1,0;0,0,1\n")
+    path = tmp_path / "form"
+    path.write_text("1 -3/4 1\n0 -1 -2\n0 0 -3\n")
+    fld, sl = load_lattice(lat)
+    phi = phi_average(load_form(path, sl), sl, fld)
+    assert phi.value.render() == "40*log(3) - 8*log(5) + 8*log(7) - 6*k0(0)"
 
 
 def test_constant_term_drives_transcendence():

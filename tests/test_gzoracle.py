@@ -236,6 +236,13 @@ def test_j_value_domain():
         j_value((1, 1, 2), 7, 30.5)
 
 
+def test_prec_refusals_are_the_shared_digit_check():
+    with pytest.raises(PrecisionError, match="^prec must be >= 30, got 29$"):
+        j_value((1, 1, 2), 7, 29)
+    with pytest.raises(PrecisionError, match="^prec must be >= 1, got 0$"):
+        gz_product(3, 7, 0)
+
+
 def test_j_value_refuses_inputs_beyond_its_error_budget():
     # the budget is worked out up to MAX_PREC digits and d = MAX_D
     with pytest.raises(PrecisionError, match=f"prec={MAX_PREC + 1} .*at most {MAX_PREC}"):

@@ -45,7 +45,7 @@ def _imports(module, folder=PACKAGE):
 
 
 def test_imports_are_read():
-    assert _imports("kappa").keys() == {"arith", "lattice", "quadfield"}
+    assert _imports("kappa").keys() == {"arith", "lattice"}
     assert _imports("locwhit")["lattice"] == {"check_coset"}
 
 
